@@ -13,9 +13,8 @@ import math
 
 from .errors import CakError, PreconditionError
 from .groebner import (
-    GroebnerEngine,
-    ModuleContext,
     _as_budget,
+    module_membership_engine,
     module_syzygies,
 )
 from .polyring import Polynomial, RingPresentation
@@ -425,15 +424,9 @@ def verify_resolution(
     rel_cols = target.relations.columns()
 
     def engine_for(cols):
-        ctx = ModuleContext(ring, nrows)
-        eng = GroebnerEngine(ctx, ring.field, budget)
-        for rel in qrels:
-            for i in range(nrows):
-                eng.add_raw({ctx.key(i, k): c for k, c in rel.terms.items()})
-        for col in cols:
-            eng.add_raw(ctx.from_column(col))
-        eng.complete()
-        return ctx, eng
+        return module_membership_engine(
+            ring, cols, nrows, quotient_relations=qrels, budget=budget
+        )
 
     ctx1, eng1 = engine_for(d1_cols)
     ctx2, eng2 = engine_for(rel_cols)
@@ -452,15 +445,9 @@ def verify_resolution(
             nxt = complex.differential(i + 1).columns()
         else:
             nxt = []
-        ctx, eng = (None, None)
-        ctxn = ModuleContext(ring, di.ncols)
-        eng = GroebnerEngine(ctxn, ring.field, budget)
-        for rel in qrels:
-            for rr in range(di.ncols):
-                eng.add_raw({ctxn.key(rr, k): c for k, c in rel.terms.items()})
-        for col in nxt:
-            eng.add_raw(ctxn.from_column(col))
-        eng.complete()
+        ctxn, eng = module_membership_engine(
+            ring, nxt, di.ncols, quotient_relations=qrels, budget=budget
+        )
         exact = all(eng.contains(ctxn.from_column(col)) for col in syz)
         report.record(
             f"exact_at_{i}", exact, f"kernel of d_{i} exceeds the image of d_{i + 1}"

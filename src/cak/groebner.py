@@ -134,14 +134,6 @@ class ModuleContext:
                 terms[self.key(i, k)] = c
         return terms
 
-    def to_column(self, terms: dict) -> list:
-        """Term dict -> column of polynomials (length ncomp)."""
-        per = [dict() for _ in range(self.ncomp)]
-        for k, c in terms.items():
-            comp, mono = self.decode(k)
-            per[comp][mono] = c
-        return [Polynomial(self.ring, d) for d in per]
-
 
 def _monic(terms: dict, field: Field) -> dict:
     lc = terms[max(terms)]
@@ -560,13 +552,9 @@ def minimal_generating_subset(
         return []
     if nrows is None:
         nrows = len(columns[0])
-    ctx = ModuleContext(ring, nrows)
-    budget = _as_budget(budget)
-    engine = GroebnerEngine(ctx, ring.field, budget)
-    for rel in quotient_relations:
-        for i in range(nrows):
-            engine.add_raw({ctx.key(i, k): c for k, c in rel.terms.items()})
-    engine.complete()
+    ctx, engine = module_membership_engine(
+        ring, [], nrows, quotient_relations=quotient_relations, budget=budget
+    )
     kept = []
     for idx in sorted(range(len(columns)), key=lambda t: (degrees[t], t)):
         elem = ctx.from_column(columns[idx])

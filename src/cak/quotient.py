@@ -6,6 +6,10 @@ projected back).  Ext and Tor are finite-dimensional linear algebra over the
 coefficient field on a standard-monomial basis, so R (and the second
 argument) must be Artinian; positive-dimensional inputs are first cut down
 by an explicit parameter sequence, as the certification workflows do.
+
+Ext, Tor and Tor_0 read the first module's own resolution
+(`PresentedModule.resolution`): it is computed once per module object and
+extended on demand, so repeated calls on one module resolve it once.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ import itertools
 from ._linalg import matrix_rank
 from .errors import CakError, NotArtinianError, PreconditionError
 from .groebner import (
-    GroebnerEngine,
     IdealHandle,
-    ModuleContext,
     _as_budget,
     minimal_generator_count,
+    module_membership_engine,
     standard_monomials,
 )
 from .polyring import Polynomial, RingPresentation, parse_poly
@@ -54,9 +57,6 @@ class QuotientRing:
 
     def ideal(self, gens) -> IdealHandle:
         return IdealHandle(self.presentation, gens)
-
-    def maximal_ideal(self) -> IdealHandle:
-        return IdealHandle(self.presentation, self.presentation.gens())
 
     def standard_basis(self, budget=None):
         """Standard monomials of the defining ideal (Artinian case)."""
@@ -233,14 +233,9 @@ class ArtinianModule:
         self.ring = ring
         self.nrows = nrows
         self.budget = _as_budget(budget)
-        self.ctx = ModuleContext(ring, nrows)
-        self.engine = GroebnerEngine(self.ctx, ring.field, self.budget)
-        for rel in ring.relations:
-            for i in range(nrows):
-                self.engine.add_raw({self.ctx.key(i, k): c for k, c in rel.terms.items()})
-        for col in columns:
-            self.engine.add_raw(self.ctx.from_column(col))
-        self.engine.complete()
+        self.ctx, self.engine = module_membership_engine(
+            ring, columns, nrows, quotient_relations=ring.relations, budget=self.budget
+        )
         self.basis = module_standard_basis(ring, columns, nrows, self.budget)
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
@@ -277,40 +272,33 @@ class ArtinianModule:
         return got
 
 
-def _resolution_maps(R, module: PresentedModule, steps: int, budget):
-    """Minimal resolution data: ranks r_0..r_steps and maps d_1..d_steps
-    (entries NF-reduced), padding with zero maps past termination."""
-    ring = as_presentation(R)
-    res = minimal_free_resolution(
-        module, max_length=steps, budget=budget, over_quotient=True
-    )
-    cx = res.complex
-    ranks = [m.rank for m in cx.modules]
-    maps = list(cx.maps)
-    while len(ranks) <= steps:
-        ranks.append(0)
-    while len(maps) < steps:
-        nr = ranks[len(maps)]
-        maps.append(PolyMatrix.zero(ring, nr, ranks[len(maps) + 1]))
-    return ranks, maps
+def _homology_dims(module, against, start: int, stop: int, budget, *, tensor=False):
+    """Yield dim_k H_i of Hom(F, N), or of F (x) N with ``tensor``, for
+    i = start .. stop - 1, where F is the module's minimal resolution and N
+    is ``against``.  F is extended only as far as the caller consumes."""
+    builder = module.resolution(budget)
+    target = ArtinianModule.from_presented(against, budget)
+    rank_of = _tensor_rank if tensor else _hom_rank
+
+    def induced_rank(i):
+        """Rank of the map induced by d_i (d_0 = 0)."""
+        if i == 0:
+            return 0
+        builder.extend(i, budget)
+        return rank_of(builder.differential(i), builder.rank(i - 1), builder.rank(i), target)
+
+    below = induced_rank(start)
+    for i in range(start, stop):
+        above = induced_rank(i + 1)
+        yield target.dim * builder.rank(i) - below - above
+        below = above
 
 
 def ext_dims(R, module: PresentedModule, against: PresentedModule, bound: int, budget=None):
     """dim_k Ext^i(M, N) for i = 1..bound over the Artinian quotient."""
-    ring = as_presentation(R)
-    budget = _as_budget(budget)
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    ranks, maps = _resolution_maps(R, module, bound + 1, budget)
-    target = ArtinianModule.from_presented(against, budget)
-    rank_delta = []
-    for i in range(bound + 1):
-        rank_delta.append(_hom_rank(maps[i], ranks[i], ranks[i + 1], target))
-    dims = []
-    for i in range(1, bound + 1):
-        d_i = target.dim * ranks[i]
-        dims.append(d_i - rank_delta[i] - rank_delta[i - 1])
-    return dims
+    return list(_homology_dims(module, against, 1, bound + 1, _as_budget(budget)))
 
 
 def _hom_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
@@ -338,51 +326,20 @@ def _hom_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> 
 
 def tor_dims(R, module: PresentedModule, against: PresentedModule, bound: int, budget=None):
     """dim_k Tor_i(M, N) for i = 1..bound over the Artinian quotient."""
-    ring = as_presentation(R)
-    budget = _as_budget(budget)
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    ranks, maps = _resolution_maps(R, module, bound + 1, budget)
-    target = ArtinianModule.from_presented(against, budget)
-    rank_t = []
-    for i in range(bound + 1):
-        rank_t.append(_tensor_rank(maps[i], ranks[i], ranks[i + 1], target))
-    dims = []
-    for i in range(1, bound + 1):
-        d_i = target.dim * ranks[i]
-        dims.append(d_i - rank_t[i - 1] - rank_t[i])
-    return dims
+    return list(_homology_dims(module, against, 1, bound + 1, _as_budget(budget), tensor=True))
 
 
 def _tensor_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
-    """Rank of d (x) N : N^(r_hi) -> N^(r_lo)."""
-    if r_lo == 0 or r_hi == 0 or target.dim == 0:
-        return 0
-    rows = []
-    for c in range(r_hi):
-        for b in range(target.dim):
-            col = [0] * (r_lo * target.dim)
-            for j in range(r_lo):
-                entry = mat.entries[j][c]
-                if entry.is_zero():
-                    continue
-                vec = target.basis_times(entry, b)
-                base = j * target.dim
-                for t, v in enumerate(vec):
-                    if v:
-                        col[base + t] = v
-            rows.append(col)
-    return matrix_rank(rows, target.ring.field.p)
+    """Rank of d (x) N : N^(r_hi) -> N^(r_lo); its matrix is the Hom
+    assembly of the transposed map."""
+    return _hom_rank(mat.transpose(), r_hi, r_lo, target)
 
 
 def tor_zero_dim(R, module: PresentedModule, against: PresentedModule, budget=None) -> int:
     """dim_k (M tensor N) = dim Tor_0."""
-    ring = as_presentation(R)
-    budget = _as_budget(budget)
-    ranks, maps = _resolution_maps(R, module, 1, budget)
-    target = ArtinianModule.from_presented(against, budget)
-    r1 = _tensor_rank(maps[0], ranks[0], ranks[1], target)
-    return ranks[0] * target.dim - r1
+    return next(_homology_dims(module, against, 0, 1, _as_budget(budget), tensor=True))
 
 
 def free_module_presentation(R, rank: int = 1, twists=None) -> PresentedModule:

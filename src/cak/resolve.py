@@ -6,6 +6,11 @@ generating set (graded Nakayama greedy), so all differentials have entries of
 strictly positive weighted degree and the ranks are Betti numbers; a final
 unit-cancellation pass (`minimalize`) exists for complexes built by other
 constructors (mapping cones, tensor products).
+
+A module's resolution is computed once per `PresentedModule` object: the
+module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
+consumer (`minimal_free_resolution`, Ext, Tor, the AR checker) reads it and
+extends it only as far as it needs.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ import math
 from .errors import CakError, NotArtinianError, PreconditionError
 from .groebner import (
     IdealHandle,
-    ModuleContext,
-    GroebnerEngine,
     _as_budget,
     minimal_generating_subset,
     minimal_generator_count,
+    module_membership_engine,
     module_syzygies,
     standard_monomials,
 )
@@ -106,8 +110,9 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
 
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix(self.ring, [[fn(p) for p in row] for row in self.entries])
+    def transpose(self) -> "PolyMatrix":
+        rows = [[row[j] for row in self.entries] for j in range(self.ncols)]
+        return PolyMatrix(self.ring, rows, ncols=self.nrows)
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols})"
@@ -134,7 +139,7 @@ class PresentedModule:
     """Cokernel presentation: ambient graded free module and a relation
     matrix whose columns are the relations."""
 
-    __slots__ = ("ring", "ambient", "relations", "column_degrees")
+    __slots__ = ("ring", "ambient", "relations", "column_degrees", "_resolution")
 
     def __init__(self, ring, ambient: GradedFreeModule, relations: PolyMatrix):
         if relations.nrows != ambient.rank:
@@ -147,6 +152,14 @@ class PresentedModule:
             d = column_degree(ring, relations.column(j), ambient.twists)
             degs.append(d)
         self.column_degrees = tuple(degs)
+        self._resolution = None
+
+    def resolution(self, budget=None) -> "ResolutionBuilder":
+        """The minimal free resolution of this module over ring/(relations),
+        created on first use and extended on demand by its readers."""
+        if self._resolution is None:
+            self._resolution = ResolutionBuilder(self, budget)
+        return self._resolution
 
     @classmethod
     def cyclic(cls, ring, gens) -> "PresentedModule":
@@ -365,20 +378,17 @@ class ResolutionBuilder:
 
     Each step keeps a minimal generating set, so the produced differentials
     have positive-degree entries throughout and ranks are Betti numbers.
-    ``over_quotient`` divides out the ring's relations (lift-to-ambient
-    syzygies); minimal resolutions are then generally infinite.
+    The ring's relations are divided out (lift-to-ambient syzygies); over a
+    proper quotient minimal resolutions are generally infinite.  ``budget``
+    pays for the first step only; each ``extend`` charges its caller's.
     """
 
-    def __init__(self, module: PresentedModule, budget=None, *, over_quotient=False):
+    def __init__(self, module: PresentedModule, budget=None):
         ring = module.ring
-        if not over_quotient and ring.relations:
-            raise PreconditionError(
-                "ambient has relations: resolve over the quotient explicitly"
-            )
+        budget = _as_budget(budget)
         self.ring = ring
-        self.budget = _as_budget(budget)
-        self.qrels = tuple(ring.relations) if over_quotient else ()
-        module = presentation_minimalize(module, self.budget)
+        self.qrels = tuple(ring.relations)
+        module = presentation_minimalize(module, budget)
         twists0 = module.ambient.twists
         self.modules = [GradedFreeModule(ring, twists0)]
         self.maps: list[PolyMatrix] = []
@@ -387,7 +397,7 @@ class ResolutionBuilder:
         degs = [column_degree(ring, c, twists0) for c in cols]
         keep = minimal_generating_subset(
             ring, cols, degs, nrows=len(twists0),
-            quotient_relations=self.qrels, budget=self.budget,
+            quotient_relations=self.qrels, budget=budget,
         )
         self._cols = [cols[j] for j in keep]
         self._degs = [degs[j] for j in keep]
@@ -395,21 +405,22 @@ class ResolutionBuilder:
             self._cols = None
             self.complete = True
 
-    def extend(self, n_maps: int):
+    def extend(self, n_maps: int, budget=None):
         """Ensure at least ``n_maps`` differentials (or completion)."""
         ring = self.ring
+        budget = _as_budget(budget)
         while len(self.maps) < n_maps and not self.complete:
             if self._cols is None:
                 last = self.maps[-1]
                 prev = self.modules[-1].twists
                 syz = module_syzygies(
                     ring, last.columns(), nrows=last.nrows,
-                    quotient_relations=self.qrels, budget=self.budget,
+                    quotient_relations=self.qrels, budget=budget,
                 )
                 degs = [column_degree(ring, c, prev) for c in syz]
                 kept = minimal_generating_subset(
                     ring, syz, degs, nrows=len(prev),
-                    quotient_relations=self.qrels, budget=self.budget,
+                    quotient_relations=self.qrels, budget=budget,
                 )
                 self._cols = [syz[j] for j in kept]
                 self._degs = [degs[j] for j in kept]
@@ -424,8 +435,16 @@ class ResolutionBuilder:
             self.modules.append(GradedFreeModule(ring, self._degs))
             self._cols = None
 
-    def as_complex(self) -> ChainComplex:
-        return ChainComplex(self.ring, self.modules, self.maps, check=False)
+    def rank(self, i: int) -> int:
+        """Rank of F_i; 0 past termination (call ``extend(i)`` first)."""
+        return self.modules[i].rank if i < len(self.modules) else 0
+
+    def differential(self, i: int) -> PolyMatrix:
+        """d_i : F_i -> F_(i-1), the zero map past termination (call
+        ``extend(i)`` first)."""
+        if i <= len(self.maps):
+            return self.maps[i - 1]
+        return PolyMatrix.zero(self.ring, self.rank(i - 1), self.rank(i))
 
 
 def minimal_free_resolution(
@@ -441,21 +460,33 @@ def minimal_free_resolution(
     variables (the global-dimension bound), and the resolution is flagged
     complete when the kernel vanishes or that bound is reached.  With
     ``over_quotient`` the ring's relations are divided out (resolutions are
-    generally infinite; an explicit ``max_length`` is required).
+    generally infinite; an explicit ``max_length`` is required).  The
+    result is a truncation of the module's own resolution, which keeps
+    whatever was computed for later calls.
     """
+    ring = module.ring
+    if not over_quotient and ring.relations:
+        raise PreconditionError(
+            "ambient has relations: resolve over the quotient explicitly"
+        )
     if over_quotient and max_length is None:
         raise PreconditionError(
             "resolutions over a quotient ring need an explicit length bound"
         )
     if max_length is None:
-        max_length = len(module.ring.vars)
-    builder = ResolutionBuilder(module, budget, over_quotient=over_quotient)
-    builder.extend(max_length)
-    complete = builder.complete
-    if not complete and not over_quotient and len(builder.maps) >= len(module.ring.vars):
+        max_length = len(ring.vars)
+    budget = _as_budget(budget)
+    builder = module.resolution(budget)
+    builder.extend(max_length, budget)
+    maps = builder.maps[:max_length]
+    # termination is seen only by the step after the last map, which an
+    # extension to exactly that many maps never takes
+    complete = builder.complete and (len(builder.maps) < max_length or not builder.maps)
+    if not complete and not over_quotient and len(maps) >= len(ring.vars):
         # Hilbert bound: a minimal resolution over the polynomial ring stops
         complete = True
-    return Resolution(builder.as_complex(), complete)
+    cx = ChainComplex(ring, builder.modules[: len(maps) + 1], maps, check=False)
+    return Resolution(cx, complete)
 
 
 def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
@@ -574,14 +605,9 @@ def _minimalize_monomials(gens):
 
 def lead_module_per_component(ring, columns, nrows, *, quotient_relations=(), budget=None):
     """Minimal monomial generators of the lead-term module, per component."""
-    ctx = ModuleContext(ring, nrows)
-    engine = GroebnerEngine(ctx, ring.field, _as_budget(budget))
-    for rel in quotient_relations:
-        for i in range(nrows):
-            engine.add_raw({ctx.key(i, k): c for k, c in rel.terms.items()})
-    for col in columns:
-        engine.add_raw(ctx.from_column(col))
-    engine.complete()
+    ctx, engine = module_membership_engine(
+        ring, columns, nrows, quotient_relations=quotient_relations, budget=budget
+    )
     per = [[] for _ in range(nrows)]
     for terms in engine.reduced_basis():
         comp, mono = ctx.decode(max(terms))
@@ -646,14 +672,9 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
                 col[i] = elems[j]
                 col[j] = -elems[i]
                 koszul_cols.append(col)
-    ctx = ModuleContext(ring, n)
-    engine = GroebnerEngine(ctx, ring.field, budget)
-    for rel in qrels:
-        for i in range(n):
-            engine.add_raw({ctx.key(i, k): c for k, c in rel.terms.items()})
-    for col in koszul_cols:
-        engine.add_raw(ctx.from_column(col))
-    engine.complete()
+    ctx, engine = module_membership_engine(
+        ring, koszul_cols, n, quotient_relations=qrels, budget=budget
+    )
     return all(engine.contains(ctx.from_column(col)) for col in syz)
 
 

@@ -16,19 +16,18 @@ from .errors import NotArtinianError, PreconditionError
 from .groebner import IdealHandle, _as_budget
 from .polyring import RingPresentation, parse_poly
 from .quotient import (
-    ArtinianModule,
     QuotientRing,
+    _homology_dims,
     as_presentation,
+    free_module_presentation,
     is_complete_intersection,
     is_free_module,
     minimal_generator_count,
     quotient_of,
     socle_dim,
-    _hom_rank,
 )
 from .resolve import (
     PresentedModule,
-    ResolutionBuilder,
     is_regular_sequence,
     module_length,
 )
@@ -332,46 +331,16 @@ def ar_instance_check(R, module: PresentedModule, bound: int, budget=None) -> Ar
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
     free, _rank = is_free_module(R, module, budget)
-
-    builder = ResolutionBuilder(module, budget, over_quotient=True)
-    target_self = ArtinianModule.from_presented(module, budget)
-    target_ring = ArtinianModule(ring, [], 1, budget)
-
-    def rank_at(i):
-        return builder.modules[i].rank if i < len(builder.modules) else 0
-
-    hom_ranks = {"self": {}, "ring": {}}
-
-    def hom_rank(which, target, i):
-        """Rank of Hom(d_i, N)."""
-        cache = hom_ranks[which]
-        if i not in cache:
-            builder.extend(i)
-            if i > len(builder.maps):
-                cache[i] = 0
-            else:
-                cache[i] = _hom_rank(
-                    builder.maps[i - 1], rank_at(i - 1), rank_at(i), target
-                )
-        return cache[i]
-
     verdict = ArVerdict(bound=bound, module_free=free, first_nonvanishing=None)
-    for i in range(1, bound + 1):
-        builder.extend(i + 1)
-        if rank_at(i) == 0:
-            verdict.ext_self.append(0)
-            verdict.ext_ring.append(0)
-            continue
-        dims = {}
-        for which, target in (("self", target_self), ("ring", target_ring)):
-            d_i = target.dim * rank_at(i)
-            dims[which] = d_i - hom_rank(which, target, i + 1) - hom_rank(which, target, i)
-        verdict.ext_self.append(dims["self"])
-        verdict.ext_ring.append(dims["ring"])
-        if dims["self"]:
+    ext_self = _homology_dims(module, module, 1, bound + 1, budget)
+    ext_ring = _homology_dims(module, free_module_presentation(ring), 1, bound + 1, budget)
+    for i, (e_self, e_ring) in enumerate(zip(ext_self, ext_ring), start=1):
+        verdict.ext_self.append(e_self)
+        verdict.ext_ring.append(e_ring)
+        if e_self:
             verdict.first_nonvanishing = (i, "Ext(M,M)")
             break
-        if dims["ring"]:
+        if e_ring:
             verdict.first_nonvanishing = (i, "Ext(M,R)")
             break
     return verdict

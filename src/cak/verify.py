@@ -367,10 +367,7 @@ def case_08_duality_transfer(check: Check, seed, budget):
                 e_low = ext_dims(
                     RI, m_bar, free_module_presentation(RI.presentation), bound, budget
                 )
-                e_high = ext_dims(R, M, ri_as_module, bound, budget)
-                check.equal(
-                    e_high, e_low, f"{name}#{idx}: Ext over R vs over R/I"
-                )
+                check.equal(e, e_low, f"{name}#{idx}: Ext over R vs over R/I")
     check.expect(nonvacuous >= 1, "suite never exercised the Tor-vanishing branch")
     check.details["nonvacuous"] = nonvacuous
 

@@ -209,3 +209,57 @@ def test_ext_complete_intersection_growth():
     k = residue_field_presentation(ring)
     assert ext_dims(R, k, k, 5) == [2, 3, 4, 5, 6]
     assert tor_dims(R, k, k, 5) == [2, 3, 4, 5, 6]
+
+
+def test_ext_retry_after_budget_exhaustion(square_zero):
+    # a call that dies mid-resolution leaves the module's resolution usable
+    from cak.errors import ResourceLimitError
+    from cak.groebner import Budget
+
+    ring = square_zero.presentation
+    k = residue_field_presentation(ring)
+    want_ext = ext_dims(square_zero, residue_field_presentation(ring), k, 4)
+    want_tor = tor_dims(square_zero, residue_field_presentation(ring), k, 4)
+    partial = set()
+    for limit in range(0, 120, 6):
+        M = residue_field_presentation(ring)
+        try:
+            ext_dims(square_zero, M, k, 4, Budget(limit))
+            continue
+        except ResourceLimitError:
+            pass
+        builder = M._resolution
+        partial.add(None if builder is None else len(builder.maps))
+        assert ext_dims(square_zero, M, k, 4) == want_ext
+        assert tor_dims(square_zero, M, k, 4) == want_tor
+    # died before the first map, and after some maps were kept
+    assert {None, 0} <= partial and any(n for n in partial if n)
+
+
+def test_one_resolution_per_module(square_zero, monkeypatch):
+    from cak import resolve
+    from cak.ulrich import ar_instance_check
+
+    built = []
+    init = resolve.ResolutionBuilder.__init__
+
+    def counting_init(self, module, budget=None):
+        built.append(module)
+        init(self, module, budget)
+
+    monkeypatch.setattr(resolve.ResolutionBuilder, "__init__", counting_init)
+    ring = square_zero.presentation
+    M = cyclic_presentation(ring, ["X"])
+    N = residue_field_presentation(ring)
+    ext = ext_dims(square_zero, M, N, 3)
+    tor = tor_dims(square_zero, M, N, 3)
+    tor0 = tor_zero_dim(square_zero, M, N)
+    verdict = ar_instance_check(square_zero, M, 3)
+    assert built == [M]
+    # the shared resolution gives what fresh modules give
+    monkeypatch.undo()
+    fresh = lambda: cyclic_presentation(ring, ["X"])
+    assert ext == ext_dims(square_zero, fresh(), N, 3)
+    assert tor == tor_dims(square_zero, fresh(), N, 3)
+    assert tor0 == tor_zero_dim(square_zero, fresh(), N)
+    assert verdict.as_dict() == ar_instance_check(square_zero, fresh(), 3).as_dict()

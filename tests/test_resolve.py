@@ -224,3 +224,61 @@ def test_computed_resolution_self_verifies(r1_ambient):
     res = minimal_free_resolution(target)
     rep = verify_resolution(res.complex, target)
     assert rep.ok, rep.messages
+
+
+def _call_order_cases():
+    """(name, fresh-module factory, over_quotient): finite and infinite
+    resolutions over a polynomial ring and over an Artinian quotient."""
+    s = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1])
+    q = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "X*Y", "Y^2"])
+    return [
+        ("poly_cyclic", lambda: PresentedModule.cyclic(s, PL(s, "x; y^2")), False),
+        ("poly_free", lambda: PresentedModule.free(s, (0, 1)), False),
+        ("quot_residue", lambda: PresentedModule.cyclic(q, q.gens()), True),
+        (
+            "quot_free_after_unit",
+            lambda: PresentedModule(
+                q,
+                GradedFreeModule(q, (0, -1)),
+                PolyMatrix(q, [[P(q, "1")], [P(q, "X")]]),
+            ),
+            True,
+        ),
+    ]
+
+
+def _resolution_summary(res):
+    return res.betti.entries, res.total_ranks(), res.complete
+
+
+@pytest.mark.parametrize("case", _call_order_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]],
+    ids=["ascending", "descending", "shuffled"],
+)
+def test_shared_resolution_independent_of_call_order(case, order):
+    _name, make, over_quotient = case
+    shared = make()
+    for n in order:
+        got = minimal_free_resolution(shared, max_length=n, over_quotient=over_quotient)
+        want = minimal_free_resolution(make(), max_length=n, over_quotient=over_quotient)
+        assert _resolution_summary(got) == _resolution_summary(want), n
+        assert got.complex.length == want.complex.length
+
+
+def test_free_module_resolution_complete_at_length_zero():
+    s = RingPresentation(["x", "y"], [1, 1])
+    free = PresentedModule.free(s, (0, 2))
+    assert minimal_free_resolution(free, max_length=3).complete
+    res = minimal_free_resolution(free, max_length=0)
+    assert res.complete and res.total_ranks() == (2,)
+
+
+def test_call_order_cases_reach_both_completion_states():
+    # the cases above must exercise a resolution that ends inside the bound
+    # and one truncated by it, else the comparison proves little
+    seen = set()
+    for _name, make, over_quotient in _call_order_cases():
+        for n in range(5):
+            seen.add(minimal_free_resolution(make(), max_length=n, over_quotient=over_quotient).complete)
+    assert seen == {True, False}

@@ -1,15 +1,14 @@
-"""Pure-Python term-arithmetic kernel.
+"""Term-arithmetic kernel.
 
 Operates on term dicts (int key -> coefficient).  Keys follow the additive
 encoding from :mod:`cak.polyring`: multiplying by a monomial is adding a key
-delta, and a guard-bit pattern validates every produced key.  The compiled
-twin in ``_speedups.pyx`` implements the same contracts bit for bit.
+delta, and a guard-bit pattern validates every produced key.
 
 Coefficients are ints mod p when ``p`` is given, otherwise exact numbers
 (Fractions) with ordinary arithmetic.
 """
 
-from ..errors import DegreeOverflowError
+from .errors import DegreeOverflowError
 
 
 def add_scaled(dst, src, c, p):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from ._linalg import matrix_rank
-from .errors import CakError, NotArtinianError, PreconditionError
+from .errors import CakError, NotArtinianError, PreconditionError, RingMismatchError
 from .groebner import (
     IdealHandle,
     _as_budget,
@@ -33,7 +33,6 @@ from .resolve import (
     PresentedModule,
     lead_module_per_component,
     minimal_free_resolution,
-    presentation_minimalize,
 )
 
 
@@ -172,10 +171,14 @@ def cm_type(R, params, budget=None) -> int:
 
 
 def is_free_module(R, module: PresentedModule, budget=None):
-    """(True, rank) iff the minimalized presentation has no relations left."""
-    minimized = presentation_minimalize(module, budget)
-    if minimized.relations.ncols == 0:
-        return True, minimized.ambient.rank
+    """(True, rank) iff the module's minimal resolution has no maps: a
+    nonzero normal-form relation column never lies in J*F, so one survives
+    the minimal-subset pass whenever the module is not free."""
+    if module.ring is not as_presentation(R):
+        raise RingMismatchError("module is not presented over the given ring")
+    builder = module.resolution(budget)
+    if builder.complete and not builder.maps:
+        return True, builder.rank(0)
     return False, None
 
 
@@ -272,10 +275,14 @@ class ArtinianModule:
         return got
 
 
-def _homology_dims(module, against, start: int, stop: int, budget, *, tensor=False):
+def _homology_dims(R, module, against, start: int, stop: int, budget, *, tensor=False):
     """Yield dim_k H_i of Hom(F, N), or of F (x) N with ``tensor``, for
-    i = start .. stop - 1, where F is the module's minimal resolution and N
-    is ``against``.  F is extended only as far as the caller consumes."""
+    i = start .. stop - 1, where F is the module's minimal resolution over
+    R and N is ``against``.  F is extended only as far as the caller
+    consumes."""
+    ring = as_presentation(R)
+    if module.ring is not ring or against.ring is not ring:
+        raise RingMismatchError("modules are not presented over the given ring")
     builder = module.resolution(budget)
     target = ArtinianModule.from_presented(against, budget)
     rank_of = _tensor_rank if tensor else _hom_rank
@@ -298,7 +305,7 @@ def ext_dims(R, module: PresentedModule, against: PresentedModule, bound: int, b
     """dim_k Ext^i(M, N) for i = 1..bound over the Artinian quotient."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    return list(_homology_dims(module, against, 1, bound + 1, _as_budget(budget)))
+    return list(_homology_dims(R, module, against, 1, bound + 1, _as_budget(budget)))
 
 
 def _hom_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
@@ -328,7 +335,7 @@ def tor_dims(R, module: PresentedModule, against: PresentedModule, bound: int, b
     """dim_k Tor_i(M, N) for i = 1..bound over the Artinian quotient."""
     if bound < 1:
         raise PreconditionError("bound must be >= 1")
-    return list(_homology_dims(module, against, 1, bound + 1, _as_budget(budget), tensor=True))
+    return list(_homology_dims(R, module, against, 1, bound + 1, _as_budget(budget), tensor=True))
 
 
 def _tensor_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
@@ -339,7 +346,7 @@ def _tensor_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) 
 
 def tor_zero_dim(R, module: PresentedModule, against: PresentedModule, budget=None) -> int:
     """dim_k (M tensor N) = dim Tor_0."""
-    return next(_homology_dims(module, against, 0, 1, _as_budget(budget), tensor=True))
+    return next(_homology_dims(R, module, against, 0, 1, _as_budget(budget), tensor=True))
 
 
 def free_module_presentation(R, rank: int = 1, twists=None) -> PresentedModule:

@@ -324,53 +324,24 @@ def _relations_handle(ring, budget) -> IdealHandle | None:
 
 
 def presentation_minimalize(module: PresentedModule, budget=None):
-    """Isomorphic presentation with no unit relation entries and no zero or
-    redundant relation columns.  Returns a new PresentedModule."""
+    """Isomorphic presentation with no unit relation entries and no zero
+    relation columns: ``minimalize`` on F_0 <- F_1, zero columns dropped.
+    Returns a new PresentedModule."""
     ring = module.ring
-    budget = _as_budget(budget)
-    relh = _relations_handle(ring, budget)
-    nf = (lambda p: relh.normal_form(p)) if relh else (lambda p: p)
-    twists = list(module.ambient.twists)
-    rows = [[nf(p) for p in row] for row in module.relations.entries]
-
-    def find_unit():
-        for i, row in enumerate(rows):
-            for j, p in enumerate(row):
-                if p.terms and set(p.terms) == {ring.one_key}:
-                    return i, j
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        r, c = hit
-        u_inv = ring.field.inv(rows[r][c].terms[ring.one_key])
-        new_rows = []
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            new_row = []
-            for j in range(len(rows[0])):
-                if j == c:
-                    continue
-                adj = rows[i][j] - rows[i][c].scale(u_inv) * rows[r][j]
-                new_row.append(nf(adj))
-            new_rows.append(new_row)
-        rows = new_rows
-        del twists[r]
-        if not rows:
-            break
-
-    ncols = len(rows[0]) if rows else 0
-    keep = []
-    for j in range(ncols):
-        if any(rows[i][j] for i in range(len(rows))):
-            keep.append(j)
-    rows = [[row[j] for j in keep] for row in rows]
-    amb = GradedFreeModule(ring, twists)
-    mat = PolyMatrix(ring, rows if rows else [[] for _ in range(len(twists))])
-    return PresentedModule(ring, amb, mat)
+    # zero columns have no degree; any twist will do, they are dropped below
+    col_twists = [0 if d is None else d for d in module.column_degrees]
+    cx = minimalize(
+        ChainComplex(
+            ring,
+            [module.ambient, GradedFreeModule(ring, col_twists)],
+            [module.relations],
+            check=False,
+        ),
+        budget,
+    )
+    amb = cx.modules[0]
+    cols = [col for col in cx.maps[0].columns() if any(col)] if cx.maps else []
+    return PresentedModule(ring, amb, PolyMatrix.from_columns(ring, amb.rank, cols))
 
 
 class ResolutionBuilder:

@@ -332,8 +332,8 @@ def ar_instance_check(R, module: PresentedModule, bound: int, budget=None) -> Ar
         raise PreconditionError("bound must be >= 1")
     free, _rank = is_free_module(R, module, budget)
     verdict = ArVerdict(bound=bound, module_free=free, first_nonvanishing=None)
-    ext_self = _homology_dims(module, module, 1, bound + 1, budget)
-    ext_ring = _homology_dims(module, free_module_presentation(ring), 1, bound + 1, budget)
+    ext_self = _homology_dims(R, module, module, 1, bound + 1, budget)
+    ext_ring = _homology_dims(R, module, free_module_presentation(ring), 1, bound + 1, budget)
     for i, (e_self, e_ring) in enumerate(zip(ext_self, ext_ring), start=1):
         verdict.ext_self.append(e_self)
         verdict.ext_ring.append(e_ring)

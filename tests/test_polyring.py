@@ -87,6 +87,11 @@ def test_exponent_overflow_checked(kxy):
     big = P(kxy, "x") ** 30000
     with pytest.raises(DegreeOverflowError):
         big * big  # 60000 > the 15-bit field bound
+    from cak._kernel import axpy_terms
+
+    key = big.lead_key()
+    with pytest.raises(DegreeOverflowError):
+        axpy_terms({}, big.terms, 1, key - kxy.one_key, kxy.field.p, kxy.guard)
 
 
 def test_mixed_ring_operands_rejected(kxy, kxyz):

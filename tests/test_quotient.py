@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cak import RingPresentation, PreconditionError
@@ -263,3 +265,44 @@ def test_one_resolution_per_module(square_zero, monkeypatch):
     assert tor == tor_dims(square_zero, fresh(), N, 3)
     assert tor0 == tor_zero_dim(square_zero, fresh(), N)
     assert verdict.as_dict() == ar_instance_check(square_zero, fresh(), 3).as_dict()
+
+
+def test_ring_mismatch_raises(square_zero):
+    from cak import RingMismatchError
+
+    ring = square_zero.presentation
+    M = cyclic_presentation(ring, ["X"])
+    k = residue_field_presentation(ring)
+    other = QuotientRing(RingPresentation(["A"], [1], relations=["A^5"]))
+    for fn in (ext_dims, tor_dims):
+        with pytest.raises(RingMismatchError):
+            fn(other, M, k, 2)
+    with pytest.raises(RingMismatchError):
+        tor_zero_dim(other, M, k)
+    with pytest.raises(RingMismatchError):
+        is_free_module(other, M)
+    # an `against` module from an equal but distinct presentation
+    twin = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "X*Y", "Y^2"])
+    with pytest.raises(RingMismatchError):
+        ext_dims(square_zero, M, residue_field_presentation(twin), 2)
+    assert ext_dims(square_zero, M, k, 2) == ext_dims(ring, M, k, 2)
+
+
+def test_ar_check_minimalizes_once(square_zero, monkeypatch):
+    from cak import resolve
+    from cak.ulrich import ar_instance_check
+
+    calls = []
+    minimalize = resolve.presentation_minimalize
+
+    def counting(module, budget=None):
+        calls.append(module)
+        return minimalize(module, budget)
+
+    # patch every cak module that holds the function, not only its home
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cak" and getattr(mod, "presentation_minimalize", None) is minimalize:
+            monkeypatch.setattr(mod, "presentation_minimalize", counting)
+    ring = square_zero.presentation
+    ar_instance_check(square_zero, cyclic_presentation(ring, ["X"]), 3)
+    assert len(calls) == 1

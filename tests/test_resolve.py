@@ -16,6 +16,7 @@ from cak.resolve import (
     minimal_free_resolution,
     minimalize,
     module_length,
+    presentation_minimalize,
     quotient_hilbert_numerator,
     syzygies,
 )
@@ -112,6 +113,11 @@ def test_presentation_unit_cancellation(kxy):
     # the unit entry folds the presentation down to one generator
     assert res.total_ranks() == (1, 1)
     assert str(res.complex.differential(1).entries[0][0]) == "x^3"
+    # a unit relation on one generator empties the ambient: the zero module
+    unit = PresentedModule(kxy, GradedFreeModule(kxy, (0,)), PolyMatrix(kxy, [[kxy.one()]]))
+    out = presentation_minimalize(unit)
+    assert (out.ambient.rank, out.relations.ncols) == (0, 0)
+    assert minimal_free_resolution(unit).total_ranks() == (0,)
 
 
 def test_minimalize_unit_complex(kxy):

@@ -2,13 +2,16 @@
 rename in cak must fail here rather than break ``cakbench/run.py --trace 1``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import cak
 from cak import RingPresentation
 from cak import quotient, resolve
 from cak.quotient import QuotientRing, ext_dims, residue_field_presentation, tor_dims
 
-TRACING = Path(__file__).resolve().parents[1] / "cakbench" / "tracing.py"
+CAKBENCH = Path(__file__).resolve().parents[1] / "cakbench"
+TRACING = CAKBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -64,3 +67,9 @@ def test_tracer_installs_sees_every_hook_and_uninstalls():
     assert counts["resolve.resolutions.distinct_ratio"] == 1.0
     assert counts["resolve.rank_sum"] > 0
     assert counts["quotient.basis_times.hit_ratio"] > 0
+
+
+def test_kernel_backend_matches_benchmark_reference():
+    # cakbench/run.py records cak.KERNEL_BACKEND and compare.py matches it
+    reference = json.loads((CAKBENCH / "reference.json").read_text())
+    assert cak.KERNEL_BACKEND == reference["kernel_backend"]

@@ -129,13 +129,7 @@ def _module_for(args, ring) -> PresentedModule:
 def cmd_resolve(args):
     ring = load_ring(args.ring)
     module = _module_for(args, ring)
-    over_quotient = bool(ring.relations)
-    res = minimal_free_resolution(
-        module,
-        max_length=args.max_length,
-        budget=args.budget,
-        over_quotient=over_quotient,
-    )
+    res = minimal_free_resolution(module, max_length=args.max_length, budget=args.budget)
     payload = {"betti": res.betti.as_rows(), "complete": res.complete}
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -145,12 +139,7 @@ def cmd_resolve(args):
 def cmd_betti(args):
     ring = load_ring(args.ring)
     module = _module_for(args, ring)
-    res = minimal_free_resolution(
-        module,
-        max_length=args.max_length,
-        budget=args.budget,
-        over_quotient=bool(ring.relations),
-    )
+    res = minimal_free_resolution(module, max_length=args.max_length, budget=args.budget)
     print(res.betti.format_macaulay())
     if not res.complete:
         print(f"(truncated at length {res.complex.length})")
@@ -319,7 +308,10 @@ def _add_common(sp, ring=True, budget=True):
     if ring:
         sp.add_argument("--ring", required=True, help="ring presentation JSON file")
     if budget:
-        sp.add_argument("--budget", type=int, default=None, help="pair-reduction budget")
+        sp.add_argument(
+            "--budget", type=int, default=None,
+            help="work budget: pair reductions plus enumerated standard monomials",
+        )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 

@@ -25,8 +25,9 @@ DEFAULT_BUDGET = 10**6
 
 
 class Budget:
-    """Pair-reduction counter.  Exceeding the limit is an error, never a
-    wrong answer."""
+    """Work counter: one unit per Buchberger pair reduced and per standard
+    monomial enumerated.  Exceeding the limit is an error, never a wrong
+    answer."""
 
     __slots__ = ("limit", "used")
 
@@ -38,7 +39,7 @@ class Budget:
         self.used += n
         if self.used > self.limit:
             raise ResourceLimitError(
-                f"pair-reduction budget of {self.limit} exceeded"
+                f"work budget of {self.limit} exceeded"
             )
 
 
@@ -691,6 +692,35 @@ def lead_exponents(ideal: IdealHandle, budget=None):
     return [ring.decode(g.lead_key()) for g in ideal.groebner_basis(budget)]
 
 
+def staircase(leads, nvars: int, budget: Budget):
+    """Exponent vectors outside the monomial ideal generated by ``leads``.
+
+    Returns (monomials, missing): ``missing`` lists the variables with no
+    pure power among the leads, in which case the order ideal is infinite
+    and ``monomials`` is empty.  A unit lead gives the empty order ideal.
+    The walk is depth first and raises only the last-raised variable or a
+    later one, so each standard monomial is visited, and charged to the
+    budget, exactly once.
+    """
+    if any(not any(e) for e in leads):
+        return [], []
+    pure = {i for e in leads for i in range(nvars) if e[i] == sum(e)}
+    missing = [i for i in range(nvars) if i not in pure]
+    if missing:
+        return [], missing
+    out = []
+    stack = [((0,) * nvars, 0)]
+    while stack:
+        expo, low = stack.pop()
+        budget.spend()
+        out.append(expo)
+        for i in range(low, nvars):
+            up = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
+            if not any(all(a >= b for a, b in zip(up, e)) for e in leads):
+                stack.append((up, i))
+    return out, []
+
+
 def standard_monomials(ideal: IdealHandle, budget=None) -> list[Monomial]:
     """Monomials outside the lead-term ideal of (gens + relations).
 
@@ -698,28 +728,13 @@ def standard_monomials(ideal: IdealHandle, budget=None) -> list[Monomial]:
     which case the quotient is not a finite-dimensional vector space.
     """
     ring = ideal.ring
-    leads = lead_exponents(ideal, budget)
-    n = len(ring.vars)
-    if any(sum(e) == 0 for e in leads):
-        return []  # unit ideal: the quotient is the zero space
-    bounds = [None] * n
-    for e in leads:
-        support = [i for i in range(n) if e[i]]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or e[i] < bounds[i]:
-                bounds[i] = e[i]
-    missing = [ring.vars[i] for i in range(n) if bounds[i] is None]
+    budget = _as_budget(budget)
+    out, missing = staircase(lead_exponents(ideal, budget), len(ring.vars), budget)
     if missing:
         raise NotArtinianError(
             "quotient is not finite-dimensional: no pure power of "
-            + ", ".join(missing)
+            + ", ".join(ring.vars[i] for i in missing)
             + " in the lead-term ideal"
         )
-    out = []
-    for expo in itertools.product(*[range(b) for b in bounds]):
-        if any(all(expo[i] >= e[i] for i in range(n)) for e in leads):
-            continue
-        out.append(expo)
     out.sort(key=ring.encode)
     return [Monomial(ring, e) for e in out]

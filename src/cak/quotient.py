@@ -23,6 +23,7 @@ from .groebner import (
     _as_budget,
     minimal_generator_count,
     module_membership_engine,
+    staircase,
     standard_monomials,
 )
 from .polyring import Polynomial, RingPresentation, parse_poly
@@ -107,47 +108,18 @@ def embedding_dim(R) -> int:
     return n - matrix_rank(rows, ring.field.p)
 
 
-class _ArtinianBasis:
-    """k-basis of an Artinian quotient with multiplication tables on demand."""
-
-    def __init__(self, R: QuotientRing, budget=None):
-        self.R = R
-        self.ring = R.presentation
-        self.budget = _as_budget(budget)
-        self.basis = R.standard_basis(self.budget)
-        self.index = {m.exponents: i for i, m in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        self._handle = IdealHandle(self.ring, ())
-        self._handle.groebner_basis(self.budget)
-
-    def var_matrix(self, i: int):
-        """Matrix (rows = basis) of multiplication by the i-th variable."""
-        ring = self.ring
-        cols = []
-        for m in self.basis:
-            prod = ring.var(ring.vars[i]) * Polynomial(
-                ring, {ring.encode(m.exponents): ring.field.coerce(1)}
-            )
-            nf = self._handle.normal_form(prod)
-            vec = [0] * self.dim
-            for k, c in nf.terms.items():
-                vec[self.index[ring.decode(k)]] = c
-            cols.append(vec)
-        return [[cols[j][i2] for j in range(self.dim)] for i2 in range(self.dim)]
-
-
 def socle_dim(R, budget=None) -> int:
-    """Dimension of (0 : m) in an Artinian quotient."""
+    """Dimension of (0 : m) in an Artinian quotient: the basis elements'
+    images under every variable, one row per basis element, have rank
+    dim - socle."""
     R = R if isinstance(R, QuotientRing) else QuotientRing(as_presentation(R))
-    ab = _ArtinianBasis(R, budget)
-    ring = ab.ring
-    stacked = []
-    for i in range(len(ring.vars)):
-        mat = ab.var_matrix(i)
-        stacked.extend(mat)
-    cols = ab.dim
-    rows = [[stacked[r][c] for c in range(cols)] for r in range(len(stacked))]
-    return cols - matrix_rank(rows, ring.field.p)
+    budget = _as_budget(budget)
+    R.standard_basis(budget)  # raises the ring-level unit-ideal and not-Artinian errors
+    ring = R.presentation
+    A = ArtinianModule(ring, [], 1, budget)
+    gens = ring.gens()
+    rows = [[c for x in gens for c in A.basis_times(x, b)] for b in range(A.dim)]
+    return A.dim - matrix_rank(rows, ring.field.p)
 
 
 def cm_type(R, params, budget=None) -> int:
@@ -191,39 +163,23 @@ def syzygy_over_quotient(R, matrix, steps: int, budget=None) -> ChainComplex:
         module = PresentedModule(
             ring, GradedFreeModule(ring, (0,) * matrix.nrows), matrix
         )
-    res = minimal_free_resolution(
-        module, max_length=steps, budget=budget, over_quotient=True
-    )
-    return res.complex
+    return minimal_free_resolution(module, max_length=steps, budget=budget).complex
 
 
-def module_standard_basis(ring, columns, nrows, budget=None):
-    """Standard monomial basis (component, exponents) of coker(columns) over
-    ring/(relations); errors when the quotient is not finite-dimensional."""
+def module_standard_basis(ctx, engine, budget=None):
+    """Standard monomial basis (component, exponents) of the quotient of
+    the free module by the submodule of a completed module engine (see
+    ``module_membership_engine``); errors when it is not finite-dimensional."""
+    ring = ctx.ring
     budget = _as_budget(budget)
-    per = lead_module_per_component(
-        ring, columns, nrows, quotient_relations=ring.relations, budget=budget
-    )
-    n = len(ring.vars)
     basis = []
-    for comp, leads in enumerate(per):
-        if any(sum(e) == 0 for e in leads):
-            continue  # component dies
-        bounds = [None] * n
-        for e in leads:
-            support = [i for i in range(n) if e[i]]
-            if len(support) == 1 and (
-                bounds[support[0]] is None or e[support[0]] < bounds[support[0]]
-            ):
-                bounds[support[0]] = e[support[0]]
-        if any(b is None for b in bounds):
+    for comp, leads in enumerate(lead_module_per_component(ctx, engine)):
+        monos, missing = staircase(leads, len(ring.vars), budget)
+        if missing:
             raise NotArtinianError(
                 f"module component {comp} is not finite-dimensional"
             )
-        for expo in itertools.product(*[range(b) for b in bounds]):
-            if any(all(expo[i] >= e[i] for i in range(n)) for e in leads):
-                continue
-            basis.append((comp, expo))
+        basis.extend((comp, e) for e in monos)
     basis.sort(key=lambda ce: (ce[0], ring.encode(ce[1])))
     return basis
 
@@ -239,7 +195,7 @@ class ArtinianModule:
         self.ctx, self.engine = module_membership_engine(
             ring, columns, nrows, quotient_relations=ring.relations, budget=self.budget
         )
-        self.basis = module_standard_basis(ring, columns, nrows, self.budget)
+        self.basis = module_standard_basis(self.ctx, self.engine, self.budget)
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._op_cache: dict = {}

@@ -285,6 +285,14 @@ def syzygies(
         column_degree(ring, matrix.column(j), ambient_twists)
         for j in range(matrix.ncols)
     ]
+    twists = [d if d is not None else 0 for d in col_degs]
+    return _syzygy_step(matrix, twists, quotient_relations, budget)[0]
+
+
+def _syzygy_step(matrix: PolyMatrix, twists, quotient_relations, budget):
+    """One syzygy step: minimal generators of the kernel of ``matrix``,
+    whose columns have degrees ``twists``, and their degrees."""
+    ring = matrix.ring
     cols = module_syzygies(
         ring,
         matrix.columns(),
@@ -292,13 +300,15 @@ def syzygies(
         quotient_relations=quotient_relations,
         budget=budget,
     )
-    twists = [d if d is not None else 0 for d in col_degs]
     degs = [column_degree(ring, c, twists) for c in cols]
     keep = minimal_generating_subset(
         ring, cols, degs, nrows=matrix.ncols,
         quotient_relations=quotient_relations, budget=budget,
     )
-    return PolyMatrix.from_columns(ring, matrix.ncols, [cols[j] for j in keep])
+    return (
+        PolyMatrix.from_columns(ring, matrix.ncols, [cols[j] for j in keep]),
+        [degs[j] for j in keep],
+    )
 
 
 class Resolution:
@@ -363,48 +373,36 @@ class ResolutionBuilder:
         twists0 = module.ambient.twists
         self.modules = [GradedFreeModule(ring, twists0)]
         self.maps: list[PolyMatrix] = []
-        self.complete = False
         cols = module.relations.columns()
         degs = [column_degree(ring, c, twists0) for c in cols]
         keep = minimal_generating_subset(
             ring, cols, degs, nrows=len(twists0),
             quotient_relations=self.qrels, budget=budget,
         )
-        self._cols = [cols[j] for j in keep]
-        self._degs = [degs[j] for j in keep]
-        if not self._cols:
-            self._cols = None
-            self.complete = True
+        # the next differential and its column degrees, computed but not
+        # yet appended: termination is seen one step after the last map
+        self._next = (
+            PolyMatrix.from_columns(ring, len(twists0), [cols[j] for j in keep]),
+            [degs[j] for j in keep],
+        )
+        self.complete = not keep
 
     def extend(self, n_maps: int, budget=None):
         """Ensure at least ``n_maps`` differentials (or completion)."""
         ring = self.ring
         budget = _as_budget(budget)
         while len(self.maps) < n_maps and not self.complete:
-            if self._cols is None:
-                last = self.maps[-1]
-                prev = self.modules[-1].twists
-                syz = module_syzygies(
-                    ring, last.columns(), nrows=last.nrows,
-                    quotient_relations=self.qrels, budget=budget,
+            if self._next is None:
+                self._next = _syzygy_step(
+                    self.maps[-1], self.modules[-1].twists, self.qrels, budget
                 )
-                degs = [column_degree(ring, c, prev) for c in syz]
-                kept = minimal_generating_subset(
-                    ring, syz, degs, nrows=len(prev),
-                    quotient_relations=self.qrels, budget=budget,
-                )
-                self._cols = [syz[j] for j in kept]
-                self._degs = [degs[j] for j in kept]
-            if not self._cols:
-                self._cols = None
+            mat, degs = self._next
+            self._next = None
+            if not degs:
                 self.complete = True
                 break
-            mat = PolyMatrix.from_columns(
-                ring, self.modules[-1].rank, self._cols
-            )
             self.maps.append(mat)
-            self.modules.append(GradedFreeModule(ring, self._degs))
-            self._cols = None
+            self.modules.append(GradedFreeModule(ring, degs))
 
     def rank(self, i: int) -> int:
         """Rank of F_i; 0 past termination (call ``extend(i)`` first)."""
@@ -422,29 +420,24 @@ def minimal_free_resolution(
     module: PresentedModule,
     max_length: int | None = None,
     budget=None,
-    *,
-    over_quotient: bool = False,
 ) -> Resolution:
     """Minimal graded free resolution of coker(relations), to ``max_length``.
 
     Over the polynomial ambient the default length bound is the number of
     variables (the global-dimension bound), and the resolution is flagged
-    complete when the kernel vanishes or that bound is reached.  With
-    ``over_quotient`` the ring's relations are divided out (resolutions are
-    generally infinite; an explicit ``max_length`` is required).  The
-    result is a truncation of the module's own resolution, which keeps
-    whatever was computed for later calls.
+    complete when the kernel vanishes or that bound is reached.  Over a
+    quotient (a ring with relations) the relations are divided out;
+    resolutions are generally infinite, so an explicit ``max_length`` is
+    required.  The result is a truncation of the module's own resolution,
+    which keeps whatever was computed for later calls.
     """
     ring = module.ring
-    if not over_quotient and ring.relations:
-        raise PreconditionError(
-            "ambient has relations: resolve over the quotient explicitly"
-        )
-    if over_quotient and max_length is None:
-        raise PreconditionError(
-            "resolutions over a quotient ring need an explicit length bound"
-        )
+    over_quotient = bool(ring.relations)
     if max_length is None:
+        if over_quotient:
+            raise PreconditionError(
+                "resolutions over a quotient ring need an explicit length bound"
+            )
         max_length = len(ring.vars)
     budget = _as_budget(budget)
     builder = module.resolution(budget)
@@ -574,22 +567,22 @@ def _minimalize_monomials(gens):
     return tuple(out)
 
 
-def lead_module_per_component(ring, columns, nrows, *, quotient_relations=(), budget=None):
-    """Minimal monomial generators of the lead-term module, per component."""
-    ctx, engine = module_membership_engine(
-        ring, columns, nrows, quotient_relations=quotient_relations, budget=budget
-    )
-    per = [[] for _ in range(nrows)]
-    for terms in engine.reduced_basis():
-        comp, mono = ctx.decode(max(terms))
-        per[comp].append(ring.decode(mono))
+def lead_module_per_component(ctx, engine):
+    """Minimal monomial generators of the lead-term module of a completed
+    module engine, per component.  A completed engine's leads generate the
+    lead-term module, so minimalized they are the reduced basis's leads."""
+    per = [[] for _ in range(ctx.ncomp)]
+    for key in engine.leads:
+        comp, mono = ctx.decode(key)
+        per[comp].append(ctx.ring.decode(mono))
     return [_minimalize_monomials(g) for g in per]
 
 
 def quotient_hilbert_numerator(ring, columns, twists, *, budget=None) -> dict[int, int]:
     """K-polynomial of coker(columns) inside the free module with the given
     twists, over the polynomial ambient."""
-    per = lead_module_per_component(ring, columns, len(twists), budget=budget)
+    ctx, engine = module_membership_engine(ring, columns, len(twists), budget=budget)
+    per = lead_module_per_component(ctx, engine)
     out: dict[int, int] = {}
     for tau, gens in zip(twists, per):
         num = hilbert_numerator(gens, ring.weights)

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from cak import RingPresentation, parse_poly, parse_poly_list
@@ -32,3 +35,20 @@ def P(ring, text):
 
 def PL(ring, text):
     return parse_poly_list(text, ring)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass, so
+    a loop that does not stop fails its test instead of hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

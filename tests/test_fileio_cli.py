@@ -12,7 +12,7 @@ from cak.fileio import (
     ring_to_dict,
     save_ring,
 )
-from conftest import R1_RELATIONS
+from conftest import R1_RELATIONS, deadline
 
 R1_DICT = {
     "field": {"kind": "fp", "p": 32003},
@@ -279,3 +279,29 @@ def test_cli_golden_against_library(tmp_path, capsys):
                                 "relations": [["x1"], ["x2"]]}))
     out = run(["betti", "--ring", str(plain), "--module", str(mmod)])
     assert "total:" in out
+
+
+def _ring_file(tmp_path, names, relations):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "fp", "p": 32003},
+        "vars": names,
+        "weights": [1] * len(names),
+        "relations": relations,
+    }))
+    return str(path)
+
+
+def test_cli_socle_budget_exits_3(tmp_path, capsys):
+    ring = _ring_file(tmp_path, ["x", "y", "z"], ["x^400", "y^400", "z^400", "x*y*z"])
+    with deadline(5):
+        assert main(["socle", "--ring", ring, "--budget", "50"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cli_socle_not_artinian_names_the_variable(tmp_path, capsys):
+    ring = _ring_file(tmp_path, ["x", "y"], ["x^2"])
+    assert main(["socle", "--ring", ring]) == 2
+    assert capsys.readouterr().err == (
+        "error: quotient is not finite-dimensional: no pure power of y in the lead-term ideal\n"
+    )

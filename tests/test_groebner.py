@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cak import RingPresentation, parse_poly
 from cak.errors import NotArtinianError, ResourceLimitError
 from cak.groebner import (
+    Budget,
     IdealHandle,
     RingContext,
     RingMap,
@@ -17,7 +18,7 @@ from cak.groebner import (
     ring_map_kernel,
     standard_monomials,
 )
-from conftest import P, PL, R1_RELATIONS
+from conftest import P, PL, R1_RELATIONS, deadline
 
 
 def gb_strs(handle, budget=None):
@@ -159,6 +160,14 @@ def test_budget_fail_stop():
     ]
     with pytest.raises(ResourceLimitError):
         IdealHandle(ring, gens).groebner_basis(budget=3)
+
+
+def test_budget_bounds_standard_monomial_enumeration(kxyz):
+    # six Buchberger pairs and 478,801 standard monomials: the enumeration
+    # must stop once the budget is spent
+    ideal = IdealHandle(kxyz, PL(kxyz, "x^400; y^400; z^400; x*y*z"))
+    with deadline(5), pytest.raises(ResourceLimitError):
+        standard_monomials(ideal, Budget(50))
 
 
 def test_buchberger_criterion_on_output(kxyz):

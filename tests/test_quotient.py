@@ -3,7 +3,8 @@ import sys
 import pytest
 
 from cak import RingPresentation, PreconditionError
-from cak.groebner import module_syzygies
+from cak.errors import CakError, NotArtinianError, ResourceLimitError
+from cak.groebner import Budget, module_syzygies
 from cak.quotient import (
     ArtinianModule,
     QuotientRing,
@@ -24,7 +25,7 @@ from cak.quotient import (
     tor_zero_dim,
 )
 from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule
-from conftest import P, PL
+from conftest import P, PL, deadline
 
 
 @pytest.fixture
@@ -182,7 +183,7 @@ def test_hom_into_ring_detects_socle(dual_numbers):
     k = residue_field_presentation(ring)
     from cak.resolve import minimal_free_resolution
 
-    res = minimal_free_resolution(k, max_length=1, over_quotient=True)
+    res = minimal_free_resolution(k, max_length=1)
     target = ArtinianModule(ring, [], 1)
     rank_delta0 = _hom_rank(res.complex.differential(1), 1, res.complex.modules[1].rank, target)
     dim_hom = target.dim * 1 - rank_delta0
@@ -306,3 +307,44 @@ def test_ar_check_minimalizes_once(square_zero, monkeypatch):
     ring = square_zero.presentation
     ar_instance_check(square_zero, cyclic_presentation(ring, ["X"]), 3)
     assert len(calls) == 1
+
+
+def test_socle_dim_budget_bounds_enumeration():
+    ring = RingPresentation(
+        ["x", "y", "z"], [1, 1, 1], relations=["x^400", "y^400", "z^400", "x*y*z"]
+    )
+    with deadline(5), pytest.raises(ResourceLimitError):
+        socle_dim(QuotientRing(ring), Budget(50))
+
+
+def test_socle_dim_errors_name_the_defect():
+    line = QuotientRing(RingPresentation(["x", "y"], [1, 1], relations=["x^2"]))
+    with pytest.raises(NotArtinianError) as err:
+        socle_dim(line)
+    assert str(err.value) == (
+        "quotient is not finite-dimensional: no pure power of y in the lead-term ideal"
+    )
+    zero = QuotientRing(RingPresentation(["x", "y"], [1, 1], relations=["1"]))
+    with pytest.raises(CakError) as err:
+        socle_dim(zero)
+    assert str(err.value) == "relations generate the unit ideal"
+
+
+def test_artinian_module_builds_one_engine(square_zero, monkeypatch):
+    from cak import groebner
+
+    calls = []
+    engine = groebner.module_membership_engine
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    # patch every cak module that holds the function, not only its home
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cak" and getattr(mod, "module_membership_engine", None) is engine:
+            monkeypatch.setattr(mod, "module_membership_engine", counting)
+    ring = square_zero.presentation
+    module = ArtinianModule(ring, [PL(ring, "X")], 1)
+    assert len(calls) == 1
+    assert module.dim == 2

@@ -205,7 +205,7 @@ def test_euler_characteristic_identity(r1_ambient):
 def test_resolution_over_quotient_requires_bound(r1_ring):
     M = PresentedModule.cyclic(r1_ring, PL(r1_ring, "X"))
     with pytest.raises(PreconditionError):
-        minimal_free_resolution(M, over_quotient=True)
+        minimal_free_resolution(M)
 
 
 def test_resolution_of_rank_two_module(kxy):
@@ -233,14 +233,14 @@ def test_computed_resolution_self_verifies(r1_ambient):
 
 
 def _call_order_cases():
-    """(name, fresh-module factory, over_quotient): finite and infinite
+    """(name, fresh-module factory): finite and infinite
     resolutions over a polynomial ring and over an Artinian quotient."""
     s = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1])
     q = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "X*Y", "Y^2"])
     return [
-        ("poly_cyclic", lambda: PresentedModule.cyclic(s, PL(s, "x; y^2")), False),
-        ("poly_free", lambda: PresentedModule.free(s, (0, 1)), False),
-        ("quot_residue", lambda: PresentedModule.cyclic(q, q.gens()), True),
+        ("poly_cyclic", lambda: PresentedModule.cyclic(s, PL(s, "x; y^2"))),
+        ("poly_free", lambda: PresentedModule.free(s, (0, 1))),
+        ("quot_residue", lambda: PresentedModule.cyclic(q, q.gens())),
         (
             "quot_free_after_unit",
             lambda: PresentedModule(
@@ -248,7 +248,6 @@ def _call_order_cases():
                 GradedFreeModule(q, (0, -1)),
                 PolyMatrix(q, [[P(q, "1")], [P(q, "X")]]),
             ),
-            True,
         ),
     ]
 
@@ -263,11 +262,11 @@ def _resolution_summary(res):
     ids=["ascending", "descending", "shuffled"],
 )
 def test_shared_resolution_independent_of_call_order(case, order):
-    _name, make, over_quotient = case
+    _name, make = case
     shared = make()
     for n in order:
-        got = minimal_free_resolution(shared, max_length=n, over_quotient=over_quotient)
-        want = minimal_free_resolution(make(), max_length=n, over_quotient=over_quotient)
+        got = minimal_free_resolution(shared, max_length=n)
+        want = minimal_free_resolution(make(), max_length=n)
         assert _resolution_summary(got) == _resolution_summary(want), n
         assert got.complex.length == want.complex.length
 
@@ -284,7 +283,7 @@ def test_call_order_cases_reach_both_completion_states():
     # the cases above must exercise a resolution that ends inside the bound
     # and one truncated by it, else the comparison proves little
     seen = set()
-    for _name, make, over_quotient in _call_order_cases():
+    for _name, make in _call_order_cases():
         for n in range(5):
-            seen.add(minimal_free_resolution(make(), max_length=n, over_quotient=over_quotient).complete)
+            seen.add(minimal_free_resolution(make(), max_length=n).complete)
     assert seen == {True, False}

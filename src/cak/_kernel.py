@@ -105,7 +105,7 @@ def divides_key(ka, kb, compmask, segs):
     return True
 
 
-def normal_form_terms(f, leads, invlcs, gterms, p, compmask, segs, guard):
+def normal_form_terms(f, leads, invlcs, gterms, p, compmask, segs, guard, sig=None, sigs=None):
     """Full normal form of term dict ``f`` against the reducer list.
 
     Reducers are given by parallel lists: lead keys, inverse lead
@@ -113,6 +113,11 @@ def normal_form_terms(f, leads, invlcs, gterms, p, compmask, segs, guard):
     the smallest list index is always chosen, so the procedure is
     deterministic for a fixed reducer list even when it is not yet a
     Groebner basis.
+
+    With a signature key ``sig`` only signature-regular steps are taken:
+    reducer ``i`` may rewrite term ``m`` only when its multiple's signature
+    ``m - leads[i] + sigs[i]`` stays below ``sig``; a reducer whose
+    ``sigs[i]`` is None has a signature below every other and always may.
     """
     work = dict(f)
     out = {}
@@ -132,6 +137,8 @@ def normal_form_terms(f, leads, invlcs, gterms, p, compmask, segs, guard):
                     ok = False
                     break
             if ok:
+                if sig is not None and sigs[i] is not None and m - lk + sigs[i] >= sig:
+                    continue
                 hit = i
                 break
         if hit < 0:

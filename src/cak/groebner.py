@@ -1,10 +1,15 @@
-"""Buchberger engine and ideal-level operations.
+"""Groebner engine and ideal-level operations.
 
 One engine serves polynomial rings and free modules: a term position is a
 single int key (see :mod:`cak.polyring`), and a "context" object supplies the
 layout constants (component mask, divisibility segments, guard bits).  Module
 keys put the component rank in the low 32 bits and, for syzygy elimination,
 a block bit above the monomial part so that target components dominate.
+
+Rank-one input (every ideal basis, elimination and ring-map kernel) is
+completed by a signature-based algorithm, which never reduces a Koszul
+syzygy and so never reduces to zero on a regular sequence; module input is
+completed by Buchberger's pair loop.  Both end in the same reduced basis.
 
 Ideals of a quotient ring R = S/J are handled through their full preimage:
 an :class:`IdealHandle` always computes the reduced Groebner basis of
@@ -25,9 +30,10 @@ DEFAULT_BUDGET = 10**6
 
 
 class Budget:
-    """Work counter: one unit per Buchberger pair reduced and per standard
-    monomial enumerated.  Exceeding the limit is an error, never a wrong
-    answer."""
+    """Work counter: one unit per pair taken from a completion's queue (a
+    Buchberger pair of a module completion, a J-pair of a rank-one
+    signature completion) and per standard monomial enumerated.  Exceeding
+    the limit is an error, never a wrong answer."""
 
     __slots__ = ("limit", "used")
 
@@ -61,15 +67,6 @@ class RingContext:
         self.compmask = 0
         self.segs = ring.div_segments
         self.guard = ring.guard
-
-    def lcm(self, k1: int, k2: int) -> int:
-        return self.ring.lcm_key(k1, k2)
-
-    def degree(self, key: int) -> int:
-        return self.ring.key_degree(key)
-
-    def coprime(self, k1: int, k2: int, lcm_key: int) -> bool:
-        return lcm_key == k1 + k2 - self.ring.one_key
 
 
 class ModuleContext:
@@ -112,16 +109,12 @@ class ModuleContext:
     def lcm(self, k1: int, k2: int):
         if (k1 ^ k2) & self.compmask:
             return None
-        comp, m1 = self.decode(k1)
-        _, m2 = self.decode(k2)
-        return self.key(comp, self.ring.lcm_key(m1, m2))
+        bits, mask = self.COMP_BITS, self._rk_mask
+        mono = self.ring.lcm_key((k1 >> bits) & mask, (k2 >> bits) & mask)
+        return (mono << bits) | (k1 & self.compmask)
 
     def degree(self, key: int) -> int:
         return self.ring.key_degree(self.decode(key)[1])
-
-    def coprime(self, k1: int, k2: int, lcm_key: int) -> bool:
-        # the product criterion is not valid for module positions
-        return False
 
     # -- element conversion ------------------------------------------------
 
@@ -149,8 +142,15 @@ def _monic(terms: dict, field: Field) -> dict:
 
 
 class GroebnerEngine:
-    """Incremental Buchberger with normal pair strategy (minimal lcm degree
-    first, ties by pair index) plus product and chain criteria."""
+    """Groebner completion over one term layout.
+
+    Rank-one input (a :class:`RingContext`) goes through
+    :meth:`add_generators`, a signature-based completion.  Module input
+    goes through the incremental Buchberger loop of :meth:`add_raw`,
+    :meth:`add` and :meth:`complete`: normal pair strategy (minimal lcm
+    degree first, ties by pair index) plus the chain criterion.
+    ``zero_reductions`` counts the reductions that gave zero.
+    """
 
     def __init__(self, ctx, field: Field, budget: Budget):
         self.ctx = ctx
@@ -162,6 +162,7 @@ class GroebnerEngine:
         self._heap: list = []
         self._pending: set = set()
         self._groups: dict[int, list[int]] = {}  # component bits -> indices
+        self.zero_reductions = 0
 
     def reduce(self, terms: dict) -> dict:
         return normal_form_terms(
@@ -215,8 +216,6 @@ class GroebnerEngine:
             _, i, j, lcm_key = heapq.heappop(self._heap)
             self._pending.discard((i, j))
             self.budget.spend()
-            if ctx.coprime(leads[i], leads[j], lcm_key):
-                continue
             skip = False
             for t in self._groups.get(lcm_key & ctx.compmask, ()):
                 if t == i or t == j:
@@ -238,6 +237,85 @@ class GroebnerEngine:
             nf = self.reduce(s)
             if nf:
                 self._append(_monic(nf, self.field))
+            else:
+                self.zero_reductions += 1
+
+    def add_generators(self, gens):
+        """Signature-based completion of rank-one generators (the RB
+        algorithm of Eder and Faugere's survey, incremental, with
+        position-over-term signatures).
+
+        Generators are sorted by lead key and added one at a time, each
+        fully reduced by the basis so far.  Within the step of generator
+        f_i a signature m*e_i is kept as the key of m; the basis from the
+        earlier steps lies in lower positions, so it reduces freely.
+        J-pairs are processed in increasing signature.  One is skipped
+        when its signature is divisible by a lead of the earlier basis (a
+        principal syzygy), by a signature that reduced to zero, or by the
+        signature of an element added after the pair's own (the rewrite
+        criterion).  Reductions are signature-regular only, and a result
+        whose lead is reducible at its own signature is dropped.  On a
+        regular sequence no reduction gives zero.
+        """
+        ctx = self.ctx
+        ring, p, segs, guard = ctx.ring, self.field.p, ctx.segs, ctx.guard
+        G, leads, ones = self.G, self.leads, self._ones
+        for f in sorted((g for g in gens if g), key=max):
+            f = self.reduce(f)
+            if not f:
+                self.zero_reductions += 1
+                continue
+            start = len(G)
+            sigs: list = [None] * start
+            zero_sigs: list[int] = []
+            heap: list = []
+
+            def principal(sig):
+                return any(divides_key(leads[q], sig, 0, segs) for q in range(start))
+
+            def insert(terms, sig):
+                t, lk = len(G), max(terms)
+                G.append(terms)
+                leads.append(lk)
+                ones.append(1)
+                sigs.append(sig)
+                for j in range(t):
+                    lcm_key = ring.lcm_key(leads[j], lk)
+                    jsig, owner = lcm_key - lk + sig, t
+                    if j >= start:
+                        other = lcm_key - leads[j] + sigs[j]
+                        if other == jsig:
+                            continue
+                        if other > jsig:
+                            jsig, owner = other, j
+                    if not principal(jsig):
+                        heapq.heappush(heap, (jsig, -owner))
+
+            insert(_monic(f, self.field), ring.one_key)
+            last = None
+            while heap:
+                sig, owner = heapq.heappop(heap)
+                self.budget.spend()
+                if sig == last:
+                    continue
+                last, owner = sig, -owner
+                if any(divides_key(z, sig, 0, segs) for z in zero_sigs) or any(
+                    divides_key(sigs[b], sig, 0, segs) for b in range(owner + 1, len(G))
+                ):
+                    continue
+                h: dict = {}
+                axpy_terms(h, G[owner], 1, sig - sigs[owner], p, guard)
+                h = normal_form_terms(h, leads, ones, G, p, 0, segs, guard, sig, sigs)
+                if not h:
+                    self.zero_reductions += 1
+                    zero_sigs.append(sig)
+                    continue
+                lk = max(h)
+                if not any(
+                    lk - leads[b] + sigs[b] == sig and divides_key(leads[b], lk, 0, segs)
+                    for b in range(start, len(G))
+                ):
+                    insert(_monic(h, self.field), sig)
 
     def reduced_basis(self) -> list[dict]:
         """Unique reduced (monic, auto-reduced) basis, sorted by lead key."""
@@ -274,9 +352,12 @@ class GroebnerEngine:
 def buchberger(gens, ctx, field: Field, budget=None) -> list[dict]:
     """Reduced Groebner basis of the given term dicts."""
     engine = GroebnerEngine(ctx, field, _as_budget(budget))
-    for g in gens:
-        engine.add_raw(g)
-    engine.complete()
+    if isinstance(ctx, RingContext):
+        engine.add_generators(gens)
+    else:
+        for g in gens:
+            engine.add_raw(g)
+        engine.complete()
     return engine.reduced_basis()
 
 

@@ -133,10 +133,11 @@ def GF(p: int) -> Field:
 
 
 class _Block:
-    __slots__ = ("vars", "shift", "deg_shift", "cmask", "gmask")
+    __slots__ = ("vars", "shift", "deg_shift", "cmask", "gmask", "field_weights")
 
-    def __init__(self, vars, shift):
+    def __init__(self, vars, shift, weights):
         self.vars = tuple(vars)  # global variable indices, ascending
+        self.field_weights = tuple(weights[i] for i in self.vars)  # one per field
         self.shift = shift
         self.deg_shift = shift + EXP_BITS * len(self.vars)
         self.cmask = ((1 << (EXP_BITS * len(self.vars))) - 1) << shift
@@ -183,7 +184,7 @@ class RingPresentation:
         layout = []
         shift = 0
         for b in reversed(blocks):  # least significant block first
-            blk = _Block(sorted(b), shift)
+            blk = _Block(sorted(b), shift, weights)
             shift = blk.deg_shift + DEG_BITS
             layout.append(blk)
         layout.reverse()
@@ -192,6 +193,8 @@ class RingPresentation:
         self.one_key = sum(b.cmask for b in layout)
         self.guard = sum(b.gmask for b in layout)
         self.div_segments = tuple((b.cmask, b.gmask) for b in layout)
+        self._exp_low = self.one_key & ~self.guard  # exponent fields, guard bits off
+        self._deg_mask = sum(((1 << DEG_BITS) - 1) << b.deg_shift for b in layout)
         self._field_shift = {}
         for b in layout:
             for j, i in enumerate(b.vars):
@@ -259,8 +262,33 @@ class RingPresentation:
         return kb - ka + self.one_key
 
     def lcm_key(self, ka: int, kb: int) -> int:
-        ea, eb = self.decode(ka), self.decode(kb)
-        return self.encode(tuple(max(x, y) for x, y in zip(ea, eb)))
+        """Key of the lcm, computed on the packed keys.
+
+        Below its guard bit a field holds ``MAX_EXP - exponent``, so the lcm
+        takes the fieldwise minimum.  Setting the guard bits of one operand
+        before the subtraction keeps every field's difference inside the
+        field: a field's guard bit survives exactly where ``kb``'s exponent
+        is at least ``ka``'s, and the low bits there hold the excess.  Each
+        block's weighted degree grows by the weighted sum of its excesses.
+        """
+        low, guard = self._exp_low, self.guard
+        x, y = ka & low, kb & low
+        diff = (x | guard) - y
+        ge = diff & guard
+        take_b = (ge << 1) - (ge >> (EXP_BITS - 1))  # whole fields where eb >= ea
+        excess = diff & take_b & low
+        if not excess:
+            return ka
+        key = (ka & self._deg_mask) | (x & ~take_b) | (y & take_b) | guard
+        for b in self._layout:
+            part = (excess & b.cmask) >> b.shift
+            if part:
+                inc = 0
+                for w in b.field_weights:
+                    inc += w * (part & EXP_MASK)
+                    part >>= EXP_BITS
+                key += inc << b.deg_shift
+        return key
 
     def var_key(self, i: int) -> int:
         return self._var_keys[i]

@@ -42,12 +42,15 @@ def as_presentation(R) -> RingPresentation:
 
 
 class QuotientRing:
-    """Ring presentation with relations, plus cached Artinian data."""
+    """Ring presentation with relations, plus cached Artinian data.  The
+    ``defining_ideal`` handle holds the one Groebner basis of the relations
+    that the standard basis and the socle both read."""
 
-    __slots__ = ("presentation", "_std", "_socle")
+    __slots__ = ("presentation", "defining_ideal", "_std", "_socle")
 
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
+        self.defining_ideal = IdealHandle(presentation, ())
         self._std = None
         self._socle = None
 
@@ -61,10 +64,9 @@ class QuotientRing:
     def standard_basis(self, budget=None):
         """Standard monomials of the defining ideal (Artinian case)."""
         if self._std is None:
-            handle = IdealHandle(self.presentation, ())
-            if handle.is_unit(budget):
+            if self.defining_ideal.is_unit(budget):
                 raise CakError("relations generate the unit ideal")
-            self._std = tuple(standard_monomials(handle, budget))
+            self._std = tuple(standard_monomials(self.defining_ideal, budget))
         return self._std
 
     def length(self, budget=None) -> int:
@@ -109,17 +111,24 @@ def embedding_dim(R) -> int:
 
 
 def socle_dim(R, budget=None) -> int:
-    """Dimension of (0 : m) in an Artinian quotient: the basis elements'
-    images under every variable, one row per basis element, have rank
-    dim - socle."""
+    """Dimension of (0 : m) in an Artinian quotient: the normal forms of
+    the standard monomials times every variable, one row per monomial, have
+    rank dim - socle."""
     R = R if isinstance(R, QuotientRing) else QuotientRing(as_presentation(R))
     budget = _as_budget(budget)
-    R.standard_basis(budget)  # raises the ring-level unit-ideal and not-Artinian errors
+    basis = [m.key() for m in R.standard_basis(budget)]
     ring = R.presentation
-    A = ArtinianModule(ring, [], 1, budget)
-    gens = ring.gens()
-    rows = [[c for x in gens for c in A.basis_times(x, b)] for b in range(A.dim)]
-    return A.dim - matrix_rank(rows, ring.field.p)
+    index = {k: i for i, k in enumerate(basis)}
+    one = ring.field.coerce(1)
+    rows = []
+    for k in basis:
+        row = [0] * (len(ring.vars) * len(basis))
+        for i in range(len(ring.vars)):
+            shifted = Polynomial(ring, {ring.mul_keys(ring.var_key(i), k): one})
+            for key, c in R.defining_ideal.normal_form(shifted, budget).terms.items():
+                row[i * len(basis) + index[key]] = c
+        rows.append(row)
+    return len(basis) - matrix_rank(rows, ring.field.p)
 
 
 def cm_type(R, params, budget=None) -> int:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -296,6 +298,22 @@ def test_cli_socle_budget_exits_3(tmp_path, capsys):
     ring = _ring_file(tmp_path, ["x", "y", "z"], ["x^400", "y^400", "z^400", "x*y*z"])
     with deadline(5):
         assert main(["socle", "--ring", ring, "--budget", "50"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+def test_cli_gb_budget_exits_3(tmp_path, capsys):
+    # eight dense quadrics in eight variables: a complete intersection of
+    # degree 256, whose basis takes about a thousand pairs
+    rng = random.Random("gb budget")
+    names = [f"x{i}" for i in range(8)]
+    ring = _ring_file(tmp_path, names, [])
+    monomials = list(itertools.combinations_with_replacement(names, 2))
+    gens = "; ".join(
+        " + ".join(f"{rng.randrange(1, 32003)}*{a}*{b}" for a, b in monomials)
+        for _ in range(8)
+    )
+    with deadline(5):
+        assert main(["gb", "--ring", ring, "--gens", gens, "--budget", "30"]) == 3
     assert "budget" in capsys.readouterr().err
 
 

@@ -8,6 +8,7 @@ from cak.errors import NotArtinianError, ResourceLimitError
 from cak.groebner import (
     Budget,
     IdealHandle,
+    ModuleContext,
     RingContext,
     RingMap,
     eliminate,
@@ -168,6 +169,16 @@ def test_budget_bounds_standard_monomial_enumeration(kxyz):
     ideal = IdealHandle(kxyz, PL(kxyz, "x^400; y^400; z^400; x*y*z"))
     with deadline(5), pytest.raises(ResourceLimitError):
         standard_monomials(ideal, Budget(50))
+
+
+def test_module_lcm_keeps_the_component():
+    ring = RingPresentation(["x", "y", "z"], [1, 2, 1])
+    ctx = ModuleContext(ring, 3, fhigh=1)
+    a, b = ring.encode((2, 0, 1)), ring.encode((0, 3, 1))
+    want = ring.encode((2, 3, 1))
+    for comp in range(3):
+        assert ctx.lcm(ctx.key(comp, a), ctx.key(comp, b)) == ctx.key(comp, want)
+    assert ctx.lcm(ctx.key(0, a), ctx.key(1, b)) is None
 
 
 def test_buchberger_criterion_on_output(kxyz):

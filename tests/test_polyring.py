@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from cak import (
     render_poly,
     weighted_degree,
 )
+from cak.polyring import MAX_EXP
 from conftest import P
 
 
@@ -203,6 +206,33 @@ def test_divisibility_and_quotient_keys():
     q = ring.quo_key(b, a)
     assert ring.decode(q) == (1, 1, 0)
     assert ring.mul_keys(a, q) == b
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1]),
+        RingPresentation(["x", "y", "z"], [3, 1, 7]),
+        RingPresentation(["t", "u", "x", "y", "z"], [2, 1, 5, 1, 3], blocks=((4, 1), (0, 2, 3))),
+        RingPresentation(["x"], [1]),
+    ],
+    ids=["one-block", "weighted", "two-block", "one-variable"],
+)
+def test_lcm_key_matches_exponent_definition(ring):
+    rng = random.Random(repr(ring))
+    n = len(ring.vars)
+
+    def expo():
+        return tuple(
+            rng.choice([0, 1, rng.randint(0, 40), rng.randint(0, MAX_EXP), MAX_EXP - 1, MAX_EXP])
+            for _ in range(n)
+        )
+
+    for _ in range(1000):
+        ea, eb = expo(), expo()
+        want = ring.encode(tuple(max(a, b) for a, b in zip(ea, eb)))
+        assert ring.lcm_key(ring.encode(ea), ring.encode(eb)) == want, (ea, eb)
+        assert ring.lcm_key(ring.encode(eb), ring.encode(ea)) == want, (ea, eb)
 
 
 def test_substitute(kxyz):

@@ -348,3 +348,27 @@ def test_artinian_module_builds_one_engine(square_zero, monkeypatch):
     module = ArtinianModule(ring, [PL(ring, "X")], 1)
     assert len(calls) == 1
     assert module.dim == 2
+
+
+def test_socle_dim_builds_one_basis_and_one_staircase(monkeypatch):
+    from cak import groebner
+
+    calls = []
+    for fname in ("buchberger", "module_membership_engine", "staircase"):
+        original = getattr(groebner, fname)
+
+        def counting(*args, _original=original, _name=fname, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        # patch every cak module that holds the function, not only its home
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "cak" and getattr(mod, fname, None) is original:
+                monkeypatch.setattr(mod, fname, counting)
+    ring = RingPresentation(
+        ["x", "y", "z"], [1, 1, 1], relations=["x^3", "y^3", "z^3", "x*y*z"]
+    )
+    R = QuotientRing(ring)
+    assert socle_dim(R) == 3
+    assert R.length() == 19
+    assert sorted(calls) == ["buchberger", "staircase"]

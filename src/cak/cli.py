@@ -310,7 +310,8 @@ def _add_common(sp, ring=True, budget=True):
     if budget:
         sp.add_argument(
             "--budget", type=int, default=None,
-            help="work budget: Groebner pairs considered plus enumerated standard monomials",
+            help="work budget: Groebner pairs considered, enumerated standard "
+            "monomials and unit cancellations",
         )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 

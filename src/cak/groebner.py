@@ -10,6 +10,10 @@ Rank-one input (every ideal basis, elimination and ring-map kernel) is
 completed by a signature-based algorithm, which never reduces a Koszul
 syzygy and so never reduces to zero on a regular sequence; module input is
 completed by Buchberger's pair loop.  Both end in the same reduced basis.
+The pair loop can stop at a degree: a minimal generating subset over
+homogeneous relations completes its membership basis only through the
+degree of the column it tests, since homogeneous pairs of higher degree
+never reduce a column of lower degree.
 
 Ideals of a quotient ring R = S/J are handled through their full preimage:
 an :class:`IdealHandle` always computes the reduced Groebner basis of
@@ -32,8 +36,9 @@ DEFAULT_BUDGET = 10**6
 class Budget:
     """Work counter: one unit per pair taken from a completion's queue (a
     Buchberger pair of a module completion, a J-pair of a rank-one
-    signature completion) and per standard monomial enumerated.  Exceeding
-    the limit is an error, never a wrong answer."""
+    signature completion), per standard monomial enumerated and per unit
+    cancelled by ``resolve.minimalize``.  Exceeding the limit is an error,
+    never a wrong answer."""
 
     __slots__ = ("limit", "used")
 
@@ -75,18 +80,23 @@ class ModuleContext:
     The first ``fhigh`` components form the dominant order block (used to
     read syzygies off an elimination Groebner basis); with ``fhigh=0`` the
     order is plain term-over-position with earlier components breaking ties.
+    ``twists`` are the degrees of the basis vectors (zeros by default), so
+    ``degree`` is the internal degree of a term of a graded free module.
     """
 
     COMP_BITS = 32
 
-    __slots__ = ("ring", "ncomp", "fhigh", "blockbit", "compmask", "segs", "guard", "_rk_mask")
+    __slots__ = (
+        "ring", "ncomp", "fhigh", "twists", "blockbit", "compmask", "segs", "guard", "_rk_mask"
+    )
 
-    def __init__(self, ring: RingPresentation, ncomp: int, fhigh: int = 0):
+    def __init__(self, ring: RingPresentation, ncomp: int, fhigh: int = 0, twists=None):
         if ncomp >= 1 << self.COMP_BITS:
             raise CakError("module rank too large")
         self.ring = ring
         self.ncomp = ncomp
         self.fhigh = fhigh
+        self.twists = (0,) * ncomp if twists is None else tuple(twists)
         self.blockbit = 1 << (self.COMP_BITS + ring.key_bits)
         self.compmask = ((1 << self.COMP_BITS) - 1) | self.blockbit
         self.segs = tuple(
@@ -114,7 +124,8 @@ class ModuleContext:
         return (mono << bits) | (k1 & self.compmask)
 
     def degree(self, key: int) -> int:
-        return self.ring.key_degree(self.decode(key)[1])
+        comp, mono = self.decode(key)
+        return self.ring.key_degree(mono) + self.twists[comp]
 
     # -- element conversion ------------------------------------------------
 
@@ -148,7 +159,10 @@ class GroebnerEngine:
     :meth:`add_generators`, a signature-based completion.  Module input
     goes through the incremental Buchberger loop of :meth:`add_raw`,
     :meth:`add` and :meth:`complete`: normal pair strategy (minimal lcm
-    degree first, ties by pair index) plus the chain criterion.
+    degree first, ties by pair index) plus the chain criterion.  Pair
+    degrees include the context's twists, and ``complete(upto)`` leaves
+    the pairs above degree ``upto`` queued, so on homogeneous input the
+    basis is a Groebner basis through that degree.
     ``zero_reductions`` counts the reductions that gave zero.
     """
 
@@ -200,20 +214,25 @@ class GroebnerEngine:
         if terms:
             self._append(_monic(dict(terms), self.field))
 
-    def add(self, terms: dict) -> bool:
-        """Reduce, insert if nonzero, re-complete; True if basis grew."""
+    def add(self, terms: dict, upto: int | None = None) -> bool:
+        """Complete through degree ``upto``, reduce, insert the remainder if
+        nonzero; True if the basis grew.  The new element's pairs stay
+        queued for the next call."""
+        self.complete(upto)
         nf = self.reduce(terms)
         if not nf:
             return False
         self._append(_monic(nf, self.field))
-        self.complete()
         return True
 
-    def complete(self):
+    def complete(self, upto: int | None = None):
+        """Process queued pairs in degree order, all of them or only those
+        of degree at most ``upto``; the others stay queued."""
         ctx, G, leads = self.ctx, self.G, self.leads
         p = self.field.p
-        while self._heap:
-            _, i, j, lcm_key = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and (upto is None or heap[0][0] <= upto):
+            _, i, j, lcm_key = heapq.heappop(heap)
             self._pending.discard((i, j))
             self.budget.spend()
             skip = False
@@ -607,7 +626,7 @@ def minimal_generator_count(ring: RingPresentation, gens, budget=None) -> int:
             raise PreconditionError("minimal generator count wants homogeneous input")
         degs.append(d)
     kept = minimal_generating_subset(
-        ring, [[g] for g in gens], degs, nrows=1,
+        ring, [[g] for g in gens], degs, (0,),
         quotient_relations=tuple(ring.relations), budget=budget,
     )
     return len(kept)
@@ -617,30 +636,33 @@ def minimal_generating_subset(
     ring: RingPresentation,
     columns,
     degrees,
+    twists,
     *,
-    nrows: int | None = None,
     quotient_relations=(),
     budget=None,
 ):
-    """Indices of a minimal homogeneous generating subset of the columns.
+    """Indices of a minimal homogeneous generating subset of the columns,
+    which live in the free module with basis degrees ``twists``.
 
     Requires the stated degrees; columns are visited in weakly increasing
     degree (ties by index), keeping a column iff it is not a combination of
-    the kept ones, which by the graded Nakayama argument yields a minimal
-    generating set.
+    the kept ones and the relation multiples, which by the graded Nakayama
+    argument yields a minimal generating set.  Membership of a column of
+    degree d needs the Groebner basis only through degree d when every
+    relation is homogeneous, so the basis is completed that far and no
+    further; with an inhomogeneous relation it is completed in full.
     """
-    columns = [list(c) for c in columns]
     if not columns:
         return []
-    if nrows is None:
-        nrows = len(columns[0])
-    ctx, engine = module_membership_engine(
-        ring, [], nrows, quotient_relations=quotient_relations, budget=budget
-    )
+    ctx = ModuleContext(ring, len(twists), twists=twists)
+    engine = GroebnerEngine(ctx, ring.field, _as_budget(budget))
+    for rel in quotient_relations:
+        for i in range(len(twists)):
+            engine.add_raw({ctx.key(i, k): c for k, c in rel.terms.items()})
+    graded = all(rel.homogeneous_degree() is not None for rel in quotient_relations)
     kept = []
     for idx in sorted(range(len(columns)), key=lambda t: (degrees[t], t)):
-        elem = ctx.from_column(columns[idx])
-        if engine.add(elem):
+        if engine.add(ctx.from_column(columns[idx]), degrees[idx] if graded else None):
             kept.append(idx)
     return sorted(kept)
 

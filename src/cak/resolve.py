@@ -302,7 +302,7 @@ def _syzygy_step(matrix: PolyMatrix, twists, quotient_relations, budget):
     )
     degs = [column_degree(ring, c, twists) for c in cols]
     keep = minimal_generating_subset(
-        ring, cols, degs, nrows=matrix.ncols,
+        ring, cols, degs, twists,
         quotient_relations=quotient_relations, budget=budget,
     )
     return (
@@ -376,7 +376,7 @@ class ResolutionBuilder:
         cols = module.relations.columns()
         degs = [column_degree(ring, c, twists0) for c in cols]
         keep = minimal_generating_subset(
-            ring, cols, degs, nrows=len(twists0),
+            ring, cols, degs, twists0,
             quotient_relations=self.qrels, budget=budget,
         )
         # the next differential and its column degrees, computed but not
@@ -455,25 +455,31 @@ def minimal_free_resolution(
 
 def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
     """Homotopy-equivalent complex with every unit (degree-0) differential
-    entry cancelled.  Idempotent on already-minimal complexes."""
+    entry cancelled.  Idempotent on already-minimal complexes.  Each
+    cancellation costs one budget unit."""
     ring = complex.ring
-    relh = _relations_handle(ring, _as_budget(budget))
+    budget = _as_budget(budget)
+    relh = _relations_handle(ring, budget)
     nf = (lambda p: relh.normal_form(p)) if relh else (lambda p: p)
     mats = [[list(map(nf, row)) for row in m.entries] for m in complex.maps]
     twists = [list(m.twists) for m in complex.modules]
 
-    def find_unit():
-        for idx, mat in enumerate(mats):
-            for r, row in enumerate(mat):
+    def find_unit(start):
+        # a cancellation in map idx rewrites only map idx and deletes a row
+        # or column of its neighbours, so maps before idx gain no unit
+        for idx in range(start, len(mats)):
+            for r, row in enumerate(mats[idx]):
                 for c, p in enumerate(row):
                     if p.terms and set(p.terms) == {ring.one_key}:
                         return idx, r, c
         return None
 
+    idx = 0
     while True:
-        hit = find_unit()
+        hit = find_unit(idx)
         if hit is None:
             break
+        budget.spend()
         idx, r, c = hit
         mat = mats[idx]
         u_inv = ring.field.inv(mat[r][c].terms[ring.one_key])

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from cak import RingPresentation
-from cak.errors import NotArtinianError, PreconditionError
-from cak.groebner import IdealHandle
+from cak.errors import NotArtinianError, PreconditionError, ResourceLimitError
+from cak.groebner import Budget, IdealHandle
 from cak.resolve import (
     ChainComplex,
     GradedFreeModule,
@@ -20,7 +20,7 @@ from cak.resolve import (
     quotient_hilbert_numerator,
     syzygies,
 )
-from conftest import P, PL, R1_RELATIONS
+from conftest import P, PL, R1_RELATIONS, deadline
 
 
 def test_syzygy_koszul_pair(kxy):
@@ -133,6 +133,46 @@ def test_minimalize_idempotent_on_minimal(r1_ambient):
     )
     out = minimalize(res.complex)
     assert out.ranks() == res.complex.ranks()
+
+
+def unit_laden_complex(ring, rank, plain, laden):
+    """``plain`` unit-free maps (every entry x) followed by ``laden`` maps
+    alternating the identity and zero, all of the given rank; not a
+    complex (d o d != 0 in the unit-free part), which minimalize ignores."""
+    one, zero, x = ring.one(), ring.zero(), P(ring, "x")
+    ident = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
+    nil = [[zero] * rank for _ in range(rank)]
+    mats = [[[x] * rank for _ in range(rank)]] * plain
+    mats += [ident if k % 2 == 0 else nil for k in range(laden)]
+    modules = [GradedFreeModule(ring, (0,) * rank) for _ in range(len(mats) + 1)]
+    return ChainComplex(ring, modules, [PolyMatrix(ring, m) for m in mats], check=False)
+
+
+def test_minimalize_charges_one_unit_per_cancellation(kxy):
+    budget = Budget()
+    out = minimalize(unit_laden_complex(kxy, 3, 2, 6), budget)
+    # three identity maps of rank 3 cancel entry by entry
+    assert budget.used == 9
+    assert out.ranks() == (3, 3, 0, 0, 0, 0, 0, 0, 3)
+    assert [str(p) for p in out.maps[0].entries[0]] == ["x"] * 3
+
+
+def test_minimalize_budget_bounds_unit_cancellation(kxy):
+    # 2,400 cancellations, each followed by a rescan of the 120 unit-free
+    # maps in front when the scan restarts at the first map
+    cx = unit_laden_complex(kxy, 12, 120, 400)
+    with deadline(5), pytest.raises(ResourceLimitError):
+        minimalize(cx, Budget(100))
+
+
+def test_minimalize_resumes_at_the_last_hit(kxy):
+    # 800 cancellations behind 400 unit-free maps: rescanning those maps
+    # after every cancellation takes about ten seconds
+    budget = Budget()
+    with deadline(5):
+        out = minimalize(unit_laden_complex(kxy, 8, 400, 200), budget)
+    assert budget.used == 800
+    assert out.ranks() == (8,) * 400 + (0,) * 200 + (8,)
 
 
 def test_module_length_examples(kxy, r1_ambient):

@@ -410,7 +410,6 @@ def verify_resolution(
     report = VerificationReport()
     ring = complex.ring
     budget = _as_budget(budget)
-    qrels = tuple(ring.relations)
 
     defect = complex.composition_defect()
     report.record("dd_zero", defect is None, f"d_{defect} o d_{defect and defect + 1} != 0" if defect else "")
@@ -424,9 +423,7 @@ def verify_resolution(
     rel_cols = target.relations.columns()
 
     def engine_for(cols):
-        return module_membership_engine(
-            ring, cols, nrows, quotient_relations=qrels, budget=budget
-        )
+        return module_membership_engine(ring, cols, nrows, budget=budget)
 
     ctx1, eng1 = engine_for(d1_cols)
     ctx2, eng2 = engine_for(rel_cols)
@@ -437,23 +434,15 @@ def verify_resolution(
 
     for i in range(1, complex.length + 1):
         di = complex.differential(i)
-        syz = module_syzygies(
-            ring, di.columns(), nrows=di.nrows,
-            quotient_relations=qrels, budget=budget,
-        )
-        if i < complex.length:
-            nxt = complex.differential(i + 1).columns()
-        else:
-            nxt = []
-        ctxn, eng = module_membership_engine(
-            ring, nxt, di.ncols, quotient_relations=qrels, budget=budget
-        )
-        exact = all(eng.contains(ctxn.from_column(col)) for col in syz)
+        syz = module_syzygies(ring, di.columns(), nrows=di.nrows, budget=budget)
+        nxt = complex.differential(i + 1).columns() if i < complex.length else []
+        _, eng = module_membership_engine(ring, nxt, di.ncols, budget=budget)
+        exact = all(eng.contains(s) for s in syz)
         report.record(
             f"exact_at_{i}", exact, f"kernel of d_{i} exceeds the image of d_{i + 1}"
         )
 
-    if not qrels:
+    if not ring.relations:
         lhs = alternating_twist_sum(complex)
         rhs = quotient_hilbert_numerator(
             ring, rel_cols, target.ambient.twists, budget=budget

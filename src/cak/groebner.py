@@ -19,6 +19,10 @@ Ideals of a quotient ring R = S/J are handled through their full preimage:
 an :class:`IdealHandle` always computes the reduced Groebner basis of
 ``gens + ring.relations`` in the ambient polynomial ring, which makes
 membership, equality, colon and intersection uniform across S and S/J.
+Submodules of R^r are handled the same way, in the S-lift: every module
+engine is seeded with the relation multiples J*e_i of
+:func:`relation_multiples`, and syzygies leave the engine as packed term
+dicts.
 """
 
 from __future__ import annotations
@@ -138,6 +142,48 @@ class ModuleContext:
             for k, c in poly.terms.items():
                 terms[self.key(i, k)] = c
         return terms
+
+    def to_column(self, terms: dict) -> list[Polynomial]:
+        """Term dict -> column of ncomp polynomials."""
+        per = [{} for _ in range(self.ncomp)]
+        for k, c in terms.items():
+            comp, mono = self.decode(k)
+            per[comp][mono] = c
+        return [Polynomial(self.ring, d) for d in per]
+
+    def column_degree(self, terms: dict):
+        """Internal degree of a homogeneous term dict; None when it is zero.
+        Components are checked in order, each first for homogeneity and
+        then against the degree of the earlier ones."""
+        per: dict = {}
+        for k in terms:
+            comp, mono = self.decode(k)
+            d = self.ring.key_degree(mono)
+            if per.setdefault(comp, d) != d:
+                per[comp] = None
+        deg = None
+        for comp in sorted(per):
+            d = per[comp]
+            if d is None:
+                raise CakError("matrix column is not homogeneous")
+            d += self.twists[comp]
+            if deg is None:
+                deg = d
+            elif deg != d:
+                raise CakError("matrix column has inconsistent degrees")
+        return deg
+
+
+def relation_multiples(ctx, rank: int) -> list[dict]:
+    """J*e_i: the ring's relations times each of the first ``rank`` basis
+    vectors of ``ctx``, relation by relation.  Every module engine over
+    R = S/J adds these, so it computes the S-lift of a submodule of R^rank:
+    the submodule of S^rank that contains J*S^rank."""
+    return [
+        {ctx.key(i, k): c for k, c in rel.terms.items()}
+        for rel in ctx.ring.relations
+        for i in range(rank)
+    ]
 
 
 def _monic(terms: dict, field: Field) -> dict:
@@ -479,34 +525,37 @@ class IdealHandle:
         return out
 
     def intersection(self, other: "IdealHandle", budget=None) -> "IdealHandle":
+        """(self + J) cap (other + J) from the syzygies of the generators of
+        both modulo J: the a-parts sum a_i f_i of the syzygies, with J
+        itself, generate it."""
         self._check(other)
-        a = list(self.gens) + list(self.ring.relations)
-        b = list(other.gens) + list(other.ring.relations)
+        a, b = self.gens, other.gens
         if not a or not b:
             return IdealHandle(self.ring, ())
-        cols = [[f] for f in a] + [[g] for g in b]
-        syz = module_syzygies(self.ring, cols, budget=budget)
+        syz = module_syzygies(self.ring, [[f] for f in a] + [[g] for g in b], budget=budget)
+        ctx = ModuleContext(self.ring, len(a) + len(b))
         gens = []
-        for col in syz:
+        for s in syz:
             acc = self.ring.zero()
-            for coeff, f in zip(col[: len(a)], a):
+            for coeff, f in zip(ctx.to_column(s), a):
                 acc = acc + coeff * f
             if not acc.is_zero():
                 gens.append(acc)
         return IdealHandle(self.ring, gens)
 
     def colon(self, other: "IdealHandle", budget=None) -> "IdealHandle":
-        """(self : other), computed generator-by-generator via syzygies."""
+        """(self : other), computed generator-by-generator via syzygies
+        modulo J: c is in (self + J : g) iff c*g + sum a_i f_i lies in J."""
         self._check(other)
         others = [g for g in other.gens if not g.is_zero()]
         if not others:
             return IdealHandle(self.ring, [self.ring.one()])
         result = None
-        full = list(self.gens) + list(self.ring.relations)
+        ctx = ModuleContext(self.ring, 1 + len(self.gens))
         for g in others:
-            cols = [[g]] + [[f] for f in full]
+            cols = [[g]] + [[f] for f in self.gens]
             syz = module_syzygies(self.ring, cols, budget=budget)
-            gens = [col[0] for col in syz if not col[0].is_zero()]
+            gens = [c for c in (ctx.to_column(s)[0] for s in syz) if not c.is_zero()]
             part = IdealHandle(self.ring, gens)
             result = part if result is None else result.intersection(part, budget)
         return result
@@ -547,17 +596,22 @@ def module_syzygies(
     columns,
     *,
     budget=None,
-    quotient_relations=(),
     nrows: int | None = None,
-):
-    """Generators of the syzygy module of the given columns.
+) -> list[dict]:
+    """Generators of the syzygy module of the given columns over
+    R = S/(ring.relations).
 
-    Each column is a list of polynomials (one per row).  When
-    ``quotient_relations`` is nonempty the syzygies are taken over
-    R = S/(relations): the relation multiples of every basis vector are
-    adjoined as extra columns whose coefficients are discarded.
+    Each column is a list of polynomials (one per row).  The columns, each
+    tagged with its own basis vector e_(nrows + j), and then the relation
+    multiples J*e_i of the rows are completed in the elimination layout
+    ``ModuleContext(ring, nrows + ncols, fhigh=nrows)``; the elements free
+    of the row block are the syzygies.
 
-    Returns a list of syzygy columns of length ``len(columns)``.
+    They are returned packed, as the engine's term dicts: below the block
+    bit, component ``nrows + j`` of the elimination layout has exactly the
+    key of component ``j`` of ``ModuleContext(ring, ncols)``, since both
+    encode it as ``ncols - 1 - j``.  So each dict already lies in the
+    column module's layout (``to_column`` unpacks one).
     """
     columns = [list(c) for c in columns]
     if not columns:
@@ -566,50 +620,26 @@ def module_syzygies(
         nrows = len(columns[0])
     ncols = len(columns)
     ctx = ModuleContext(ring, nrows + ncols, fhigh=nrows)
-    field = ring.field
-    one = field.coerce(1)
+    one = ring.field.coerce(1)
     gens = []
     for j, col in enumerate(columns):
         if len(col) != nrows:
             raise CakError("ragged matrix")
-        terms = {}
-        for i, poly in enumerate(col):
-            for k, c in poly.terms.items():
-                terms[ctx.key(i, k)] = c
+        terms = ctx.from_column(col)
         terms[ctx.key(nrows + j, ring.one_key)] = one
         gens.append(terms)
-    for rel in quotient_relations:
-        for i in range(nrows):
-            terms = {ctx.key(i, k): c for k, c in rel.terms.items()}
-            gens.append(terms)
-    gb = buchberger(gens, ctx, field, budget)
-    out = []
-    for g in gb:
-        if any(k & ctx.blockbit for k in g):
-            continue
-        per = [dict() for _ in range(ncols)]
-        for k, c in g.items():
-            comp, mono = ctx.decode(k)
-            per[comp - nrows][mono] = c
-        out.append([Polynomial(ring, d) for d in per])
-    return out
+    gens += relation_multiples(ctx, nrows)
+    gb = buchberger(gens, ctx, ring.field, budget)
+    return [g for g in gb if not any(k & ctx.blockbit for k in g)]
 
 
-def module_membership_engine(
-    ring: RingPresentation,
-    columns,
-    nrows: int,
-    *,
-    quotient_relations=(),
-    budget=None,
-):
+def module_membership_engine(ring: RingPresentation, columns, nrows: int, *, budget=None):
     """Membership oracle for the submodule generated by ``columns`` plus the
-    quotient relations times every basis vector.  Returns (ctx, engine)."""
+    relation multiples J*e_i.  Returns (ctx, engine)."""
     ctx = ModuleContext(ring, nrows)
     engine = GroebnerEngine(ctx, ring.field, _as_budget(budget))
-    for rel in quotient_relations:
-        for i in range(nrows):
-            engine.add_raw({ctx.key(i, k): c for k, c in rel.terms.items()})
+    for terms in relation_multiples(ctx, nrows):
+        engine.add_raw(terms)
     for col in columns:
         engine.add_raw(ctx.from_column(col))
     engine.complete()
@@ -625,24 +655,15 @@ def minimal_generator_count(ring: RingPresentation, gens, budget=None) -> int:
         if d is None:
             raise PreconditionError("minimal generator count wants homogeneous input")
         degs.append(d)
-    kept = minimal_generating_subset(
-        ring, [[g] for g in gens], degs, (0,),
-        quotient_relations=tuple(ring.relations), budget=budget,
-    )
-    return len(kept)
+    ctx = ModuleContext(ring, 1)
+    columns = [ctx.from_column([g]) for g in gens]
+    return len(minimal_generating_subset(ring, columns, degs, (0,), budget=budget))
 
 
-def minimal_generating_subset(
-    ring: RingPresentation,
-    columns,
-    degrees,
-    twists,
-    *,
-    quotient_relations=(),
-    budget=None,
-):
+def minimal_generating_subset(ring: RingPresentation, columns, degrees, twists, *, budget=None):
     """Indices of a minimal homogeneous generating subset of the columns,
-    which live in the free module with basis degrees ``twists``.
+    packed term dicts of the free module with basis degrees ``twists``
+    (the layout of ``ModuleContext(ring, len(twists))``), modulo J.
 
     Requires the stated degrees; columns are visited in weakly increasing
     degree (ties by index), keeping a column iff it is not a combination of
@@ -656,13 +677,12 @@ def minimal_generating_subset(
         return []
     ctx = ModuleContext(ring, len(twists), twists=twists)
     engine = GroebnerEngine(ctx, ring.field, _as_budget(budget))
-    for rel in quotient_relations:
-        for i in range(len(twists)):
-            engine.add_raw({ctx.key(i, k): c for k, c in rel.terms.items()})
-    graded = all(rel.homogeneous_degree() is not None for rel in quotient_relations)
+    for terms in relation_multiples(ctx, len(twists)):
+        engine.add_raw(terms)
+    graded = all(rel.homogeneous_degree() is not None for rel in ring.relations)
     kept = []
     for idx in sorted(range(len(columns)), key=lambda t: (degrees[t], t)):
-        if engine.add(ctx.from_column(columns[idx]), degrees[idx] if graded else None):
+        if engine.add(columns[idx], degrees[idx] if graded else None):
             kept.append(idx)
     return sorted(kept)
 

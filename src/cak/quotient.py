@@ -1,11 +1,15 @@
 """Homological algebra over quotient rings R = S/J.
 
-Minimal R-free resolutions are computed by the lift-to-ambient method
-(syzygies in S of the columns together with J times every basis vector,
-projected back).  Ext and Tor are finite-dimensional linear algebra over the
-coefficient field on a standard-monomial basis, so R (and the second
-argument) must be Artinian; positive-dimensional inputs are first cut down
-by an explicit parameter sequence, as the certification workflows do.
+Every module computation over R takes place in the S-lift: a submodule of
+R^r is computed as the submodule of S^r that contains J*S^r, whose
+generators J*e_i come from ``groebner.relation_multiples``.  Minimal R-free
+resolutions read syzygies in S of the columns together with J*e_i, kept as
+packed term dicts until the minimal columns are chosen, and the standard
+basis of an :class:`ArtinianModule` is read off the same kind of engine.
+Ext and Tor are finite-dimensional linear algebra over the coefficient
+field on a standard-monomial basis, so R (and the second argument) must be
+Artinian; positive-dimensional inputs are first cut down by an explicit
+parameter sequence, as the certification workflows do.
 
 Ext, Tor and Tor_0 read the first module's own resolution
 (`PresentedModule.resolution`): it is computed once per module object and
@@ -201,9 +205,7 @@ class ArtinianModule:
         self.ring = ring
         self.nrows = nrows
         self.budget = _as_budget(budget)
-        self.ctx, self.engine = module_membership_engine(
-            ring, columns, nrows, quotient_relations=ring.relations, budget=self.budget
-        )
+        self.ctx, self.engine = module_membership_engine(ring, columns, nrows, budget=self.budget)
         self.basis = module_standard_basis(self.ctx, self.engine, self.budget)
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)

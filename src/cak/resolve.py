@@ -20,6 +20,7 @@ import math
 from .errors import CakError, NotArtinianError, PreconditionError
 from .groebner import (
     IdealHandle,
+    ModuleContext,
     _as_budget,
     minimal_generating_subset,
     minimal_generator_count,
@@ -118,21 +119,11 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols})"
 
 
-def column_degree(ring, column, ambient_twists):
-    """Internal degree of a homogeneous column; None for the zero column."""
-    deg = None
-    for i, p in enumerate(column):
-        if p.is_zero():
-            continue
-        d = p.homogeneous_degree()
-        if d is None:
-            raise CakError("matrix column is not homogeneous")
-        d += ambient_twists[i]
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise CakError("matrix column has inconsistent degrees")
-    return deg
+def _column_degrees(matrix: PolyMatrix, twists) -> list:
+    """Internal degrees of the matrix's homogeneous columns in the free
+    module with basis degrees ``twists``; None for a zero column."""
+    ctx = ModuleContext(matrix.ring, matrix.nrows, twists=twists)
+    return [ctx.column_degree(ctx.from_column(col)) for col in matrix.columns()]
 
 
 class PresentedModule:
@@ -147,11 +138,7 @@ class PresentedModule:
         self.ring = ring
         self.ambient = ambient
         self.relations = relations
-        degs = []
-        for j in range(relations.ncols):
-            d = column_degree(ring, relations.column(j), ambient.twists)
-            degs.append(d)
-        self.column_degrees = tuple(degs)
+        self.column_degrees = tuple(_column_degrees(relations, ambient.twists))
         self._resolution = None
 
     def resolution(self, budget=None) -> "ResolutionBuilder":
@@ -269,46 +256,34 @@ class BettiTable:
 # -- syzygies and resolutions -------------------------------------------------
 
 
-def syzygies(
-    matrix: PolyMatrix,
-    ambient_twists=None,
-    *,
-    quotient_relations=(),
-    budget=None,
-) -> PolyMatrix:
+def syzygies(matrix: PolyMatrix, ambient_twists=None, *, budget=None) -> PolyMatrix:
     """Matrix whose columns minimally generate the kernel of the map given
-    by ``matrix`` (columns = images of basis vectors)."""
-    ring = matrix.ring
+    by ``matrix`` (columns = images of basis vectors) over
+    ring/(relations)."""
     if ambient_twists is None:
         ambient_twists = (0,) * matrix.nrows
-    col_degs = [
-        column_degree(ring, matrix.column(j), ambient_twists)
-        for j in range(matrix.ncols)
-    ]
-    twists = [d if d is not None else 0 for d in col_degs]
-    return _syzygy_step(matrix, twists, quotient_relations, budget)[0]
+    twists = [0 if d is None else d for d in _column_degrees(matrix, ambient_twists)]
+    return _syzygy_step(matrix, twists, budget)[0]
 
 
-def _syzygy_step(matrix: PolyMatrix, twists, quotient_relations, budget):
-    """One syzygy step: minimal generators of the kernel of ``matrix``,
-    whose columns have degrees ``twists``, and their degrees."""
-    ring = matrix.ring
-    cols = module_syzygies(
-        ring,
-        matrix.columns(),
-        nrows=matrix.nrows,
-        quotient_relations=quotient_relations,
-        budget=budget,
-    )
-    degs = [column_degree(ring, c, twists) for c in cols]
-    keep = minimal_generating_subset(
-        ring, cols, degs, twists,
-        quotient_relations=quotient_relations, budget=budget,
-    )
+def _minimal_columns(ring, columns, twists, budget):
+    """A minimal generating subset of packed columns of the free module
+    with basis degrees ``twists``: (matrix of the kept columns, their
+    degrees).  Only the kept columns are unpacked."""
+    ctx = ModuleContext(ring, len(twists), twists=twists)
+    degs = [ctx.column_degree(c) for c in columns]
+    keep = minimal_generating_subset(ring, columns, degs, twists, budget=budget)
     return (
-        PolyMatrix.from_columns(ring, matrix.ncols, [cols[j] for j in keep]),
+        PolyMatrix.from_columns(ring, len(twists), [ctx.to_column(columns[j]) for j in keep]),
         [degs[j] for j in keep],
     )
+
+
+def _syzygy_step(matrix: PolyMatrix, twists, budget):
+    """One syzygy step: minimal generators of the kernel of ``matrix``,
+    whose columns have degrees ``twists``, and their degrees."""
+    cols = module_syzygies(matrix.ring, matrix.columns(), nrows=matrix.nrows, budget=budget)
+    return _minimal_columns(matrix.ring, cols, twists, budget)
 
 
 class Resolution:
@@ -368,24 +343,18 @@ class ResolutionBuilder:
         ring = module.ring
         budget = _as_budget(budget)
         self.ring = ring
+        # the relations divided out at every step
         self.qrels = tuple(ring.relations)
         module = presentation_minimalize(module, budget)
         twists0 = module.ambient.twists
         self.modules = [GradedFreeModule(ring, twists0)]
         self.maps: list[PolyMatrix] = []
-        cols = module.relations.columns()
-        degs = [column_degree(ring, c, twists0) for c in cols]
-        keep = minimal_generating_subset(
-            ring, cols, degs, twists0,
-            quotient_relations=self.qrels, budget=budget,
-        )
+        ctx = ModuleContext(ring, len(twists0))
+        cols = [ctx.from_column(col) for col in module.relations.columns()]
         # the next differential and its column degrees, computed but not
         # yet appended: termination is seen one step after the last map
-        self._next = (
-            PolyMatrix.from_columns(ring, len(twists0), [cols[j] for j in keep]),
-            [degs[j] for j in keep],
-        )
-        self.complete = not keep
+        self._next = _minimal_columns(ring, cols, twists0, budget)
+        self.complete = not self._next[1]
 
     def extend(self, n_maps: int, budget=None):
         """Ensure at least ``n_maps`` differentials (or completion)."""
@@ -393,9 +362,7 @@ class ResolutionBuilder:
         budget = _as_budget(budget)
         while len(self.maps) < n_maps and not self.complete:
             if self._next is None:
-                self._next = _syzygy_step(
-                    self.maps[-1], self.modules[-1].twists, self.qrels, budget
-                )
+                self._next = _syzygy_step(self.maps[-1], self.modules[-1].twists, budget)
             mat, degs = self._next
             self._next = None
             if not degs:
@@ -626,26 +593,17 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
     n = len(elems)
     if n == 0:
         return True
-    qrels = tuple(ring.relations)
-    syz = module_syzygies(
-        ring, [[e] for e in elems], nrows=1,
-        quotient_relations=qrels, budget=budget,
-    )
-    if n == 1:
-        koszul_cols = []
-    else:
-        z = ring.zero()
-        koszul_cols = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                col = [z] * n
-                col[i] = elems[j]
-                col[j] = -elems[i]
-                koszul_cols.append(col)
-    ctx, engine = module_membership_engine(
-        ring, koszul_cols, n, quotient_relations=qrels, budget=budget
-    )
-    return all(engine.contains(ctx.from_column(col)) for col in syz)
+    syz = module_syzygies(ring, [[e] for e in elems], nrows=1, budget=budget)
+    z = ring.zero()
+    koszul_cols = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            col = [z] * n
+            col[i] = elems[j]
+            col[j] = -elems[i]
+            koszul_cols.append(col)
+    _, engine = module_membership_engine(ring, koszul_cols, n, budget=budget)
+    return all(engine.contains(s) for s in syz)
 
 
 def graded_rank_check(ring, q_ideal: IdealHandle, i: int, budget=None) -> int:

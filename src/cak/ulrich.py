@@ -59,6 +59,20 @@ def is_parameter_ideal(R, q, d: int, budget=None) -> bool:
     return True
 
 
+def _parameter_pair(R, I, q, d: int, budget):
+    """The ring, both ideals as handles and the budget, once q is checked to
+    be a parameter ideal of d generators contained in I."""
+    ring = as_presentation(R)
+    I = _handle(ring, I)
+    q = _handle(ring, q)
+    budget = _as_budget(budget)
+    if not is_parameter_ideal(R, q, d, budget):
+        raise PreconditionError("q is not a parameter ideal of the stated dimension")
+    if not all(I.contains_poly(g, budget) for g in q.gens):
+        raise PreconditionError("q is not contained in I")
+    return ring, I, q, budget
+
+
 @dataclass
 class UlrichReport:
     """Certification record for a candidate Ulrich ideal."""
@@ -100,14 +114,7 @@ def is_ulrich(R, I, q, d: int, budget=None) -> UlrichReport:
     Preconditions: q is a parameter ideal of d homogeneous generators with
     Artinian quotient, and q is contained in I.
     """
-    ring = as_presentation(R)
-    I = _handle(ring, I)
-    q = _handle(ring, q)
-    budget = _as_budget(budget)
-    if not is_parameter_ideal(R, q, d, budget):
-        raise PreconditionError("q is not a parameter ideal of the stated dimension")
-    if not all(I.contains_poly(g, budget) for g in q.gens):
-        raise PreconditionError("q is not contained in I")
+    ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
 
     len_RI = _length(ring, I.gens, budget)
     len_Rq = _length(ring, q.gens, budget)
@@ -175,14 +182,7 @@ class StructureReport:
 
 
 def check_structure_conditions(R, I, q, d: int, budget=None) -> StructureReport:
-    ring = as_presentation(R)
-    I = _handle(ring, I)
-    q = _handle(ring, q)
-    budget = _as_budget(budget)
-    if not is_parameter_ideal(R, q, d, budget):
-        raise PreconditionError("q is not a parameter ideal of the stated dimension")
-    if not all(I.contains_poly(g, budget) for g in q.gens):
-        raise PreconditionError("q is not contained in I")
+    ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
 
     I2 = I.power(2)
     i2_in_q = all(q.contains_poly(g, budget) for g in I2.gens)
@@ -211,14 +211,7 @@ def type_relation_check(R, I, q, d: int, budget=None):
     """Compare r(R) with (mu(I) - d) * r(R/I) after verifying that q sits
     inside I as part of a minimal generating set, I^2 is inside q, and I/q
     is free over R/I.  Returns (lhs, rhs, equal, mu)."""
-    ring = as_presentation(R)
-    I = _handle(ring, I)
-    q = _handle(ring, q)
-    budget = _as_budget(budget)
-    if not is_parameter_ideal(R, q, d, budget):
-        raise PreconditionError("q is not a parameter ideal of the stated dimension")
-    if not all(I.contains_poly(g, budget) for g in q.gens):
-        raise PreconditionError("q is not contained in I")
+    ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
 
     len_RI = _length(ring, I.gens, budget)
     len_Rq = _length(ring, q.gens, budget)

@@ -43,12 +43,16 @@ def deadline(seconds):
     a loop that does not stop fails its test instead of hanging it."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeoutError(frame.f_code.co_name if frame is not None else "?")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError as e:
+        # a fresh exception whose traceback ends here: the interrupted frame
+        # may have no line number, which pytest cannot render
+        raise TimeoutError(f"still running after {seconds} s in {e}") from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

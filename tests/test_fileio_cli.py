@@ -87,6 +87,33 @@ def test_load_module_schema_errors(tmp_path, r1_file):
         load_module(str(path), ring)
 
 
+@pytest.mark.parametrize(
+    "twists, rows, message",
+    [
+        ([0, 0], [["x1", "x2^2"], ["0", "x1 + x2^2"]], "matrix column is not homogeneous"),
+        ([0, 0], [["x1", "x2"], ["x2", "x1*x2"]], "matrix column has inconsistent degrees"),
+        # rows are checked in order, each for homogeneity, then against the rows above
+        ([0, 0, 0], [["x1"], ["x2^2"], ["x1 + x2^2"]], "matrix column has inconsistent degrees"),
+        ([0, 1, 0], [["x1 + x2^2"], ["x2"], ["x1*x2"]], "matrix column is not homogeneous"),
+    ],
+)
+@pytest.mark.parametrize("relations", [[], ["x1^3", "x2^3"]])
+def test_cli_resolve_module_column_degree_errors(
+    tmp_path, capsys, twists, rows, message, relations
+):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({
+        "field": {"kind": "fp", "p": 32003},
+        "vars": ["x1", "x2"],
+        "weights": [1, 1],
+        "relations": relations,
+    }))
+    module = tmp_path / "m.json"
+    module.write_text(json.dumps({"ambient_twists": twists, "relations": rows}))
+    assert main(["resolve", "--ring", str(ring), "--module", str(module)]) == 2
+    assert capsys.readouterr() == ("", f"error: /relations: {message}\n")
+
+
 def test_cli_gb_matches_library(plain_file, capsys):
     code = main(["gb", "--ring", plain_file, "--gens", "x1^2 - x2; x2^2"])
     assert code == 0

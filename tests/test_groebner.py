@@ -230,7 +230,8 @@ def test_membership_is_ideal_like(data):
 
 def test_syzygy_projection_generates_kernel(kxy):
     cols = [[P(kxy, "x")], [P(kxy, "y")], [P(kxy, "x + y")]]
-    syz = module_syzygies(kxy, cols)
+    ctx = ModuleContext(kxy, len(cols))
+    syz = [ctx.to_column(s) for s in module_syzygies(kxy, cols)]
     for col in syz:
         acc = kxy.zero()
         for coeff, (gen,) in zip(col, cols):
@@ -304,7 +305,8 @@ def test_random_syzygies_annihilate(data):
         [ring.from_terms(data.draw(terms_strategy)) for _ in range(nrows)]
         for _ in range(ncols)
     ]
-    syz = module_syzygies(ring, cols)
+    ctx = ModuleContext(ring, ncols)
+    syz = [ctx.to_column(s) for s in module_syzygies(ring, cols)]
     for s_col in syz:
         for i in range(nrows):
             acc = ring.zero()

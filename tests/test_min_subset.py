@@ -17,6 +17,7 @@ from cak import QQ, RingPresentation, parse_poly_list
 from cak.groebner import (
     Budget,
     GroebnerEngine,
+    ModuleContext,
     minimal_generating_subset,
     minimal_generator_count,
     module_membership_engine,
@@ -27,7 +28,6 @@ from cak.resolve import (
     GradedFreeModule,
     PolyMatrix,
     PresentedModule,
-    column_degree,
     minimal_free_resolution,
     presentation_minimalize,
 )
@@ -46,13 +46,13 @@ ARTINIAN_RELATIONS = {
 C04_RELATIONS = "X^4 - Y*Z; Y^2 - X^2*Z; Z^2 - X^2*Y"
 
 
-def oracle_subset(ring, columns, degrees, nrows, relations):
+def oracle_subset(ring, columns, degrees, nrows):
     """The greedy rule with a membership basis completed in full after
     every kept column."""
-    ctx, engine = module_membership_engine(ring, [], nrows, quotient_relations=relations)
+    _, engine = module_membership_engine(ring, [], nrows)
     kept = []
     for idx in sorted(range(len(columns)), key=lambda t: (degrees[t], t)):
-        nf = engine.reduce(ctx.from_column(columns[idx]))
+        nf = engine.reduce(columns[idx])
         if nf:
             engine.add_raw(nf)
             engine.complete()
@@ -125,18 +125,18 @@ def planted_columns(ring, twists, rng, count):
     return [cols[i] for i in order], [degs[i] for i in order]
 
 
-def syzygy_columns(ring, twists, rng, ncols, relations):
+def syzygy_columns(ring, twists, rng, ncols):
     """The (not minimal) syzygy generators of a random homogeneous matrix,
     with their degrees, plus duplicates and monomial multiples of them."""
     degs = [rng.randint(min(twists) + 1, min(twists) + 2) for _ in range(ncols)]
     cols = [random_column(ring, d, twists, rng) for d in degs]
-    syz = module_syzygies(
-        ring, cols, nrows=len(twists), quotient_relations=relations
-    )
+    ctx = ModuleContext(ring, ncols, twists=degs)
+    syz = [ctx.to_column(s) for s in module_syzygies(ring, cols, nrows=len(twists))]
     for j in [rng.randrange(len(syz)) for _ in range(3)] if syz else []:
         x = ring.var(rng.choice(ring.vars))
         syz += [[x * a for a in syz[j]], list(syz[j])]
-    return syz, [column_degree(ring, c, degs) for c in syz], degs
+    packed = [ctx.from_column(c) for c in syz]
+    return packed, [ctx.column_degree(c) for c in packed], degs
 
 
 def polynomial_rings():
@@ -170,43 +170,41 @@ def cases():
 @pytest.mark.parametrize("ring, twists, seed", list(cases()))
 def test_kept_sets_match_full_completion(ring, twists, seed):
     rng = random.Random(seed)
-    rels = tuple(ring.relations)
     columns, degrees = planted_columns(ring, twists, rng, 6)
-    kept = minimal_generating_subset(
-        ring, columns, degrees, twists, quotient_relations=rels
-    )
-    assert kept == oracle_subset(ring, columns, degrees, len(twists), rels)
+    ctx = ModuleContext(ring, len(twists))
+    columns = [ctx.from_column(c) for c in columns]
+    kept = minimal_generating_subset(ring, columns, degrees, twists)
+    assert kept == oracle_subset(ring, columns, degrees, len(twists))
     assert len(kept) < len(columns)
 
 
 @pytest.mark.parametrize("ring, twists, seed", list(cases()))
 def test_kept_syzygy_sets_match_full_completion(ring, twists, seed):
     rng = random.Random(seed + 7)
-    rels = tuple(ring.relations)
-    columns, degrees, col_twists = syzygy_columns(ring, twists, rng, 3, rels)
-    kept = minimal_generating_subset(
-        ring, columns, degrees, col_twists, quotient_relations=rels
-    )
-    assert kept == oracle_subset(ring, columns, degrees, len(col_twists), rels)
+    columns, degrees, col_twists = syzygy_columns(ring, twists, rng, 3)
+    kept = minimal_generating_subset(ring, columns, degrees, col_twists)
+    assert kept == oracle_subset(ring, columns, degrees, len(col_twists))
 
 
 def oracle_resolution(module, length):
     """Differentials of the resolution built step by step with the oracle."""
     ring = module.ring
-    rels = tuple(ring.relations)
     module = presentation_minimalize(module)
     twists = module.ambient.twists
     cols = module.relations.columns()
     maps = []
     for _ in range(length):
-        degs = [column_degree(ring, c, twists) for c in cols]
-        keep = oracle_subset(ring, cols, degs, len(twists), rels)
+        ctx = ModuleContext(ring, len(twists), twists=twists)
+        packed = [ctx.from_column(c) for c in cols]
+        degs = [ctx.column_degree(c) for c in packed]
+        keep = oracle_subset(ring, packed, degs, len(twists))
         if not keep:
             break
         mat = PolyMatrix.from_columns(ring, len(twists), [cols[j] for j in keep])
         maps.append(mat)
         twists = [degs[j] for j in keep]
-        cols = module_syzygies(ring, mat.columns(), nrows=mat.nrows, quotient_relations=rels)
+        ctx = ModuleContext(ring, mat.ncols)
+        cols = [ctx.to_column(s) for s in module_syzygies(ring, mat.columns(), nrows=mat.nrows)]
     return maps
 
 

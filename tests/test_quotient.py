@@ -4,7 +4,7 @@ import pytest
 
 from cak import RingPresentation, PreconditionError
 from cak.errors import CakError, NotArtinianError, ResourceLimitError
-from cak.groebner import Budget, module_syzygies
+from cak.groebner import Budget, ModuleContext, module_syzygies
 from cak.quotient import (
     ArtinianModule,
     QuotientRing,
@@ -104,9 +104,8 @@ def test_curve_reduction_module_is_free(r1_ring):
     ring = r1_ring
     zgen, wgen = P(ring, "Z"), P(ring, "W")
     lift_cols = [[zgen], [wgen], [P(ring, "X")]]
-    syz = module_syzygies(
-        ring, lift_cols, nrows=1, quotient_relations=tuple(ring.relations)
-    )
+    ctx = ModuleContext(ring, len(lift_cols))
+    syz = [ctx.to_column(s) for s in module_syzygies(ring, lift_cols, nrows=1)]
     residue = quotient_of(ring, PL(ring, "X; Z; W"))
     T = residue.presentation
     rel_cols = [[c[0].transfer(T), c[1].transfer(T)] for c in syz]

@@ -132,7 +132,7 @@ def test_module_standard_basis_rank_two_with_dead_component():
     # R/(x*y, y^3, x^2 z) in component 1
     ring = RingPresentation(["x", "y", "z"], [1, 2, 1], relations=["x^3", "y^2*z", "z^2"])
     columns = [PL(ring, "1; 0"), PL(ring, "0; x*y"), PL(ring, "0; y^3"), PL(ring, "0; x^2*z")]
-    ctx, engine = module_membership_engine(ring, columns, 2, quotient_relations=ring.relations)
+    ctx, engine = module_membership_engine(ring, columns, 2)
     budget = Budget()
     got = module_standard_basis(ctx, engine, budget)
     leads = [(3, 0, 0), (0, 2, 1), (0, 0, 2), (1, 1, 0), (0, 3, 0), (2, 0, 1)]

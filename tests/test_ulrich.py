@@ -67,6 +67,18 @@ def test_is_ulrich_precondition_errors(r1):
         is_ulrich(R, I, bad_q, 1)
 
 
+@pytest.mark.parametrize("check", [is_ulrich, check_structure_conditions, type_relation_check])
+def test_parameter_pair_precondition_messages(r1, check):
+    R, I, q = r1
+    with pytest.raises(PreconditionError) as err:
+        check(R, I, q, 2)
+    assert str(err.value) == "q is not a parameter ideal of the stated dimension"
+    bad_q = IdealHandle(R.presentation, PL(R.presentation, "Y"))
+    with pytest.raises(PreconditionError) as err:
+        check(R, I, bad_q, 1)
+    assert str(err.value) == "q is not contained in I"
+
+
 def test_structure_conditions_curve(r1):
     R, I, q = r1
     rep = check_structure_conditions(R, I, q, 1)

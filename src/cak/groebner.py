@@ -314,13 +314,19 @@ class GroebnerEngine:
         fully reduced by the basis so far.  Within the step of generator
         f_i a signature m*e_i is kept as the key of m; the basis from the
         earlier steps lies in lower positions, so it reduces freely.
-        J-pairs are processed in increasing signature.  One is skipped
-        when its signature is divisible by a lead of the earlier basis (a
-        principal syzygy), by a signature that reduced to zero, or by the
-        signature of an element added after the pair's own (the rewrite
-        criterion).  Reductions are signature-regular only, and a result
-        whose lead is reducible at its own signature is dropped.  On a
-        regular sequence no reduction gives zero.
+        J-pairs are processed in increasing signature, one per signature.
+        A signature is skipped when it is divisible by a lead of the
+        earlier basis (a principal syzygy) or by a signature that reduced
+        to zero.  Otherwise the multiple of its canonical rewriter, the
+        last-added element whose signature divides it, is reduced, unless
+        that multiple's lead is not regular reducible (it would come out
+        singular).  Reducing the rewriter's multiple, not the pair's own,
+        keeps the rewrite criterion sound: the rewriter need not have a
+        J-pair of its own at that signature, for instance when its pair at
+        a divisor of it came out singular.
+        Reductions are signature-regular only, and a result whose lead is
+        reducible at its own signature is dropped.  On a regular sequence
+        no reduction gives zero.
         """
         ctx = self.ctx
         ring, p, segs, guard = ctx.ring, self.field.p, ctx.segs, ctx.guard
@@ -363,9 +369,18 @@ class GroebnerEngine:
                 self.budget.spend()
                 if sig == last:
                     continue
-                last, owner = sig, -owner
-                if any(divides_key(z, sig, 0, segs) for z in zero_sigs) or any(
-                    divides_key(sigs[b], sig, 0, segs) for b in range(owner + 1, len(G))
+                last = sig
+                if any(divides_key(z, sig, 0, segs) for z in zero_sigs):
+                    continue
+                # the canonical rewriter; the pair's own element qualifies
+                owner = max(
+                    b for b in range(-owner, len(G)) if divides_key(sigs[b], sig, 0, segs)
+                )
+                m = sig - sigs[owner] + leads[owner]
+                if not any(
+                    divides_key(leads[b], m, 0, segs)
+                    and (sigs[b] is None or m - leads[b] + sigs[b] < sig)
+                    for b in range(len(G))
                 ):
                     continue
                 h: dict = {}

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cak import RingPresentation
+from cak import RingPresentation, parse_poly_list
 from cak.groebner import (
     Budget,
     GroebnerEngine,
@@ -180,6 +180,19 @@ def test_unit_and_zero_generators():
     assert check_basis(ring, [x * x + y, one.scale(5), x * y - 1]) == [one.terms]
     assert check_basis(ring, [ring.zero(), ring.zero()]) == []
     assert check_basis(ring, []) == []
+
+
+@pytest.mark.parametrize(
+    "gens, unit",
+    [("z^2; x^2*y*z + 1; y^2 + x", True), ("y^2*z + x*y; x^2*z^2; x^2*y*z + z^2", False)],
+)
+def test_rewritable_pair_is_reduced_through_its_rewriter(gens, unit):
+    # J-pairs whose signature the signature of a later element divides; the
+    # later element's own pair at a smaller signature was singular, so
+    # skipping them lost the unit from the first ideal
+    ring = RingPresentation(["x", "y", "z"], [1, 2, 1])
+    basis = check_basis(ring, parse_poly_list(gens, ring))
+    assert (basis == [ring.one().terms]) == unit
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,46 +1,74 @@
-"""Exact dense linear algebra over F_p or Q (just enough for rank counts)."""
+"""Exact sparse linear algebra over F_p or Q.
+
+One echelon form serves every rank count, tracked kernel and span test in
+``cak``: the Artinian resolution steps, the Hom/Tensor ranks of Ext and
+Tor, the socle and the embedding dimension.
+"""
 
 from fractions import Fraction
 
+from ._kernel import add_scaled
+
+
+class Echelon:
+    """Sparse row echelon form over F_p (``p`` prime) or Q (``p`` None).
+
+    A vector is a dict int coordinate -> nonzero coefficient.  Every stored
+    row is monic at its largest coordinate, its pivot, and no two rows
+    share a pivot.  A ``budget`` is charged one unit per inserted vector.
+    """
+
+    __slots__ = ("p", "budget", "rows")
+
+    def __init__(self, p, budget=None):
+        self.p = p
+        self.budget = budget
+        self.rows = {}  # pivot -> (monic row, its combination or None)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: dict, combo: dict | None = None) -> bool:
+        """Reduce ``vec`` on its largest coordinate until that coordinate is
+        no pivot, store what is left, and return whether anything was.
+
+        Both dicts are consumed.  ``combo`` names the combination of
+        earlier inputs that ``vec`` is and is reduced alongside it, so after
+        an insertion that returns False it holds a relation among the
+        inputs: a kernel vector of the map they are the images under.
+        """
+        if self.budget is not None:
+            self.budget.spend()
+        p, rows = self.p, self.rows
+        while vec:
+            m = max(vec)
+            hit = rows.get(m)
+            if hit is None:
+                c = vec[m]
+                if c != 1:
+                    if p is None:
+                        inv = Fraction(1) / c
+                        vec = {k: v * inv for k, v in vec.items()}
+                        if combo is not None:
+                            combo = {k: v * inv for k, v in combo.items()}
+                    else:
+                        inv = pow(c, -1, p)
+                        vec = {k: v * inv % p for k, v in vec.items()}
+                        if combo is not None:
+                            combo = {k: v * inv % p for k, v in combo.items()}
+                rows[m] = (vec, combo)
+                return True
+            c = -vec[m]
+            add_scaled(vec, hit[0], c, p)
+            if combo is not None:
+                add_scaled(combo, hit[1], c, p)
+        return False
+
 
 def matrix_rank(rows, p) -> int:
-    """Rank by Gaussian elimination; ``rows`` is consumed as a copy."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    top = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(top, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[top], rows[pivot] = rows[pivot], rows[top]
-        prow = rows[top]
-        if p is not None:
-            inv = pow(prow[col], -1, p)
-            for i in range(top + 1, len(rows)):
-                c = rows[i][col]
-                if c:
-                    f = c * inv % p
-                    ri = rows[i]
-                    for j in range(col, ncols):
-                        ri[j] = (ri[j] - f * prow[j]) % p
-        else:
-            inv = Fraction(1) / prow[col]
-            for i in range(top + 1, len(rows)):
-                c = rows[i][col]
-                if c:
-                    f = c * inv
-                    ri = rows[i]
-                    for j in range(col, ncols):
-                        ri[j] = ri[j] - f * prow[j]
-        top += 1
-        rank += 1
-        if top == len(rows):
-            break
-    return rank
+    """Rank of a dense matrix given as a list of rows."""
+    ech = Echelon(p)
+    for row in rows:
+        ech.insert({j: v for j, v in enumerate(row) if v})
+    return ech.rank

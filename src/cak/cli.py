@@ -311,7 +311,7 @@ def _add_common(sp, ring=True, budget=True):
         sp.add_argument(
             "--budget", type=int, default=None,
             help="work budget: Groebner pairs considered, enumerated standard "
-            "monomials and unit cancellations",
+            "monomials, unit cancellations and vectors inserted into an echelon form",
         )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 

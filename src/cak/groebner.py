@@ -40,8 +40,10 @@ DEFAULT_BUDGET = 10**6
 class Budget:
     """Work counter: one unit per pair taken from a completion's queue (a
     Buchberger pair of a module completion, a J-pair of a rank-one
-    signature completion), per standard monomial enumerated and per unit
-    cancelled by ``resolve.minimalize``.  Exceeding the limit is an error,
+    signature completion), per standard monomial enumerated, per unit
+    cancelled by ``resolve.minimalize`` and per vector inserted into a
+    ``_linalg.Echelon`` (the Artinian resolution steps, the Hom/Tensor
+    ranks of Ext/Tor and the socle).  Exceeding the limit is an error,
     never a wrong answer."""
 
     __slots__ = ("limit", "used")
@@ -144,12 +146,14 @@ class ModuleContext:
         return terms
 
     def to_column(self, terms: dict) -> list[Polynomial]:
-        """Term dict -> column of ncomp polynomials."""
-        per = [{} for _ in range(self.ncomp)]
+        """Term dict -> column of ncomp polynomials; the zero entries share
+        one zero polynomial."""
+        per: dict = {}
         for k, c in terms.items():
             comp, mono = self.decode(k)
-            per[comp][mono] = c
-        return [Polynomial(self.ring, d) for d in per]
+            per.setdefault(comp, {})[mono] = c
+        zero = self.ring.zero()
+        return [Polynomial(self.ring, per[i]) if i in per else zero for i in range(self.ncomp)]
 
     def column_degree(self, terms: dict):
         """Internal degree of a homogeneous term dict; None when it is zero.

@@ -1,15 +1,18 @@
 """Homological algebra over quotient rings R = S/J.
 
-Every module computation over R takes place in the S-lift: a submodule of
-R^r is computed as the submodule of S^r that contains J*S^r, whose
-generators J*e_i come from ``groebner.relation_multiples``.  Minimal R-free
-resolutions read syzygies in S of the columns together with J*e_i, kept as
-packed term dicts until the minimal columns are chosen, and the standard
-basis of an :class:`ArtinianModule` is read off the same kind of engine.
-Ext and Tor are finite-dimensional linear algebra over the coefficient
-field on a standard-monomial basis, so R (and the second argument) must be
-Artinian; positive-dimensional inputs are first cut down by an explicit
-parameter sequence, as the certification workflows do.
+Membership and normal forms over R take place in the S-lift: a submodule
+of R^r is computed as the submodule of S^r that contains J*S^r, whose
+generators J*e_i come from ``groebner.relation_multiples``; the standard
+basis of an :class:`ArtinianModule` is read off such an engine.  Minimal
+R-free resolutions over a graded Artinian R are linear algebra on the
+standard monomials of R (see :mod:`cak.resolve`); over other quotients they
+read syzygies in S of the columns together with J*e_i.  Ext and Tor are
+finite-dimensional linear algebra over the coefficient field on a
+standard-monomial basis, so R (and the second argument) must be Artinian;
+positive-dimensional inputs are first cut down by an explicit parameter
+sequence, as the certification workflows do.  Every rank (Hom, Tensor,
+socle) is taken by the one sparse echelon form of :mod:`cak._linalg`, which
+charges the budget one unit per inserted vector.
 
 Ext, Tor and Tor_0 read the first module's own resolution
 (`PresentedModule.resolution`): it is computed once per module object and
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from ._linalg import matrix_rank
+from ._linalg import Echelon, matrix_rank
 from .errors import CakError, NotArtinianError, PreconditionError, RingMismatchError
 from .groebner import (
     IdealHandle,
@@ -124,15 +127,15 @@ def socle_dim(R, budget=None) -> int:
     ring = R.presentation
     index = {k: i for i, k in enumerate(basis)}
     one = ring.field.coerce(1)
-    rows = []
+    ech = Echelon(ring.field.p, budget)
     for k in basis:
-        row = [0] * (len(ring.vars) * len(basis))
+        row = {}
         for i in range(len(ring.vars)):
             shifted = Polynomial(ring, {ring.mul_keys(ring.var_key(i), k): one})
             for key, c in R.defining_ideal.normal_form(shifted, budget).terms.items():
                 row[i * len(basis) + index[key]] = c
-        rows.append(row)
-    return len(basis) - matrix_rank(rows, ring.field.p)
+        ech.insert(row)
+    return len(basis) - ech.rank
 
 
 def cm_type(R, params, budget=None) -> int:
@@ -276,26 +279,23 @@ def ext_dims(R, module: PresentedModule, against: PresentedModule, bound: int, b
 
 
 def _hom_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
-    """Rank of Hom(d, N): Hom(F_lo, N) -> Hom(F_hi, N)."""
+    """Rank of Hom(d, N): Hom(F_lo, N) -> Hom(F_hi, N), one sparse row per
+    (basis vector j of F_lo, basis element b of N) over the coordinates
+    (basis vector c of F_hi, basis element of N)."""
     if r_lo == 0 or r_hi == 0 or target.dim == 0:
         return 0
-    rows = []
-    # column index: (j, b) over F_lo basis x N basis; row blocks over F_hi x N
+    dim = target.dim
+    ech = Echelon(target.ring.field.p, target.budget)
     for j in range(r_lo):
-        for b in range(target.dim):
-            col = [0] * (r_hi * target.dim)
-            for c in range(r_hi):
-                entry = mat.entries[j][c]
-                if entry.is_zero():
-                    continue
-                vec = target.basis_times(entry, b)
-                base = c * target.dim
-                for t, v in enumerate(vec):
+        entries = [(c * dim, e) for c, e in enumerate(mat.entries[j]) if e.terms]
+        for b in range(dim):
+            row = {}
+            for base, entry in entries:
+                for t, v in enumerate(target.basis_times(entry, b)):
                     if v:
-                        col[base + t] = v
-            rows.append(col)
-    # rank of the transpose equals the rank
-    return matrix_rank(rows, target.ring.field.p)
+                        row[base + t] = v
+            ech.insert(row)
+    return ech.rank
 
 
 def tor_dims(R, module: PresentedModule, against: PresentedModule, bound: int, budget=None):

@@ -7,6 +7,14 @@ strictly positive weighted degree and the ranks are Betti numbers; a final
 unit-cancellation pass (`minimalize`) exists for complexes built by other
 constructors (mapping cones, tensor products).
 
+A step has two routes, chosen by the ring alone.  Over a graded Artinian
+quotient (every relation homogeneous, finite staircase) F (x) R is a finite
+graded vector space on the standard monomials, so a step is sparse linear
+algebra (`_GradedArtinian`): the kernel of d (x) R degree by degree, then a
+complement of R_+ times that kernel.  Over every other ring a step reads
+syzygies off a module Groebner basis and picks the minimal subset with a
+second one.
+
 A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
 consumer (`minimal_free_resolution`, Ext, Tor, the AR checker) reads it and
@@ -15,9 +23,11 @@ extends it only as far as it needs.
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .errors import CakError, NotArtinianError, PreconditionError
+from ._linalg import Echelon
+from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
 from .groebner import (
     IdealHandle,
     ModuleContext,
@@ -26,6 +36,7 @@ from .groebner import (
     minimal_generator_count,
     module_membership_engine,
     module_syzygies,
+    staircase,
     standard_monomials,
 )
 from .polyring import Polynomial, RingPresentation
@@ -266,16 +277,15 @@ def syzygies(matrix: PolyMatrix, ambient_twists=None, *, budget=None) -> PolyMat
     return _syzygy_step(matrix, twists, budget)[0]
 
 
-def _minimal_columns(ring, columns, twists, budget):
+def _minimal_columns(ring, columns, degrees, twists, budget):
     """A minimal generating subset of packed columns of the free module
-    with basis degrees ``twists``: (matrix of the kept columns, their
-    degrees).  Only the kept columns are unpacked."""
+    with basis degrees ``twists``, given the columns' degrees: (matrix of
+    the kept columns, their degrees).  Only the kept columns are unpacked."""
     ctx = ModuleContext(ring, len(twists), twists=twists)
-    degs = [ctx.column_degree(c) for c in columns]
-    keep = minimal_generating_subset(ring, columns, degs, twists, budget=budget)
+    keep = minimal_generating_subset(ring, columns, degrees, twists, budget=budget)
     return (
         PolyMatrix.from_columns(ring, len(twists), [ctx.to_column(columns[j]) for j in keep]),
-        [degs[j] for j in keep],
+        [degrees[j] for j in keep],
     )
 
 
@@ -283,7 +293,141 @@ def _syzygy_step(matrix: PolyMatrix, twists, budget):
     """One syzygy step: minimal generators of the kernel of ``matrix``,
     whose columns have degrees ``twists``, and their degrees."""
     cols = module_syzygies(matrix.ring, matrix.columns(), nrows=matrix.nrows, budget=budget)
-    return _minimal_columns(matrix.ring, cols, twists, budget)
+    ctx = ModuleContext(matrix.ring, len(twists), twists=twists)
+    degs = [ctx.column_degree(c) for c in cols]
+    return _minimal_columns(matrix.ring, cols, degs, twists, budget)
+
+
+class _GradedArtinian:
+    """Linear algebra over a graded Artinian R = S/J on its standard
+    monomials, for the steps of one resolution.
+
+    Module elements are packed term dicts in the layout of
+    ``ModuleContext(ring, rank)``; an element of F (x) R is one whose
+    monomials are all standard.  Normal forms of monomials are cached for
+    the lifetime of the object.
+    """
+
+    def __init__(self, ring, defining_ideal: IdealHandle, std):
+        self.ring = ring
+        self.p = ring.field.p
+        self.one = ring.field.coerce(1)
+        self.defining_ideal = defining_ideal
+        self.by_degree: dict[int, list[int]] = {}
+        for e in std:
+            key = ring.encode(e)
+            self.by_degree.setdefault(ring.key_degree(key), []).append(key)
+        for keys in self.by_degree.values():
+            keys.sort()
+        self.top = max(self.by_degree, default=-1)
+        self._nf: dict[int, tuple] = {}
+        # the last differential returned and its columns as packed elements
+        self._last = (None, None)
+
+    @classmethod
+    def of(cls, ring, budget):
+        """The standard-monomial view of ring/(relations) when every
+        relation is homogeneous and the staircase is finite, else None."""
+        if not ring.relations or any(r.homogeneous_degree() is None for r in ring.relations):
+            return None
+        relh = _relations_handle(ring, budget)
+        leads = [ring.decode(g.lead_key()) for g in relh.groebner_basis(budget)]
+        std, missing = staircase(leads, len(ring.vars), budget)
+        return None if missing else cls(ring, relh, std)
+
+    def times(self, s: int, vec: dict) -> dict:
+        """Normal form of the standard monomial ``s`` times ``vec``, whose
+        monomials are standard or ``s`` is 1."""
+        out = {}
+        p, cache, one_key, guard = self.p, self._nf, self.ring.one_key, self.ring.guard
+        bits = ModuleContext.COMP_BITS
+        low_mask = (1 << bits) - 1  # the component of a module key
+        for k, c in vec.items():
+            prod = (k >> bits) + s - one_key
+            if prod & guard != guard:
+                raise DegreeOverflowError("exponent overflow in monomial product")
+            nf = cache.get(prod)
+            if nf is None:
+                nf = self._normal_form(prod)
+            low = k & low_mask
+            for sk, sc in nf:
+                kk = (sk << bits) | low
+                v = out.get(kk, 0) + c * sc
+                if p is not None:
+                    v %= p
+                if v:
+                    out[kk] = v
+                else:
+                    del out[kk]
+        return out
+
+    def _normal_form(self, key):
+        if self.ring.key_degree(key) > self.top:
+            nf = ()
+        else:
+            mono = Polynomial(self.ring, {key: self.one})
+            nf = tuple(self.defining_ideal.normal_form(mono).terms.items())
+        self._nf[key] = nf
+        return nf
+
+    def minimal(self, vecs, degrees, budget) -> list[int]:
+        """Indices of a minimal generating subset of the elements ``vecs``
+        of F (x) R of the given degrees: visited by (degree, index), an
+        element of degree t is kept iff it is not in the span of
+        R_(t - deg c) * c over the kept c of lower degree and the kept
+        elements of degree t (the graded Nakayama rule)."""
+        order = sorted(range(len(vecs)), key=lambda j: (degrees[j], j))
+        kept = []
+        for t, group in itertools.groupby(order, key=degrees.__getitem__):
+            ech = Echelon(self.p, budget)
+            for j in kept:
+                for s in self.by_degree.get(t - degrees[j], ()):
+                    ech.insert(self.times(s, vecs[j]))
+            for j in group:
+                if ech.insert(dict(vecs[j])):
+                    kept.append(j)
+        return sorted(kept)
+
+    def first_step(self, module: PresentedModule, budget):
+        """The minimal subset of the relation columns of ``module``: (matrix
+        of the kept columns, their degrees)."""
+        ctx = ModuleContext(self.ring, module.ambient.rank)
+        one_key = self.ring.one_key
+        vecs = [self.times(one_key, ctx.from_column(c)) for c in module.relations.columns()]
+        degs = module.column_degrees
+        keep = self.minimal(vecs, degs, budget)
+        mat = PolyMatrix.from_columns(self.ring, ctx.ncomp, [module.relations.column(j) for j in keep])
+        self._last = (mat, [vecs[j] for j in keep])
+        return mat, [degs[j] for j in keep]
+
+    def syzygy_step(self, matrix: PolyMatrix, twists, budget):
+        """Minimal generators of the kernel of d (x) R for the matrix d
+        whose columns have degrees ``twists``, and their degrees.  Degree
+        by degree, the kernel K_t of d on (F (x) R)_t comes from tracked
+        elimination of the images of its standard basis; the minimal
+        subset of the K_t is then a complement of R_+ * K in each K_t."""
+        ctx = ModuleContext(self.ring, matrix.ncols)
+        if self._last[0] is matrix:
+            cols = self._last[1]
+        else:
+            rows = ModuleContext(self.ring, matrix.nrows)
+            one_key = self.ring.one_key
+            cols = [self.times(one_key, rows.from_column(c)) for c in matrix.columns()]
+        kernel, degs = [], []
+        for t in range(min(twists), max(twists) + self.top + 1):
+            ech = Echelon(self.p, budget)
+            for j, (tw, col) in enumerate(zip(twists, cols)):
+                for s in self.by_degree.get(t - tw, ()):
+                    combo = {ctx.key(j, s): self.one}
+                    if not ech.insert(self.times(s, col), combo):
+                        kernel.append(combo)
+                        degs.append(t)
+        keep = self.minimal(kernel, degs, budget)
+        mat = PolyMatrix.from_columns(
+            self.ring, ctx.ncomp, [ctx.to_column(kernel[j]) for j in keep]
+        )
+        self._last = (mat, [kernel[j] for j in keep])
+        return mat, [degs[j] for j in keep]
 
 
 class Resolution:
@@ -334,7 +478,8 @@ class ResolutionBuilder:
 
     Each step keeps a minimal generating set, so the produced differentials
     have positive-degree entries throughout and ranks are Betti numbers.
-    The ring's relations are divided out (lift-to-ambient syzygies); over a
+    The ring's relations are divided out, by linear algebra over a graded
+    Artinian ring and by lift-to-ambient syzygies over any other; over a
     proper quotient minimal resolutions are generally infinite.  ``budget``
     pays for the first step only; each ``extend`` charges its caller's.
     """
@@ -349,20 +494,25 @@ class ResolutionBuilder:
         twists0 = module.ambient.twists
         self.modules = [GradedFreeModule(ring, twists0)]
         self.maps: list[PolyMatrix] = []
-        ctx = ModuleContext(ring, len(twists0))
-        cols = [ctx.from_column(col) for col in module.relations.columns()]
+        self._artinian = _GradedArtinian.of(ring, budget)
         # the next differential and its column degrees, computed but not
         # yet appended: termination is seen one step after the last map
-        self._next = _minimal_columns(ring, cols, twists0, budget)
+        if self._artinian is not None:
+            self._next = self._artinian.first_step(module, budget)
+        else:
+            ctx = ModuleContext(ring, len(twists0))
+            cols = [ctx.from_column(col) for col in module.relations.columns()]
+            self._next = _minimal_columns(ring, cols, module.column_degrees, twists0, budget)
         self.complete = not self._next[1]
 
     def extend(self, n_maps: int, budget=None):
         """Ensure at least ``n_maps`` differentials (or completion)."""
         ring = self.ring
         budget = _as_budget(budget)
+        step = _syzygy_step if self._artinian is None else self._artinian.syzygy_step
         while len(self.maps) < n_maps and not self.complete:
             if self._next is None:
-                self._next = _syzygy_step(self.maps[-1], self.modules[-1].twists, budget)
+                self._next = step(self.maps[-1], self.modules[-1].twists, budget)
             mat, degs = self._next
             self._next = None
             if not degs:

@@ -1,0 +1,103 @@
+"""Resolutions over graded Artinian quotients, computed by linear algebra on
+the standard-monomial basis, against invariants of an independent route."""
+
+import json
+import random
+
+import pytest
+
+from cak import QQ, RingPresentation, parse_poly_list
+from cak.cli import main
+from cak.errors import ResourceLimitError
+from cak.groebner import Budget
+from cak.quotient import (
+    QuotientRing,
+    ext_dims,
+    free_module_presentation,
+    residue_field_presentation,
+    tor_dims,
+    tor_zero_dim,
+)
+from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule, minimal_free_resolution
+from conftest import deadline
+from test_min_subset import random_form
+
+# the three rings of verify-paper c08, a weighted ring and c08's m_cubed over Q
+BALANCE_RINGS = {
+    "m_cubed": ((1, 1), "X^3; X^2*Y; X*Y^2; Y^3", None),
+    "x2_xy_y3": ((1, 1), "X^2; X*Y; Y^3", None),
+    "x3_x2y_y2": ((1, 1), "X^3; X^2*Y; Y^2", None),
+    "weighted": ((1, 2), "X^4; Y^2; X^2*Y", None),
+    "m_cubed_qq": ((1, 1), "X^3; X^2*Y; X*Y^2; Y^3", QQ),
+}
+
+
+def artinian_ring(weights, relations, field):
+    ambient = RingPresentation(["X", "Y"], weights, field)
+    return ambient.extend_relations(parse_poly_list(relations, ambient))
+
+
+def random_module(ring, rng):
+    rank = rng.choice((1, 1, 2))
+    twists = tuple(rng.choice((0, 0, 1)) for _ in range(rank))
+    cols = []
+    for _ in range(rng.randint(1, 3)):
+        d = max(twists) + rng.randint(1, 2)
+        cols.append([random_form(ring, d - t, rng, zero_chance=0.4) for t in twists])
+    return PresentedModule(
+        ring, GradedFreeModule(ring, twists), PolyMatrix.from_columns(ring, rank, cols)
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(BALANCE_RINGS))
+def test_tor_is_balanced(name, seed):
+    ring = artinian_ring(*BALANCE_RINGS[name])
+    R = QuotientRing(ring)
+    rng = random.Random(f"{name} {seed}")
+    M, N = random_module(ring, rng), random_module(ring, rng)
+    assert tor_dims(R, M, N, 3) == tor_dims(R, N, M, 3)
+    # with N = k, balance reads the Betti numbers of M off the resolution of
+    # k: a resolution of M that is not minimal has larger ranks
+    k = residue_field_presentation(ring)
+    ranks = list(minimal_free_resolution(M, max_length=3).total_ranks()) + [0] * 4
+    assert [tor_zero_dim(R, k, M)] + tor_dims(R, k, M, 3) == ranks[:4]
+
+
+def test_zero_ring_outputs_are_pinned():
+    # a homogeneous constant relation: R = 0 and the staircase is empty
+    ring = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "3"])
+    R = QuotientRing(ring)
+    k = residue_field_presentation(ring)
+    for module in (k, free_module_presentation(ring)):
+        res = minimal_free_resolution(module, max_length=2)
+        assert res.betti.as_rows() == [[0, 0, 1]]
+        assert res.complete
+    assert ext_dims(R, k, k, 2) == [0, 0]
+    assert tor_dims(R, k, k, 2) == [0, 0]
+
+
+LARGE = ["x^12", "y^12", "z^12"]  # a staircase of 1,728 monomials
+
+
+def test_ext_budget_bounds_the_linear_algebra():
+    ring = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=LARGE)
+    k = residue_field_presentation(ring)
+    with deadline(5), pytest.raises(ResourceLimitError):
+        ext_dims(QuotientRing(ring), k, k, 3, Budget(10_000))
+
+
+def test_cli_ext_budget_exits_3(tmp_path, capsys):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({
+        "field": {"kind": "fp", "p": 32003},
+        "vars": ["x", "y", "z"],
+        "weights": [1, 1, 1],
+        "relations": LARGE,
+    }))
+    module = tmp_path / "k.json"
+    module.write_text(json.dumps({"ambient_twists": [0], "relations": [["x", "y", "z"]]}))
+    argv = ["ext", "--ring", str(ring), "--module", str(module), "--against", "self", "--bound", "3"]
+    with deadline(5):
+        assert main(argv + ["--budget", "10000"]) == 3
+    assert "budget" in capsys.readouterr().err

@@ -3,8 +3,10 @@
 ``minimal_generating_subset`` completes its membership basis only through
 the degree of the column it tests when the relations are homogeneous.  The
 oracle below is the plain algorithm: a membership engine completed in full
-after every kept column.  Both must keep the same indices, and resolutions
-built from either must have the same differentials.
+after every kept column.  Both must keep the same indices.  Resolutions over
+a polynomial ring built from either must have the same differentials; over
+a graded Artinian ring, where resolutions are computed by linear algebra,
+they must have the same Betti table and the same images modulo J*F.
 """
 
 import itertools
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from cak import QQ, RingPresentation, parse_poly_list
+from cak import QQ, IdealHandle, RingPresentation, parse_poly_list
 from cak.groebner import (
     Budget,
     GroebnerEngine,
@@ -25,6 +27,7 @@ from cak.groebner import (
 )
 from cak.quotient import is_complete_intersection, quotient_of
 from cak.resolve import (
+    ChainComplex,
     GradedFreeModule,
     PolyMatrix,
     PresentedModule,
@@ -186,26 +189,49 @@ def test_kept_syzygy_sets_match_full_completion(ring, twists, seed):
     assert kept == oracle_subset(ring, columns, degrees, len(col_twists))
 
 
+def oracle_step(ring, cols, twists):
+    """The oracle's minimal subset of columns of the free module with basis
+    degrees ``twists``: (matrix of the kept columns, their degrees)."""
+    ctx = ModuleContext(ring, len(twists), twists=twists)
+    packed = [ctx.from_column(c) for c in cols]
+    degs = [ctx.column_degree(c) for c in packed]
+    keep = oracle_subset(ring, packed, degs, len(twists))
+    mat = PolyMatrix.from_columns(ring, len(twists), [cols[j] for j in keep])
+    return mat, [degs[j] for j in keep]
+
+
+def oracle_kernel(ring, mat):
+    """Generators of the kernel of ``mat`` over ring/(relations), read off
+    the module Groebner basis of its columns and J*e_i."""
+    ctx = ModuleContext(ring, mat.ncols)
+    return [ctx.to_column(s) for s in module_syzygies(ring, mat.columns(), nrows=mat.nrows)]
+
+
 def oracle_resolution(module, length):
-    """Differentials of the resolution built step by step with the oracle."""
+    """Differentials and basis degrees of the resolution built step by step
+    with the oracle."""
     ring = module.ring
     module = presentation_minimalize(module)
     twists = module.ambient.twists
     cols = module.relations.columns()
-    maps = []
+    maps, modules = [], [twists]
     for _ in range(length):
-        ctx = ModuleContext(ring, len(twists), twists=twists)
-        packed = [ctx.from_column(c) for c in cols]
-        degs = [ctx.column_degree(c) for c in packed]
-        keep = oracle_subset(ring, packed, degs, len(twists))
-        if not keep:
+        mat, twists = oracle_step(ring, cols, twists)
+        if not twists:
             break
-        mat = PolyMatrix.from_columns(ring, len(twists), [cols[j] for j in keep])
         maps.append(mat)
-        twists = [degs[j] for j in keep]
-        ctx = ModuleContext(ring, mat.ncols)
-        cols = [ctx.to_column(s) for s in module_syzygies(ring, mat.columns(), nrows=mat.nrows)]
-    return maps
+        modules.append(twists)
+        cols = oracle_kernel(ring, mat)
+    return maps, modules
+
+
+def same_span(ring, cols, other, nrows):
+    """Whether two lists of columns generate the same submodule modulo J*F."""
+    ctx, mine = module_membership_engine(ring, cols, nrows)
+    _, theirs = module_membership_engine(ring, other, nrows)
+    return all(theirs.contains(ctx.from_column(c)) for c in cols) and all(
+        mine.contains(ctx.from_column(c)) for c in other
+    )
 
 
 @pytest.mark.parametrize("ring, twists, seed", list(cases()))
@@ -218,8 +244,23 @@ def test_resolution_differentials_match_oracle(ring, twists, seed):
         PolyMatrix.from_columns(ring, len(twists), columns),
     )
     res = minimal_free_resolution(module, max_length=3)
-    want = oracle_resolution(module, 3)
-    assert [m.entries for m in res.complex.maps] == [m.entries for m in want]
+    maps, modules = oracle_resolution(module, 3)
+    if not ring.relations:
+        assert [m.entries for m in res.complex.maps] == [m.entries for m in maps]
+        return
+    # over an Artinian ring the resolution is computed by linear algebra:
+    # another minimal resolution, so compare invariants, not entries
+    frees = [GradedFreeModule(ring, t) for t in modules]
+    assert res.betti == ChainComplex(ring, frees, maps, check=False).betti_table()
+    J = IdealHandle(ring, ())
+    d = res.complex.maps
+    relations = presentation_minimalize(module).relations.columns()
+    for i, di in enumerate(d):
+        # im d_(i+1) is the oracle's kernel of d_i (the relations for i = 0)
+        want = oracle_kernel(ring, d[i - 1]) if i else relations
+        assert same_span(ring, di.columns(), want, di.nrows)
+        if i:
+            assert all(J.contains_poly(e) for row in d[i - 1].compose(di).entries for e in row)
 
 
 def c04_ring():

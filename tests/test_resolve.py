@@ -4,7 +4,7 @@ import pytest
 
 from cak import RingPresentation
 from cak.errors import NotArtinianError, PreconditionError, ResourceLimitError
-from cak.groebner import Budget, IdealHandle
+from cak.groebner import Budget, IdealHandle, ModuleContext
 from cak.resolve import (
     ChainComplex,
     GradedFreeModule,
@@ -327,3 +327,22 @@ def test_call_order_cases_reach_both_completion_states():
         for n in range(5):
             seen.add(minimal_free_resolution(make(), max_length=n).complete)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("relations", [(), ("x^2", "y^2", "z^2")])
+def test_column_degrees_computed_once_per_module(relations, monkeypatch):
+    ring = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=relations)
+    calls = []
+    column_degree = ModuleContext.column_degree
+
+    def counting(self, terms):
+        calls.append(terms)
+        return column_degree(self, terms)
+
+    monkeypatch.setattr(ModuleContext, "column_degree", counting)
+    rows = [PL(ring, "x; y; z"), PL(ring, "y; z; x")]
+    module = PresentedModule(ring, GradedFreeModule(ring, (0, 0)), PolyMatrix(ring, rows))
+    assert len(calls) == 3
+    # the minimalized presentation computes its own; the first step reads them
+    module.resolution()
+    assert len(calls) == 6

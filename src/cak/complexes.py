@@ -310,22 +310,22 @@ def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
         for (i, j) in summands(k):
             base = src_off[(i, j)]
             rc, rd = c.modules[i].rank, d.modules[j].rank
+            dc = c.differential(i).entries if i > 0 and (i - 1, j) in tgt_off else None
+            dd = d.differential(j).entries if j > 0 and (i, j - 1) in tgt_off else None
             for bc in range(rc):
                 for bd in range(rd):
                     col = base + bc * rd + bd
-                    if i > 0 and (i - 1, j) in tgt_off:
-                        dc = c.differential(i)
+                    if dc is not None:
                         tb = tgt_off[(i - 1, j)]
                         for tr in range(c.modules[i - 1].rank):
-                            e = dc.entries[tr][bc]
+                            e = dc[tr][bc]
                             if not e.is_zero():
                                 mat[tb + tr * rd + bd][col] = e
-                    if j > 0 and (i, j - 1) in tgt_off:
-                        dd = d.differential(j)
+                    if dd is not None:
                         tb = tgt_off[(i, j - 1)]
                         sign = -1 if i % 2 else 1
                         for tr in range(d.modules[j - 1].rank):
-                            e = dd.entries[tr][bd]
+                            e = dd[tr][bd]
                             if not e.is_zero():
                                 mat[tb + bc * d.modules[j - 1].rank + tr][col] = (
                                     e if sign == 1 else -e
@@ -419,23 +419,17 @@ def verify_resolution(
         return report
 
     nrows = target.ambient.rank
-    d1_cols = complex.maps[0].columns() if complex.maps else []
-    rel_cols = target.relations.columns()
-
-    def engine_for(cols):
-        return module_membership_engine(ring, cols, nrows, budget=budget)
-
-    ctx1, eng1 = engine_for(d1_cols)
-    ctx2, eng2 = engine_for(rel_cols)
-    h0 = all(eng1.contains(ctx1.from_column(c)) for c in rel_cols) and all(
-        eng2.contains(ctx2.from_column(c)) for c in d1_cols
-    )
+    d1_cols = complex.maps[0].cols if complex.maps else ()
+    rel_cols = target.relations.cols
+    _, eng1 = module_membership_engine(ring, d1_cols, nrows, budget=budget)
+    _, eng2 = module_membership_engine(ring, rel_cols, nrows, budget=budget)
+    h0 = all(map(eng1.contains, rel_cols)) and all(map(eng2.contains, d1_cols))
     report.record("h0", h0, "image of d_1 differs from the target relations")
 
     for i in range(1, complex.length + 1):
         di = complex.differential(i)
-        syz = module_syzygies(ring, di.columns(), nrows=di.nrows, budget=budget)
-        nxt = complex.differential(i + 1).columns() if i < complex.length else []
+        syz = module_syzygies(ring, di.cols, nrows=di.nrows, budget=budget)
+        nxt = complex.differential(i + 1).cols if i < complex.length else ()
         _, eng = module_membership_engine(ring, nxt, di.ncols, budget=budget)
         exact = all(eng.contains(s) for s in syz)
         report.record(

@@ -41,7 +41,8 @@ class Budget:
     """Work counter: one unit per pair taken from a completion's queue (a
     Buchberger pair of a module completion, a J-pair of a rank-one
     signature completion), per standard monomial enumerated, per unit
-    cancelled by ``resolve.minimalize`` and per vector inserted into a
+    cancelled by ``resolve.minimalize``, per monomial ideal met by the
+    ``resolve.hilbert_numerator`` recursion and per vector inserted into a
     ``_linalg.Echelon`` (the Artinian resolution steps, the Hom/Tensor
     ranks of Ext/Tor and the socle).  Exceeding the limit is an error,
     never a wrong answer."""
@@ -139,8 +140,6 @@ class ModuleContext:
         """Column of polynomials (length ncomp) -> term dict."""
         terms = {}
         for i, poly in enumerate(column):
-            if poly is None:
-                continue
             for k, c in poly.terms.items():
                 terms[self.key(i, k)] = c
         return terms
@@ -551,7 +550,7 @@ class IdealHandle:
         a, b = self.gens, other.gens
         if not a or not b:
             return IdealHandle(self.ring, ())
-        syz = module_syzygies(self.ring, [[f] for f in a] + [[g] for g in b], budget=budget)
+        syz = module_syzygies(self.ring, _rank_one(self.ring, a + b), nrows=1, budget=budget)
         ctx = ModuleContext(self.ring, len(a) + len(b))
         gens = []
         for s in syz:
@@ -564,20 +563,29 @@ class IdealHandle:
 
     def colon(self, other: "IdealHandle", budget=None) -> "IdealHandle":
         """(self : other), computed generator-by-generator via syzygies
-        modulo J: c is in (self + J : g) iff c*g + sum a_i f_i lies in J."""
+        modulo J: c is in (self + J : g) iff c*g + sum a_i f_i lies in J.
+        Each part's coefficients c are reduced modulo J, and the zeros
+        dropped, before the parts are intersected."""
         self._check(other)
         others = [g for g in other.gens if not g.is_zero()]
         if not others:
             return IdealHandle(self.ring, [self.ring.one()])
+        relations = IdealHandle(self.ring, ())
         result = None
         ctx = ModuleContext(self.ring, 1 + len(self.gens))
         for g in others:
-            cols = [[g]] + [[f] for f in self.gens]
-            syz = module_syzygies(self.ring, cols, budget=budget)
-            gens = [c for c in (ctx.to_column(s)[0] for s in syz) if not c.is_zero()]
+            cols = _rank_one(self.ring, (g,) + self.gens)
+            syz = module_syzygies(self.ring, cols, nrows=1, budget=budget)
+            gens = [relations.normal_form(ctx.to_column(s)[0], budget) for s in syz]
             part = IdealHandle(self.ring, gens)
             result = part if result is None else result.intersection(part, budget)
         return result
+
+
+def _rank_one(ring, polys) -> list[dict]:
+    """The polynomials as packed columns of the free module of rank one."""
+    ctx = ModuleContext(ring, 1)
+    return [ctx.from_column([f]) for f in polys]
 
 
 def ideal_ops(op: str, left: IdealHandle, right=None, budget=None):
@@ -610,41 +618,31 @@ def normal_form(p: Polynomial, ideal: IdealHandle, budget=None) -> Polynomial:
 # -- syzygies ----------------------------------------------------------------
 
 
-def module_syzygies(
-    ring: RingPresentation,
-    columns,
-    *,
-    budget=None,
-    nrows: int | None = None,
-) -> list[dict]:
-    """Generators of the syzygy module of the given columns over
-    R = S/(ring.relations).
+def module_syzygies(ring: RingPresentation, columns, *, nrows: int, budget=None) -> list[dict]:
+    """Generators of the syzygy module over R = S/(ring.relations) of the
+    columns, packed term dicts of ``ModuleContext(ring, nrows)``.
 
-    Each column is a list of polynomials (one per row).  The columns, each
-    tagged with its own basis vector e_(nrows + j), and then the relation
-    multiples J*e_i of the rows are completed in the elimination layout
-    ``ModuleContext(ring, nrows + ncols, fhigh=nrows)``; the elements free
-    of the row block are the syzygies.
+    The columns, moved into the row block of the elimination layout
+    ``ModuleContext(ring, nrows + ncols, fhigh=nrows)`` and each tagged with
+    its own basis vector e_(nrows + j), and the relation multiples J*e_i
+    of the rows are completed there; the elements free of the row block
+    are the syzygies.
 
-    They are returned packed, as the engine's term dicts: below the block
-    bit, component ``nrows + j`` of the elimination layout has exactly the
-    key of component ``j`` of ``ModuleContext(ring, ncols)``, since both
-    encode it as ``ncols - 1 - j``.  So each dict already lies in the
-    column module's layout (``to_column`` unpacks one).
+    They are returned as the engine's term dicts: below the block bit,
+    component ``nrows + j`` of the elimination layout has the key of
+    component ``j`` of ``ModuleContext(ring, ncols)`` (both encode it as
+    ``ncols - 1 - j``), so each already lies in the column module's layout.
     """
-    columns = [list(c) for c in columns]
     if not columns:
         return []
-    if nrows is None:
-        nrows = len(columns[0])
     ncols = len(columns)
     ctx = ModuleContext(ring, nrows + ncols, fhigh=nrows)
+    # row i is encoded nrows - 1 - i in a column, nrows + ncols - 1 - i here
+    shift = ncols + ctx.blockbit
     one = ring.field.coerce(1)
     gens = []
     for j, col in enumerate(columns):
-        if len(col) != nrows:
-            raise CakError("ragged matrix")
-        terms = ctx.from_column(col)
+        terms = {k + shift: c for k, c in col.items()}
         terms[ctx.key(nrows + j, ring.one_key)] = one
         gens.append(terms)
     gens += relation_multiples(ctx, nrows)
@@ -653,14 +651,15 @@ def module_syzygies(
 
 
 def module_membership_engine(ring: RingPresentation, columns, nrows: int, *, budget=None):
-    """Membership oracle for the submodule generated by ``columns`` plus the
-    relation multiples J*e_i.  Returns (ctx, engine)."""
+    """Membership oracle for the submodule generated by ``columns``, packed
+    term dicts of ``ModuleContext(ring, nrows)``, plus the relation
+    multiples J*e_i.  Returns (ctx, engine)."""
     ctx = ModuleContext(ring, nrows)
     engine = GroebnerEngine(ctx, ring.field, _as_budget(budget))
     for terms in relation_multiples(ctx, nrows):
         engine.add_raw(terms)
     for col in columns:
-        engine.add_raw(ctx.from_column(col))
+        engine.add_raw(col)
     engine.complete()
     return ctx, engine
 
@@ -674,9 +673,7 @@ def minimal_generator_count(ring: RingPresentation, gens, budget=None) -> int:
         if d is None:
             raise PreconditionError("minimal generator count wants homogeneous input")
         degs.append(d)
-    ctx = ModuleContext(ring, 1)
-    columns = [ctx.from_column([g]) for g in gens]
-    return len(minimal_generating_subset(ring, columns, degs, (0,), budget=budget))
+    return len(minimal_generating_subset(ring, _rank_one(ring, gens), degs, (0,), budget=budget))
 
 
 def minimal_generating_subset(ring: RingPresentation, columns, degrees, twists, *, budget=None):

@@ -2,8 +2,9 @@
 
 Membership and normal forms over R take place in the S-lift: a submodule
 of R^r is computed as the submodule of S^r that contains J*S^r, whose
-generators J*e_i come from ``groebner.relation_multiples``; the standard
-basis of an :class:`ArtinianModule` is read off such an engine.  Minimal
+generators J*e_i come from ``groebner.relation_multiples``; an
+:class:`ArtinianModule` takes packed columns and reads its standard basis
+off such an engine.  Minimal
 R-free resolutions over a graded Artinian R are linear algebra on the
 standard monomials of R (see :mod:`cak.resolve`); over other quotients they
 read syzygies in S of the columns together with J*e_i.  Ext and Tor are
@@ -12,7 +13,8 @@ standard-monomial basis, so R (and the second argument) must be Artinian;
 positive-dimensional inputs are first cut down by an explicit parameter
 sequence, as the certification workflows do.  Every rank (Hom, Tensor,
 socle) is taken by the one sparse echelon form of :mod:`cak._linalg`, which
-charges the budget one unit per inserted vector.
+charges the budget one unit per inserted vector; the Hom and Tensor
+matrices are assembled from the packed columns of the differentials.
 
 Ext, Tor and Tor_0 read the first module's own resolution
 (`PresentedModule.resolution`): it is computed once per module object and
@@ -27,6 +29,7 @@ from ._linalg import Echelon, matrix_rank
 from .errors import CakError, NotArtinianError, PreconditionError, RingMismatchError
 from .groebner import (
     IdealHandle,
+    ModuleContext,
     _as_budget,
     minimal_generator_count,
     module_membership_engine,
@@ -202,7 +205,8 @@ def module_standard_basis(ctx, engine, budget=None):
 
 class ArtinianModule:
     """Finite-dimensional module over an Artinian quotient: a standard basis
-    plus normal-form machinery giving exact coordinates."""
+    plus normal-form machinery giving exact coordinates.  ``columns`` are
+    the relations, packed term dicts of ``ModuleContext(ring, nrows)``."""
 
     def __init__(self, ring: RingPresentation, columns, nrows: int, budget=None):
         self.ring = ring
@@ -216,7 +220,7 @@ class ArtinianModule:
 
     @classmethod
     def from_presented(cls, module: PresentedModule, budget=None):
-        return cls(module.ring, module.relations.columns(), module.ambient.rank, budget)
+        return cls(module.ring, module.relations.cols, module.ambient.rank, budget)
 
     def coords(self, terms: dict):
         """Exact coordinates of a term dict in the standard basis."""
@@ -227,21 +231,16 @@ class ArtinianModule:
             vec[self.index[(comp, self.ring.decode(mono))]] = c
         return vec
 
-    def basis_times(self, f: Polynomial, b: int):
-        """Coordinates of f * (basis element b)."""
-        cache = self._op_cache.get(f)
-        if cache is None:
-            cache = {}
-            self._op_cache[f] = cache
+    def basis_times(self, f: frozenset, b: int):
+        """Coordinates of f * (basis element b), for a polynomial f given
+        as its frozenset of (monomial key, coefficient) pairs."""
+        cache = self._op_cache.setdefault(f, {})
         got = cache.get(b)
         if got is None:
             comp, expo = self.basis[b]
             mono_key = self.ring.encode(expo)
-            terms = {}
-            for k, c in f.terms.items():
-                terms[self.ctx.key(comp, self.ring.mul_keys(k, mono_key))] = c
-            got = self.coords(terms)
-            cache[b] = got
+            terms = {self.ctx.key(comp, self.ring.mul_keys(k, mono_key)): c for k, c in f}
+            got = cache[b] = self.coords(terms)
         return got
 
 
@@ -281,21 +280,8 @@ def ext_dims(R, module: PresentedModule, against: PresentedModule, bound: int, b
 def _hom_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
     """Rank of Hom(d, N): Hom(F_lo, N) -> Hom(F_hi, N), one sparse row per
     (basis vector j of F_lo, basis element b of N) over the coordinates
-    (basis vector c of F_hi, basis element of N)."""
-    if r_lo == 0 or r_hi == 0 or target.dim == 0:
-        return 0
-    dim = target.dim
-    ech = Echelon(target.ring.field.p, target.budget)
-    for j in range(r_lo):
-        entries = [(c * dim, e) for c, e in enumerate(mat.entries[j]) if e.terms]
-        for b in range(dim):
-            row = {}
-            for base, entry in entries:
-                for t, v in enumerate(target.basis_times(entry, b)):
-                    if v:
-                        row[base + t] = v
-            ech.insert(row)
-    return ech.rank
+    (basis vector c of F_hi, basis element of N): row j of d times b."""
+    return _assembled_rank(mat, r_lo, r_hi, target, by_rows=True)
 
 
 def tor_dims(R, module: PresentedModule, against: PresentedModule, bound: int, budget=None):
@@ -306,9 +292,36 @@ def tor_dims(R, module: PresentedModule, against: PresentedModule, bound: int, b
 
 
 def _tensor_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
-    """Rank of d (x) N : N^(r_hi) -> N^(r_lo); its matrix is the Hom
-    assembly of the transposed map."""
-    return _hom_rank(mat.transpose(), r_hi, r_lo, target)
+    """Rank of d (x) N : N^(r_hi) -> N^(r_lo): the Hom assembly along the
+    columns of d instead of its rows."""
+    return _assembled_rank(mat, r_hi, r_lo, target, by_rows=False)
+
+
+def _assembled_rank(mat: PolyMatrix, n_lines: int, width: int, target, by_rows: bool) -> int:
+    """Rank of the matrix with one sparse row per (line of d, basis element
+    b of N), a line being a row of d (``by_rows``) or a column: for every
+    entry e of the line, the coordinates of e * b at (position of e in the
+    line, basis element of N).  The entries are gathered from the packed
+    columns once, as the term sets that ``basis_times`` caches on."""
+    dim = target.dim
+    if n_lines == 0 or width == 0 or dim == 0:
+        return 0
+    ctx, entries = ModuleContext(mat.ring, mat.nrows), {}
+    for j, col in enumerate(mat.cols):
+        for k, v in col.items():
+            i, mono = ctx.decode(k)
+            entries.setdefault((i, j) if by_rows else (j, i), []).append((mono, v))
+    lines: list = [[] for _ in range(n_lines)]
+    for (line, pos), terms in entries.items():
+        lines[line].append((pos * dim, frozenset(terms)))
+    ech = Echelon(target.ring.field.p, target.budget)
+    for line in lines:
+        for b in range(dim):
+            row = {}
+            for base, f in line:
+                row.update((base + t, v) for t, v in enumerate(target.basis_times(f, b)) if v)
+            ech.insert(row)
+    return ech.rank
 
 
 def tor_zero_dim(R, module: PresentedModule, against: PresentedModule, budget=None) -> int:

@@ -7,7 +7,9 @@ strictly positive weighted degree and the ranks are Betti numbers; a final
 unit-cancellation pass (`minimalize`) exists for complexes built by other
 constructors (mapping cones, tensor products).
 
-A step has two routes, chosen by the ring alone.  Over a graded Artinian
+Differentials are `PolyMatrix` objects, whose columns are packed module
+elements; both routes of a step read and write them in that form.  A step
+has two routes, chosen by the ring alone.  Over a graded Artinian
 quotient (every relation homogeneous, finite staircase) F (x) R is a finite
 graded vector space on the standard monomials, so a step is sparse linear
 algebra (`_GradedArtinian`): the kernel of d (x) R degree by degree, then a
@@ -26,12 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 
+from ._kernel import axpy_terms
 from ._linalg import Echelon
 from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
 from .groebner import (
     IdealHandle,
     ModuleContext,
     _as_budget,
+    _rank_one,
     minimal_generating_subset,
     minimal_generator_count,
     module_membership_engine,
@@ -67,74 +71,78 @@ class GradedFreeModule:
 
 
 class PolyMatrix:
-    """Dense matrix of polynomials, row-major.  Columns are module elements."""
+    """Matrix of polynomials stored by columns.  Column j is a module
+    element: a packed term dict in the layout of ``ModuleContext(ring,
+    nrows)``, the form that the engines, the resolution steps and the
+    Hom/Tensor ranks read as it is (``cols``).  The row-major constructor,
+    ``from_columns``, ``zero``, ``entries``, ``column`` and ``columns`` pack
+    or unpack polynomials for the callers that build or read by rows."""
 
-    __slots__ = ("ring", "nrows", "ncols", "entries")
+    __slots__ = ("ring", "nrows", "ncols", "cols")
 
     def __init__(self, ring: RingPresentation, entries, ncols: int | None = None):
-        self.ring = ring
-        self.entries = tuple(tuple(row) for row in entries)
-        self.nrows = len(self.entries)
-        self.ncols = len(self.entries[0]) if self.entries else (ncols or 0)
-        for row in self.entries:
-            if len(row) != self.ncols:
+        rows = [tuple(row) for row in entries]
+        ncols = len(rows[0]) if rows else (ncols or 0)
+        for row in rows:
+            if len(row) != ncols:
                 raise CakError("ragged matrix")
-            for p in row:
-                if p.ring is not ring:
-                    raise CakError("matrix entry from a different ring")
+            if any(p.ring is not ring for p in row):
+                raise CakError("matrix entry from a different ring")
+        ctx = ModuleContext(ring, len(rows))
+        self.ring, self.nrows, self.ncols = ring, len(rows), ncols
+        self.cols = tuple(ctx.from_column([row[j] for row in rows]) for j in range(ncols))
+
+    @classmethod
+    def packed(cls, ring, nrows, cols) -> "PolyMatrix":
+        """The matrix whose columns are the given packed term dicts."""
+        self = object.__new__(cls)
+        self.ring, self.nrows, self.cols = ring, nrows, tuple(cols)
+        self.ncols = len(self.cols)
+        return self
 
     @classmethod
     def zero(cls, ring, nrows, ncols):
-        z = ring.zero()
-        return cls(ring, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls.packed(ring, nrows, [{} for _ in range(ncols)])
 
     @classmethod
     def from_columns(cls, ring, nrows, columns):
         cols = list(columns)
-        rows = [[col[i] for col in cols] for i in range(nrows)]
-        return cls(ring, rows, ncols=len(cols))
+        return cls(ring, [[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
     def column(self, j) -> list[Polynomial]:
-        return [self.entries[i][j] for i in range(self.nrows)]
+        return ModuleContext(self.ring, self.nrows).to_column(self.cols[j])
 
     def columns(self) -> list[list[Polynomial]]:
-        return [self.column(j) for j in range(self.ncols)]
+        ctx = ModuleContext(self.ring, self.nrows)
+        return [ctx.to_column(col) for col in self.cols]
+
+    @property
+    def entries(self) -> tuple:
+        """The rows, as tuples of polynomials."""
+        cols = self.columns()
+        return tuple(tuple(col[i] for col in cols) for i in range(self.nrows))
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Matrix product self * other."""
+        """Matrix product self * other: column j is the sum over the terms
+        c * x^m * e_k of other's column j of c * x^m times column k of self."""
         if self.ncols != other.nrows:
             raise CakError("matrix shapes do not compose")
-        z = self.ring.zero()
+        ctx, inner = ModuleContext(self.ring, self.nrows), ModuleContext(self.ring, other.nrows)
+        p, one_key, bits = self.ring.field.p, self.ring.one_key, ModuleContext.COMP_BITS
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.ring, out, ncols=other.ncols)
+        for col in other.cols:
+            acc: dict = {}
+            for key, c in col.items():
+                k, mono = inner.decode(key)
+                axpy_terms(acc, self.cols[k], c, (mono - one_key) << bits, p, ctx.guard)
+            out.append(acc)
+        return PolyMatrix.packed(self.ring, self.nrows, out)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.entries for p in row)
-
-    def transpose(self) -> "PolyMatrix":
-        rows = [[row[j] for row in self.entries] for j in range(self.ncols)]
-        return PolyMatrix(self.ring, rows, ncols=self.nrows)
+        return not any(self.cols)
 
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols})"
-
-
-def _column_degrees(matrix: PolyMatrix, twists) -> list:
-    """Internal degrees of the matrix's homogeneous columns in the free
-    module with basis degrees ``twists``; None for a zero column."""
-    ctx = ModuleContext(matrix.ring, matrix.nrows, twists=twists)
-    return [ctx.column_degree(ctx.from_column(col)) for col in matrix.columns()]
 
 
 class PresentedModule:
@@ -149,7 +157,8 @@ class PresentedModule:
         self.ring = ring
         self.ambient = ambient
         self.relations = relations
-        self.column_degrees = tuple(_column_degrees(relations, ambient.twists))
+        ctx = ModuleContext(ring, ambient.rank, twists=ambient.twists)
+        self.column_degrees = tuple(ctx.column_degree(col) for col in relations.cols)
         self._resolution = None
 
     def resolution(self, budget=None) -> "ResolutionBuilder":
@@ -271,28 +280,25 @@ def syzygies(matrix: PolyMatrix, ambient_twists=None, *, budget=None) -> PolyMat
     """Matrix whose columns minimally generate the kernel of the map given
     by ``matrix`` (columns = images of basis vectors) over
     ring/(relations)."""
-    if ambient_twists is None:
-        ambient_twists = (0,) * matrix.nrows
-    twists = [0 if d is None else d for d in _column_degrees(matrix, ambient_twists)]
+    ctx = ModuleContext(matrix.ring, matrix.nrows, twists=ambient_twists)
+    # a zero column has no degree; any twist will do
+    twists = [ctx.column_degree(col) or 0 for col in matrix.cols]
     return _syzygy_step(matrix, twists, budget)[0]
 
 
 def _minimal_columns(ring, columns, degrees, twists, budget):
     """A minimal generating subset of packed columns of the free module
     with basis degrees ``twists``, given the columns' degrees: (matrix of
-    the kept columns, their degrees).  Only the kept columns are unpacked."""
-    ctx = ModuleContext(ring, len(twists), twists=twists)
+    the kept columns, their degrees)."""
     keep = minimal_generating_subset(ring, columns, degrees, twists, budget=budget)
-    return (
-        PolyMatrix.from_columns(ring, len(twists), [ctx.to_column(columns[j]) for j in keep]),
-        [degrees[j] for j in keep],
-    )
+    mat = PolyMatrix.packed(ring, len(twists), [columns[j] for j in keep])
+    return mat, [degrees[j] for j in keep]
 
 
 def _syzygy_step(matrix: PolyMatrix, twists, budget):
     """One syzygy step: minimal generators of the kernel of ``matrix``,
     whose columns have degrees ``twists``, and their degrees."""
-    cols = module_syzygies(matrix.ring, matrix.columns(), nrows=matrix.nrows, budget=budget)
+    cols = module_syzygies(matrix.ring, matrix.cols, nrows=matrix.nrows, budget=budget)
     ctx = ModuleContext(matrix.ring, len(twists), twists=twists)
     degs = [ctx.column_degree(c) for c in cols]
     return _minimal_columns(matrix.ring, cols, degs, twists, budget)
@@ -313,16 +319,12 @@ class _GradedArtinian:
         self.p = ring.field.p
         self.one = ring.field.coerce(1)
         self.defining_ideal = defining_ideal
+        self.standard = {ring.encode(e) for e in std}
         self.by_degree: dict[int, list[int]] = {}
-        for e in std:
-            key = ring.encode(e)
+        for key in sorted(self.standard):
             self.by_degree.setdefault(ring.key_degree(key), []).append(key)
-        for keys in self.by_degree.values():
-            keys.sort()
         self.top = max(self.by_degree, default=-1)
         self._nf: dict[int, tuple] = {}
-        # the last differential returned and its columns as packed elements
-        self._last = (None, None)
 
     @classmethod
     def of(cls, ring, budget):
@@ -391,13 +393,11 @@ class _GradedArtinian:
     def first_step(self, module: PresentedModule, budget):
         """The minimal subset of the relation columns of ``module``: (matrix
         of the kept columns, their degrees)."""
-        ctx = ModuleContext(self.ring, module.ambient.rank)
-        one_key = self.ring.one_key
-        vecs = [self.times(one_key, ctx.from_column(c)) for c in module.relations.columns()]
+        cols = module.relations.cols
+        vecs = [self.times(self.ring.one_key, col) for col in cols]
         degs = module.column_degrees
         keep = self.minimal(vecs, degs, budget)
-        mat = PolyMatrix.from_columns(self.ring, ctx.ncomp, [module.relations.column(j) for j in keep])
-        self._last = (mat, [vecs[j] for j in keep])
+        mat = PolyMatrix.packed(self.ring, module.ambient.rank, [cols[j] for j in keep])
         return mat, [degs[j] for j in keep]
 
     def syzygy_step(self, matrix: PolyMatrix, twists, budget):
@@ -407,12 +407,13 @@ class _GradedArtinian:
         elimination of the images of its standard basis; the minimal
         subset of the K_t is then a complement of R_+ * K in each K_t."""
         ctx = ModuleContext(self.ring, matrix.ncols)
-        if self._last[0] is matrix:
-            cols = self._last[1]
-        else:
-            rows = ModuleContext(self.ring, matrix.nrows)
-            one_key = self.ring.one_key
-            cols = [self.times(one_key, rows.from_column(c)) for c in matrix.columns()]
+        bits, one_key = ModuleContext.COMP_BITS, self.ring.one_key
+        # the kernel vectors of a step lie in F (x) R already; the relation
+        # columns kept by the first step need not
+        cols = [
+            col if all(k >> bits in self.standard for k in col) else self.times(one_key, col)
+            for col in matrix.cols
+        ]
         kernel, degs = [], []
         for t in range(min(twists), max(twists) + self.top + 1):
             ech = Echelon(self.p, budget)
@@ -423,10 +424,7 @@ class _GradedArtinian:
                         kernel.append(combo)
                         degs.append(t)
         keep = self.minimal(kernel, degs, budget)
-        mat = PolyMatrix.from_columns(
-            self.ring, ctx.ncomp, [ctx.to_column(kernel[j]) for j in keep]
-        )
-        self._last = (mat, [kernel[j] for j in keep])
+        mat = PolyMatrix.packed(self.ring, ctx.ncomp, [kernel[j] for j in keep])
         return mat, [degs[j] for j in keep]
 
 
@@ -469,8 +467,8 @@ def presentation_minimalize(module: PresentedModule, budget=None):
         budget,
     )
     amb = cx.modules[0]
-    cols = [col for col in cx.maps[0].columns() if any(col)] if cx.maps else []
-    return PresentedModule(ring, amb, PolyMatrix.from_columns(ring, amb.rank, cols))
+    cols = [col for col in cx.maps[0].cols if col] if cx.maps else []
+    return PresentedModule(ring, amb, PolyMatrix.packed(ring, amb.rank, cols))
 
 
 class ResolutionBuilder:
@@ -500,8 +498,7 @@ class ResolutionBuilder:
         if self._artinian is not None:
             self._next = self._artinian.first_step(module, budget)
         else:
-            ctx = ModuleContext(ring, len(twists0))
-            cols = [ctx.from_column(col) for col in module.relations.columns()]
+            cols = module.relations.cols
             self._next = _minimal_columns(ring, cols, module.column_degrees, twists0, budget)
         self.complete = not self._next[1]
 
@@ -643,11 +640,14 @@ def module_length(ideal: IdealHandle, budget=None) -> int:
         raise NotArtinianError(f"not Artinian at origin: {e}") from None
 
 
-def hilbert_numerator(gens, weights) -> dict[int, int]:
+def hilbert_numerator(gens, weights, budget=None) -> dict[int, int]:
     """K-polynomial of S/(monomial ideal): numerator of the Hilbert series
-    over the product of (1 - t^w).  ``gens`` are exponent tuples."""
+    over the product of (1 - t^w).  ``gens`` are exponent tuples.  Each
+    monomial ideal the pivot recursion meets for the first time costs one
+    budget unit."""
     gens = _minimalize_monomials(gens)
     weights = tuple(weights)
+    budget = _as_budget(budget)
 
     def wdeg(e):
         return sum(a * w for a, w in zip(e, weights))
@@ -660,6 +660,7 @@ def hilbert_numerator(gens, weights) -> dict[int, int]:
         got = memo.get(fs)
         if got is not None:
             return got
+        budget.spend()
         lst = sorted(fs, key=lambda e: (wdeg(e), e))
         pivot = lst[-1]
         rest = tuple(e for e in lst if e != pivot)
@@ -703,12 +704,14 @@ def lead_module_per_component(ctx, engine):
 
 def quotient_hilbert_numerator(ring, columns, twists, *, budget=None) -> dict[int, int]:
     """K-polynomial of coker(columns) inside the free module with the given
-    twists, over the polynomial ambient."""
+    twists, over the polynomial ambient; the columns are packed term dicts
+    of ``ModuleContext(ring, len(twists))``."""
+    budget = _as_budget(budget)
     ctx, engine = module_membership_engine(ring, columns, len(twists), budget=budget)
     per = lead_module_per_component(ctx, engine)
     out: dict[int, int] = {}
     for tau, gens in zip(twists, per):
-        num = hilbert_numerator(gens, ring.weights)
+        num = hilbert_numerator(gens, ring.weights, budget)
         for d, c in num.items():
             out[d + tau] = out.get(d + tau, 0) + c
             if not out[d + tau]:
@@ -743,15 +746,15 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
     n = len(elems)
     if n == 0:
         return True
-    syz = module_syzygies(ring, [[e] for e in elems], nrows=1, budget=budget)
-    z = ring.zero()
+    syz = module_syzygies(ring, _rank_one(ring, elems), nrows=1, budget=budget)
+    ctx = ModuleContext(ring, n)
     koszul_cols = []
     for i in range(n):
         for j in range(i + 1, n):
-            col = [z] * n
+            col = [ring.zero()] * n
             col[i] = elems[j]
             col[j] = -elems[i]
-            koszul_cols.append(col)
+            koszul_cols.append(ctx.from_column(col))
     _, engine = module_membership_engine(ring, koszul_cols, n, budget=budget)
     return all(engine.contains(s) for s in syz)
 

@@ -352,17 +352,10 @@ def case_08_duality_transfer(check: Check, seed, budget):
                 )
             if all(x == 0 for x in t):
                 nonvacuous += 1
+                # R/I has the layout of R: the packed columns carry over
+                rels = PolyMatrix.packed(RI.presentation, M.relations.nrows, M.relations.cols)
                 m_bar = PresentedModule(
-                    RI.presentation,
-                    GradedFreeModule(RI.presentation, M.ambient.twists),
-                    PolyMatrix(
-                        RI.presentation,
-                        [
-                            [p.transfer(RI.presentation) for p in row]
-                            for row in M.relations.entries
-                        ],
-                        ncols=M.relations.ncols,
-                    ),
+                    RI.presentation, GradedFreeModule(RI.presentation, M.ambient.twists), rels
                 )
                 e_low = ext_dims(
                     RI, m_bar, free_module_presentation(RI.presentation), bound, budget

@@ -6,6 +6,7 @@ twelfth criterion checks that reports are byte-identical across worker
 counts for a fixed seed (timing fields excluded).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -43,9 +44,15 @@ def test_criterion(number, capsys):
     )
 
 
+# sha256 of the seed-0 report without timing fields: every number the suite
+# prints, pinned
+REPORT_SHA256 = "fddfa480d2e4fc8ca7760be08d37a12eb9fe3b75e66ccca52cfb68fdd4722609"
+
+
 def test_criterion_12_determinism(capsys):
     one = run_suite(workers=1, seed=DEFAULT_SEED)
     four = run_suite(workers=4, seed=DEFAULT_SEED)
+    assert hashlib.sha256(one.to_json(timing=False).encode()).hexdigest() == REPORT_SHA256
     blob_one = json.dumps(one.as_dict(timing=False), sort_keys=True)
     blob_four = json.dumps(four.as_dict(timing=False), sort_keys=True)
     with capsys.disabled():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cak import RingPresentation, PreconditionError
+from cak import RingPresentation, PreconditionError, ResourceLimitError
 from cak.complexes import (
     GenericMatrix,
     betti_rank_formula,
@@ -17,9 +17,9 @@ from cak.complexes import (
     verify_resolution,
 )
 from cak.detring import generic_matrix, minors_ideal, MinorSpec, power_parameter_matrix
-from cak.groebner import IdealHandle
-from cak.resolve import ChainComplex, PresentedModule, minimal_free_resolution
-from conftest import P, PL
+from cak.groebner import Budget, IdealHandle
+from cak.resolve import ChainComplex, GradedFreeModule, PresentedModule, minimal_free_resolution
+from conftest import P, PL, deadline
 
 
 def test_koszul_ranks(kxy):
@@ -150,6 +150,19 @@ def test_betti_rank_formula_errors():
         betti_rank_formula(2, 2, 1)
     with pytest.raises(PreconditionError):
         betti_rank_formula(3, 0, 0)
+
+
+def test_verify_resolution_charges_the_hilbert_numerator():
+    # the cyclic module on 120 random monomials in 20 variables: its two
+    # module engines spend 14,280 units, and then the pivot recursion behind
+    # the Euler check runs for most of a minute unless a budget check stops it
+    rng = random.Random(7)
+    ring = RingPresentation([f"x{i}" for i in range(20)], [1] * 20)
+    exps = [tuple(rng.choice((0, 0, 1, 2, 6)) for _ in range(20)) for _ in range(120)]
+    target = PresentedModule.cyclic(ring, [ring.from_terms([(e, 1)]) for e in exps])
+    bare = ChainComplex(ring, [GradedFreeModule(ring, (0,))], [])
+    with deadline(5), pytest.raises(ResourceLimitError):
+        verify_resolution(bare, target, Budget(20_000))
 
 
 def test_verify_resolution_negative_control(kxy):

@@ -231,7 +231,8 @@ def test_membership_is_ideal_like(data):
 def test_syzygy_projection_generates_kernel(kxy):
     cols = [[P(kxy, "x")], [P(kxy, "y")], [P(kxy, "x + y")]]
     ctx = ModuleContext(kxy, len(cols))
-    syz = [ctx.to_column(s) for s in module_syzygies(kxy, cols)]
+    packed = [ModuleContext(kxy, 1).from_column(c) for c in cols]
+    syz = [ctx.to_column(s) for s in module_syzygies(kxy, packed, nrows=1)]
     for col in syz:
         acc = kxy.zero()
         for coeff, (gen,) in zip(col, cols):
@@ -306,7 +307,8 @@ def test_random_syzygies_annihilate(data):
         for _ in range(ncols)
     ]
     ctx = ModuleContext(ring, ncols)
-    syz = [ctx.to_column(s) for s in module_syzygies(ring, cols)]
+    packed = [ModuleContext(ring, nrows).from_column(c) for c in cols]
+    syz = [ctx.to_column(s) for s in module_syzygies(ring, packed, nrows=nrows)]
     for s_col in syz:
         for i in range(nrows):
             acc = ring.zero()

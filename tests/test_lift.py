@@ -9,7 +9,13 @@ layout and to be syzygies modulo J*F.
 import pytest
 
 from cak import QQ, RingPresentation, parse_poly, parse_poly_list
-from cak.groebner import IdealHandle, ModuleContext, module_membership_engine, module_syzygies
+from cak.groebner import (
+    Budget,
+    IdealHandle,
+    ModuleContext,
+    module_membership_engine,
+    module_syzygies,
+)
 from cak.verify import DUALITY_RINGS, R1_EXPONENTS, R1_RELATIONS, r1_presentation
 
 # (ring, [(gens, other), ...]) with generator lists as text
@@ -58,6 +64,32 @@ def test_quotient_ideal_ops_match_the_ambient(ring, pairs, op):
         assert [g.terms for g in got.groebner_basis()] == want, (gens_text, other_text)
 
 
+# colon over the R1 ring: budget units of the colon and its reduced basis,
+# and the basis; each part's coefficients are reduced modulo J before the
+# parts are intersected
+R1_COLONS = [
+    ("X", "X; Z; W", 278, "X; Z; Y^2; W"),
+    ("X; Y", "Z; W", 448, "X; Y; Z; W"),
+    ("Z^2", "X; Y", 520, "Y^2 - X*Z; X*W; Z^2; Y*W; X^7 - Z*W; X^6*Z - W^2; Z*W^2; W^3"),
+]
+
+
+@pytest.mark.parametrize("gens, other, used, basis", R1_COLONS)
+def test_colon_budget_over_the_r1_ring(gens, other, used, basis):
+    ring = r1_presentation()
+    budget = Budget()
+    got = IdealHandle(ring, parse_poly_list(gens, ring)).colon(
+        IdealHandle(ring, parse_poly_list(other, ring)), budget
+    )
+    assert [g.terms for g in got.groebner_basis(budget)] == [
+        g.terms for g in parse_poly_list(basis, ring)
+    ]
+    assert budget.used == used
+    assert [g.terms for g in got.groebner_basis()] == ambient_basis(
+        ring, "colon", parse_poly_list(gens, ring), parse_poly_list(other, ring)
+    )
+
+
 def layout_rings():
     yield RingPresentation(["x", "y", "z"], [1, 1, 1])
     yield RingPresentation(["a", "b", "c"], [2, 3, 5])
@@ -69,11 +101,16 @@ def layout_rings():
 def test_syzygy_block_has_the_column_layout(ring, nrows, ncols):
     elim = ModuleContext(ring, nrows + ncols, fhigh=nrows)
     cols = ModuleContext(ring, ncols)
+    rows = ModuleContext(ring, nrows)
     monos = [ring.one_key] + [ring.var_key(i) for i in range(len(ring.vars))]
     monos += [ring.mul_keys(a, b) for a in monos for b in monos]
     for j in range(ncols):
         for m in monos:
             assert elim.key(nrows + j, m) == cols.key(j, m)
+    # a packed column enters the row block by one shift of its keys
+    for i in range(nrows):
+        for m in monos:
+            assert elim.key(i, m) == rows.key(i, m) + ncols + elim.blockbit
 
 
 def syzygy_cases():
@@ -90,7 +127,8 @@ def syzygy_cases():
 def test_packed_syzygies_vanish_modulo_the_relations(ring, text):
     columns = [[parse_poly(e, ring) for e in col] for col in text]
     nrows, ncols = len(columns[0]), len(columns)
-    syz = module_syzygies(ring, columns)
+    packed = [ModuleContext(ring, nrows).from_column(c) for c in columns]
+    syz = module_syzygies(ring, packed, nrows=nrows)
     assert syz
     rows_ctx, rel_engine = module_membership_engine(ring, [], nrows)
     col_ctx = ModuleContext(ring, ncols)

@@ -134,7 +134,8 @@ def syzygy_columns(ring, twists, rng, ncols):
     degs = [rng.randint(min(twists) + 1, min(twists) + 2) for _ in range(ncols)]
     cols = [random_column(ring, d, twists, rng) for d in degs]
     ctx = ModuleContext(ring, ncols, twists=degs)
-    syz = [ctx.to_column(s) for s in module_syzygies(ring, cols, nrows=len(twists))]
+    packed = [ModuleContext(ring, len(twists)).from_column(c) for c in cols]
+    syz = [ctx.to_column(s) for s in module_syzygies(ring, packed, nrows=len(twists))]
     for j in [rng.randrange(len(syz)) for _ in range(3)] if syz else []:
         x = ring.var(rng.choice(ring.vars))
         syz += [[x * a for a in syz[j]], list(syz[j])]
@@ -203,8 +204,9 @@ def oracle_step(ring, cols, twists):
 def oracle_kernel(ring, mat):
     """Generators of the kernel of ``mat`` over ring/(relations), read off
     the module Groebner basis of its columns and J*e_i."""
-    ctx = ModuleContext(ring, mat.ncols)
-    return [ctx.to_column(s) for s in module_syzygies(ring, mat.columns(), nrows=mat.nrows)]
+    ctx, rows = ModuleContext(ring, mat.ncols), ModuleContext(ring, mat.nrows)
+    packed = [rows.from_column(c) for c in mat.columns()]
+    return [ctx.to_column(s) for s in module_syzygies(ring, packed, nrows=mat.nrows)]
 
 
 def oracle_resolution(module, length):
@@ -227,8 +229,9 @@ def oracle_resolution(module, length):
 
 def same_span(ring, cols, other, nrows):
     """Whether two lists of columns generate the same submodule modulo J*F."""
-    ctx, mine = module_membership_engine(ring, cols, nrows)
-    _, theirs = module_membership_engine(ring, other, nrows)
+    ctx = ModuleContext(ring, nrows)
+    _, mine = module_membership_engine(ring, [ctx.from_column(c) for c in cols], nrows)
+    _, theirs = module_membership_engine(ring, [ctx.from_column(c) for c in other], nrows)
     return all(theirs.contains(ctx.from_column(c)) for c in cols) and all(
         mine.contains(ctx.from_column(c)) for c in other
     )

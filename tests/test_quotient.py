@@ -105,7 +105,8 @@ def test_curve_reduction_module_is_free(r1_ring):
     zgen, wgen = P(ring, "Z"), P(ring, "W")
     lift_cols = [[zgen], [wgen], [P(ring, "X")]]
     ctx = ModuleContext(ring, len(lift_cols))
-    syz = [ctx.to_column(s) for s in module_syzygies(ring, lift_cols, nrows=1)]
+    packed = [ModuleContext(ring, 1).from_column(c) for c in lift_cols]
+    syz = [ctx.to_column(s) for s in module_syzygies(ring, packed, nrows=1)]
     residue = quotient_of(ring, PL(ring, "X; Z; W"))
     T = residue.presentation
     rel_cols = [[c[0].transfer(T), c[1].transfer(T)] for c in syz]
@@ -344,7 +345,7 @@ def test_artinian_module_builds_one_engine(square_zero, monkeypatch):
         if name.split(".")[0] == "cak" and getattr(mod, "module_membership_engine", None) is engine:
             monkeypatch.setattr(mod, "module_membership_engine", counting)
     ring = square_zero.presentation
-    module = ArtinianModule(ring, [PL(ring, "X")], 1)
+    module = ArtinianModule(ring, [ModuleContext(ring, 1).from_column(PL(ring, "X"))], 1)
     assert len(calls) == 1
     assert module.dim == 2
 

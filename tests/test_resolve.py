@@ -238,7 +238,8 @@ def test_euler_characteristic_identity(r1_ambient):
     gens = PL(r1_ambient, R1_RELATIONS)
     res = minimal_free_resolution(PresentedModule.cyclic(r1_ambient, gens))
     lhs = alternating_twist_sum(res.complex)
-    rhs = quotient_hilbert_numerator(r1_ambient, [[g] for g in gens], (0,))
+    ctx = ModuleContext(r1_ambient, 1)
+    rhs = quotient_hilbert_numerator(r1_ambient, [ctx.from_column([g]) for g in gens], (0,))
     assert lhs == rhs
 
 

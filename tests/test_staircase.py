@@ -12,6 +12,7 @@ from cak import RingPresentation
 from cak.groebner import (
     Budget,
     IdealHandle,
+    ModuleContext,
     lead_exponents,
     module_membership_engine,
     staircase,
@@ -132,7 +133,8 @@ def test_module_standard_basis_rank_two_with_dead_component():
     # R/(x*y, y^3, x^2 z) in component 1
     ring = RingPresentation(["x", "y", "z"], [1, 2, 1], relations=["x^3", "y^2*z", "z^2"])
     columns = [PL(ring, "1; 0"), PL(ring, "0; x*y"), PL(ring, "0; y^3"), PL(ring, "0; x^2*z")]
-    ctx, engine = module_membership_engine(ring, columns, 2)
+    ctx = ModuleContext(ring, 2)
+    ctx, engine = module_membership_engine(ring, [ctx.from_column(c) for c in columns], 2)
     budget = Budget()
     got = module_standard_basis(ctx, engine, budget)
     leads = [(3, 0, 0), (0, 2, 1), (0, 0, 2), (1, 1, 0), (0, 3, 0), (2, 0, 1)]

@@ -24,7 +24,7 @@ from .resolve import (
     PolyMatrix,
     PresentedModule,
     alternating_twist_sum,
-    quotient_hilbert_numerator,
+    lead_module_hilbert_numerator,
 )
 
 
@@ -422,7 +422,7 @@ def verify_resolution(
     d1_cols = complex.maps[0].cols if complex.maps else ()
     rel_cols = target.relations.cols
     _, eng1 = module_membership_engine(ring, d1_cols, nrows, budget=budget)
-    _, eng2 = module_membership_engine(ring, rel_cols, nrows, budget=budget)
+    ctx2, eng2 = module_membership_engine(ring, rel_cols, nrows, budget=budget)
     h0 = all(map(eng1.contains, rel_cols)) and all(map(eng2.contains, d1_cols))
     report.record("h0", h0, "image of d_1 differs from the target relations")
 
@@ -438,8 +438,6 @@ def verify_resolution(
 
     if not ring.relations:
         lhs = alternating_twist_sum(complex)
-        rhs = quotient_hilbert_numerator(
-            ring, rel_cols, target.ambient.twists, budget=budget
-        )
+        rhs = lead_module_hilbert_numerator(ctx2, eng2, target.ambient.twists, budget)
         report.record("euler", lhs == rhs, "alternating twist sum != Hilbert numerator")
     return report

@@ -13,7 +13,10 @@ completed by Buchberger's pair loop.  Both end in the same reduced basis.
 The pair loop can stop at a degree: a minimal generating subset over
 homogeneous relations completes its membership basis only through the
 degree of the column it tests, since homogeneous pairs of higher degree
-never reduce a column of lower degree.
+never reduce a column of lower degree.  In a syzygy elimination layout only
+the pairs of the row block are processed: by Schreyer's theorem their
+reductions already give generators of the syzygy module, so syzygies are
+read off the engine as they appear, never off a reduced basis.
 
 Ideals of a quotient ring R = S/J are handled through their full preimage:
 an :class:`IdealHandle` always computes the reduced Groebner basis of
@@ -41,11 +44,11 @@ class Budget:
     """Work counter: one unit per pair taken from a completion's queue (a
     Buchberger pair of a module completion, a J-pair of a rank-one
     signature completion), per standard monomial enumerated, per unit
-    cancelled by ``resolve.minimalize``, per monomial ideal met by the
-    ``resolve.hilbert_numerator`` recursion and per vector inserted into a
-    ``_linalg.Echelon`` (the Artinian resolution steps, the Hom/Tensor
-    ranks of Ext/Tor and the socle).  Exceeding the limit is an error,
-    never a wrong answer."""
+    cancelled by ``resolve.minimalize``, per generator of each monomial
+    ideal met by the ``resolve.hilbert_numerator`` recursion and per vector
+    inserted into a ``_linalg.Echelon`` (the Artinian resolution steps, the
+    Hom/Tensor ranks of Ext/Tor and the socle).  Exceeding the limit is an
+    error, never a wrong answer."""
 
     __slots__ = ("limit", "used")
 
@@ -211,7 +214,8 @@ class GroebnerEngine:
     degree first, ties by pair index) plus the chain criterion.  Pair
     degrees include the context's twists, and ``complete(upto)`` leaves
     the pairs above degree ``upto`` queued, so on homogeneous input the
-    basis is a Groebner basis through that degree.
+    basis is a Groebner basis through that degree.  In an elimination
+    layout (``fhigh`` > 0) an element below the block takes no pairs.
     ``zero_reductions`` counts the reductions that gave zero.
     """
 
@@ -248,6 +252,9 @@ class GroebnerEngine:
         lk = max(terms)
         self.leads.append(lk)
         self._ones.append(1)
+        if self.ctx.fhigh and not lk & self.ctx.blockbit:
+            # a syzygy of an elimination layout reduces tails, takes no pairs
+            return
         # pairs exist only within a component group
         group = self._groups.setdefault(lk & self.ctx.compmask, [])
         for i in group:
@@ -625,13 +632,19 @@ def module_syzygies(ring: RingPresentation, columns, *, nrows: int, budget=None)
     The columns, moved into the row block of the elimination layout
     ``ModuleContext(ring, nrows + ncols, fhigh=nrows)`` and each tagged with
     its own basis vector e_(nrows + j), and the relation multiples J*e_i
-    of the rows are completed there; the elements free of the row block
-    are the syzygies.
+    of the rows are completed there, pairs of the row block only: an
+    element free of the row block is a syzygy, which reduces tails but
+    takes no pairs.  The row block's elements form a Groebner basis, and
+    by Schreyer's lifting theorem the reductions of its pairs generate the
+    syzygies of its row parts, so the syzygy elements met on the way
+    generate the kernel for any module order, homogeneous or not.  They
+    are not a reduced basis, and autoreducing them could lose generators.
 
-    They are returned as the engine's term dicts: below the block bit,
-    component ``nrows + j`` of the elimination layout has the key of
-    component ``j`` of ``ModuleContext(ring, ncols)`` (both encode it as
-    ``ncols - 1 - j``), so each already lies in the column module's layout.
+    They are returned in insertion order as the engine's term dicts: below
+    the block bit, component ``nrows + j`` of the elimination layout has
+    the key of component ``j`` of ``ModuleContext(ring, ncols)`` (both
+    encode it as ``ncols - 1 - j``), so each already lies in the column
+    module's layout.
     """
     if not columns:
         return []
@@ -640,14 +653,15 @@ def module_syzygies(ring: RingPresentation, columns, *, nrows: int, budget=None)
     # row i is encoded nrows - 1 - i in a column, nrows + ncols - 1 - i here
     shift = ncols + ctx.blockbit
     one = ring.field.coerce(1)
-    gens = []
+    engine = GroebnerEngine(ctx, ring.field, _as_budget(budget))
     for j, col in enumerate(columns):
         terms = {k + shift: c for k, c in col.items()}
         terms[ctx.key(nrows + j, ring.one_key)] = one
-        gens.append(terms)
-    gens += relation_multiples(ctx, nrows)
-    gb = buchberger(gens, ctx, ring.field, budget)
-    return [g for g in gb if not any(k & ctx.blockbit for k in g)]
+        engine.add_raw(terms)
+    for terms in relation_multiples(ctx, nrows):
+        engine.add_raw(terms)
+    engine.complete()
+    return [g for g, lk in zip(engine.G, engine.leads) if not lk & ctx.blockbit]
 
 
 def module_membership_engine(ring: RingPresentation, columns, nrows: int, *, budget=None):

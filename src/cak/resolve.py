@@ -14,8 +14,9 @@ quotient (every relation homogeneous, finite staircase) F (x) R is a finite
 graded vector space on the standard monomials, so a step is sparse linear
 algebra (`_GradedArtinian`): the kernel of d (x) R degree by degree, then a
 complement of R_+ times that kernel.  Over every other ring a step reads
-syzygies off a module Groebner basis and picks the minimal subset with a
-second one.
+syzygies off the pair reductions of one module completion, which processes
+the pairs of the row block only (Schreyer), and picks the minimal subset
+with a module Groebner basis.
 
 A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from ._kernel import axpy_terms
 from ._linalg import Echelon
@@ -644,13 +646,13 @@ def hilbert_numerator(gens, weights, budget=None) -> dict[int, int]:
     """K-polynomial of S/(monomial ideal): numerator of the Hilbert series
     over the product of (1 - t^w).  ``gens`` are exponent tuples.  Each
     monomial ideal the pivot recursion meets for the first time costs one
-    budget unit."""
+    budget unit per generator."""
     gens = _minimalize_monomials(gens)
     weights = tuple(weights)
     budget = _as_budget(budget)
 
     def wdeg(e):
-        return sum(a * w for a, w in zip(e, weights))
+        return sum(map(operator.mul, e, weights))
 
     memo = {}
 
@@ -660,13 +662,13 @@ def hilbert_numerator(gens, weights, budget=None) -> dict[int, int]:
         got = memo.get(fs)
         if got is not None:
             return got
-        budget.spend()
+        budget.spend(len(fs))
         lst = sorted(fs, key=lambda e: (wdeg(e), e))
         pivot = lst[-1]
         rest = tuple(e for e in lst if e != pivot)
         base = rec(rest)
         colon = _minimalize_monomials(
-            [tuple(max(a - b, 0) for a, b in zip(e, pivot)) for e in rest]
+            [tuple([a - b if a > b else 0 for a, b in zip(e, pivot)]) for e in rest]
         )
         sub = rec(tuple(sorted(colon)))
         out = dict(base)
@@ -685,7 +687,7 @@ def _minimalize_monomials(gens):
     gens = sorted(set(tuple(g) for g in gens), key=lambda e: (sum(e), e))
     out = []
     for g in gens:
-        if any(all(h[i] <= g[i] for i in range(len(g))) for h in out):
+        if any(all(map(operator.le, h, g)) for h in out):
             continue
         out.append(g)
     return tuple(out)
@@ -702,16 +704,13 @@ def lead_module_per_component(ctx, engine):
     return [_minimalize_monomials(g) for g in per]
 
 
-def quotient_hilbert_numerator(ring, columns, twists, *, budget=None) -> dict[int, int]:
-    """K-polynomial of coker(columns) inside the free module with the given
-    twists, over the polynomial ambient; the columns are packed term dicts
-    of ``ModuleContext(ring, len(twists))``."""
-    budget = _as_budget(budget)
-    ctx, engine = module_membership_engine(ring, columns, len(twists), budget=budget)
-    per = lead_module_per_component(ctx, engine)
+def lead_module_hilbert_numerator(ctx, engine, twists, budget) -> dict[int, int]:
+    """K-polynomial of the cokernel of the submodule of a completed module
+    engine over the polynomial ambient, read off its lead-term module;
+    ``twists`` are the degrees of the basis vectors of ``ctx``."""
     out: dict[int, int] = {}
-    for tau, gens in zip(twists, per):
-        num = hilbert_numerator(gens, ring.weights, budget)
+    for tau, gens in zip(twists, lead_module_per_component(ctx, engine)):
+        num = hilbert_numerator(gens, ctx.ring.weights, budget)
         for d, c in num.items():
             out[d + tau] = out.get(d + tau, 0) + c
             if not out[d + tau]:

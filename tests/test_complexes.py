@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cak import RingPresentation, PreconditionError, ResourceLimitError
+from cak import RingPresentation, PreconditionError, ResourceLimitError, resolve
 from cak.complexes import (
     GenericMatrix,
     betti_rank_formula,
@@ -17,7 +17,7 @@ from cak.complexes import (
     verify_resolution,
 )
 from cak.detring import generic_matrix, minors_ideal, MinorSpec, power_parameter_matrix
-from cak.groebner import Budget, IdealHandle
+from cak.groebner import Budget, IdealHandle, module_membership_engine
 from cak.resolve import ChainComplex, GradedFreeModule, PresentedModule, minimal_free_resolution
 from conftest import P, PL, deadline
 
@@ -152,17 +152,48 @@ def test_betti_rank_formula_errors():
         betti_rank_formula(3, 0, 0)
 
 
-def test_verify_resolution_charges_the_hilbert_numerator():
-    # the cyclic module on 120 random monomials in 20 variables: its two
-    # module engines spend 14,280 units, and then the pivot recursion behind
-    # the Euler check runs for most of a minute unless a budget check stops it
+def monomial_blowup():
+    """The cyclic module on 120 random monomials in 20 variables, and the
+    complex of its free module alone: the pivot recursion behind the Euler
+    check runs for most of a minute unless a budget check stops it."""
     rng = random.Random(7)
     ring = RingPresentation([f"x{i}" for i in range(20)], [1] * 20)
     exps = [tuple(rng.choice((0, 0, 1, 2, 6)) for _ in range(20)) for _ in range(120)]
     target = PresentedModule.cyclic(ring, [ring.from_terms([(e, 1)]) for e in exps])
-    bare = ChainComplex(ring, [GradedFreeModule(ring, (0,))], [])
+    return target, ChainComplex(ring, [GradedFreeModule(ring, (0,))], [])
+
+
+def test_verify_resolution_charges_the_hilbert_numerator():
+    # the relation engine spends 7,140 units, once for the H_0 and the
+    # Euler check together, and the recursion spends the rest
+    target, bare = monomial_blowup()
     with deadline(5), pytest.raises(ResourceLimitError):
         verify_resolution(bare, target, Budget(20_000))
+
+
+def test_verify_resolution_stops_the_hilbert_numerator_at_the_default_budget():
+    # each monomial ideal costs its generator count, so the default budget
+    # ends the recursion in well under its 45 s run to completion
+    target, bare = monomial_blowup()
+    with deadline(30), pytest.raises(ResourceLimitError):
+        verify_resolution(bare, target)
+
+
+def test_verify_resolution_completes_the_relation_engine_once(monkeypatch):
+    target, bare = monomial_blowup()
+    once = Budget()
+    module_membership_engine(target.ring, target.relations.cols, 1, budget=once)
+    assert once.used == 7_140
+    seen = []
+
+    def record(gens, weights, budget=None):
+        seen.append(budget.used)
+        return {}
+
+    monkeypatch.setattr(resolve, "hilbert_numerator", record)
+    verify_resolution(bare, target)
+    # the H_0 check's engine is the one the Euler check reads its leads from
+    assert seen == [once.used]
 
 
 def test_verify_resolution_negative_control(kxy):

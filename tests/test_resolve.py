@@ -4,7 +4,7 @@ import pytest
 
 from cak import RingPresentation
 from cak.errors import NotArtinianError, PreconditionError, ResourceLimitError
-from cak.groebner import Budget, IdealHandle, ModuleContext
+from cak.groebner import Budget, IdealHandle, ModuleContext, module_membership_engine
 from cak.resolve import (
     ChainComplex,
     GradedFreeModule,
@@ -13,11 +13,11 @@ from cak.resolve import (
     alternating_twist_sum,
     graded_rank_check,
     is_regular_sequence,
+    lead_module_hilbert_numerator,
     minimal_free_resolution,
     minimalize,
     module_length,
     presentation_minimalize,
-    quotient_hilbert_numerator,
     syzygies,
 )
 from conftest import P, PL, R1_RELATIONS, deadline
@@ -238,8 +238,9 @@ def test_euler_characteristic_identity(r1_ambient):
     gens = PL(r1_ambient, R1_RELATIONS)
     res = minimal_free_resolution(PresentedModule.cyclic(r1_ambient, gens))
     lhs = alternating_twist_sum(res.complex)
-    ctx = ModuleContext(r1_ambient, 1)
-    rhs = quotient_hilbert_numerator(r1_ambient, [ctx.from_column([g]) for g in gens], (0,))
+    cols = [ModuleContext(r1_ambient, 1).from_column([g]) for g in gens]
+    ctx, engine = module_membership_engine(r1_ambient, cols, 1)
+    rhs = lead_module_hilbert_numerator(ctx, engine, (0,), Budget())
     assert lhs == rhs
 
 

@@ -19,7 +19,7 @@ from .complexes import (
     koszul_complex,
 )
 from .detring import MinorSpec, det_reduction_sequence, minors_ideal
-from .errors import CakError, ParseError, PreconditionError, ResourceLimitError
+from .errors import CakError, PreconditionError, ResourceLimitError
 from .fileio import load_module, load_ring, ring_to_dict, save_ring
 from .groebner import IdealHandle, RingMap, ideal_ops, ring_map_kernel
 from .polyring import RingPresentation, parse_poly, parse_poly_list
@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CakError, ParseError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (CakError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

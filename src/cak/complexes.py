@@ -34,7 +34,7 @@ class GenericMatrix:
 
     __slots__ = ("ring", "entries", "nrows", "ncols", "row_degrees", "col_degrees")
 
-    def __init__(self, ring, entries, row_degrees=None, col_degrees=None):
+    def __init__(self, ring, entries):
         self.ring = ring
         self.entries = tuple(tuple(row) for row in entries)
         self.nrows = len(self.entries)
@@ -42,8 +42,7 @@ class GenericMatrix:
         for row in self.entries:
             if len(row) != self.ncols:
                 raise CakError("ragged matrix")
-        if row_degrees is None or col_degrees is None:
-            row_degrees, col_degrees = self._solve_degrees()
+        row_degrees, col_degrees = self._solve_degrees()
         self.row_degrees = tuple(row_degrees)
         self.col_degrees = tuple(col_degrees)
         for i in range(self.nrows):
@@ -102,9 +101,6 @@ class GenericMatrix:
 
     def submatrix(self, row_idx, col_idx):
         return [[self.entries[i][j] for j in col_idx] for i in row_idx]
-
-    def poly_matrix(self) -> PolyMatrix:
-        return PolyMatrix(self.ring, self.entries, ncols=self.ncols)
 
     def __repr__(self):
         return f"GenericMatrix({self.nrows}x{self.ncols})"

@@ -1,13 +1,13 @@
-"""JSON file formats: ring presentations, ideals (polynomial-string lists)
-and module presentations.  Validation errors carry a JSON-pointer-style
-path to the offending element."""
+"""JSON file formats: ring presentations and module presentations.
+Validation errors carry a JSON-pointer-style path to the offending
+element."""
 
 from __future__ import annotations
 
 import json
 
 from .errors import CakError
-from .polyring import Field, Polynomial, RingPresentation, parse_poly
+from .polyring import Field, RingPresentation, parse_poly
 from .resolve import GradedFreeModule, PolyMatrix, PresentedModule
 
 
@@ -70,7 +70,7 @@ def ring_to_dict(ring: RingPresentation) -> dict:
 
 
 def load_ring(path) -> RingPresentation:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return ring_from_dict(json.load(fh))
 
 
@@ -78,17 +78,6 @@ def save_ring(ring: RingPresentation, path):
     with open(path, "w") as fh:
         json.dump(ring_to_dict(ring), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_ideal(path, ring: RingPresentation) -> list[Polynomial]:
-    with open(path) as fh:
-        data = json.load(fh)
-    _expect(isinstance(data, list), "", "ideal file must be a JSON list of strings")
-    out = []
-    for i, text in enumerate(data):
-        _expect(isinstance(text, str), f"/{i}", "ideal entries are polynomial strings")
-        out.append(parse_poly(text, ring))
-    return out
 
 
 def module_from_dict(data: dict, ring: RingPresentation) -> PresentedModule:
@@ -126,5 +115,5 @@ def module_from_dict(data: dict, ring: RingPresentation) -> PresentedModule:
 
 
 def load_module(path, ring: RingPresentation) -> PresentedModule:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return module_from_dict(json.load(fh), ring)

@@ -800,7 +800,9 @@ class RingMap:
 
 
 def ring_map_kernel(rmap: RingMap, budget=None) -> IdealHandle:
-    """Kernel ideal of the map in its source ring (graph + elimination)."""
+    """Kernel ideal of the map in its source ring: the graph ideal (the
+    target's relations and v - image(v)) with the target variables
+    eliminated."""
     src, tgt = rmap.source, rmap.target
     rename = {}
     for v in tgt.vars:
@@ -808,32 +810,19 @@ def ring_map_kernel(rmap: RingMap, budget=None) -> IdealHandle:
         while nv in src.var_index or nv in rename.values():
             nv = "_" + nv
         rename[v] = nv
-    uvars = [rename[v] for v in tgt.vars] + list(src.vars)
-    uweights = list(tgt.weights) + list(src.weights)
-    nt = len(tgt.vars)
-    blocks = (tuple(range(nt)), tuple(range(nt, nt + len(src.vars))))
-    uring = RingPresentation(uvars, uweights, src.field, (), blocks)
+    graph = RingPresentation(
+        list(rename.values()) + list(src.vars), tgt.weights + src.weights, src.field
+    )
+    pad = (0,) * len(src.vars)
 
     def move_target(p: Polynomial) -> Polynomial:
-        out = {}
-        for k, c in p.terms.items():
-            expo = tgt.decode(k)
-            target = [0] * len(uvars)
-            target[: len(expo)] = expo
-            out[uring.encode(tuple(target))] = c
-        return Polynomial(uring, out)
+        return Polynomial(graph, {graph.encode(tgt.decode(k) + pad): c for k, c in p.terms.items()})
 
     gens = [move_target(r) for r in tgt.relations]
-    for i, v in enumerate(src.vars):
-        gens.append(uring.var(v) - move_target(rmap.images[i]))
-    ctx = RingContext(uring)
-    gb = buchberger([g.terms for g in gens], ctx, src.field, budget)
-    drop_block = uring._layout[0]
-    kept = []
-    for terms in gb:
-        if all(k & drop_block.cmask == drop_block.cmask for k in terms):
-            kept.append(Polynomial(uring, terms).reencode(src.polynomial_ambient()).transfer(src))
-    return IdealHandle(src, kept)
+    for v, image in zip(src.vars, rmap.images):
+        gens.append(graph.var(v) - move_target(image))
+    kernel = eliminate(IdealHandle(graph, gens), rename.values(), budget)
+    return IdealHandle(src, [g.transfer(src) for g in kernel.gens])
 
 
 # -- standard monomials -------------------------------------------------------

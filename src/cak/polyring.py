@@ -86,10 +86,6 @@ class Field:
         self.kind = kind
         self.p = p
 
-    @property
-    def modulus(self) -> int | None:
-        return self.p
-
     def coerce(self, c):
         """Normalize an int/Fraction into canonical coefficient form.
 
@@ -257,10 +253,6 @@ class RingPresentation:
                 return False
         return True
 
-    def quo_key(self, kb: int, ka: int) -> int:
-        """Key of monomial(kb)/monomial(ka); caller guarantees divisibility."""
-        return kb - ka + self.one_key
-
     def lcm_key(self, ka: int, kb: int) -> int:
         """Key of the lcm, computed on the packed keys.
 
@@ -322,9 +314,6 @@ class RingPresentation:
 
     def gens(self):
         return [self.var(v) for v in self.vars]
-
-    def monomial(self, exponents) -> "Monomial":
-        return Monomial(self, tuple(exponents))
 
     def from_terms(self, terms) -> "Polynomial":
         """Build a polynomial from (exponent-tuple, coefficient) pairs."""
@@ -453,17 +442,6 @@ class Polynomial:
     def lead_coeff(self):
         return self.terms[self.lead_key()]
 
-    def lead_monomial(self) -> Monomial:
-        return Monomial(self.ring, self.ring.decode(self.lead_key()))
-
-    def monomials(self):
-        """Monomials in decreasing order."""
-        return [Monomial(self.ring, self.ring.decode(k)) for k in sorted(self.terms, reverse=True)]
-
-    def coefficient(self, mono) -> object:
-        expo = mono.exponents if isinstance(mono, Monomial) else tuple(mono)
-        return self.terms.get(self.ring.encode(expo), 0)
-
     def homogeneous_degree(self) -> int | None:
         """Weighted degree if homogeneous, None otherwise; error on zero."""
         if not self.terms:
@@ -545,12 +523,6 @@ class Polynomial:
             if n:
                 base = base * base
         return out
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        inv = self.ring.field.inv(self.lead_coeff())
-        return self.scale(inv)
 
     def substitute(self, images: dict) -> "Polynomial":
         """Evaluate with variables replaced by polynomials of the same ring."""
@@ -758,13 +730,18 @@ class _Parser:
             self.pos += 1
             return p
         if ch.isdigit():
+            start = self.pos
             n = self.uint()
             if self.peek() == "/":
                 self.pos += 1
                 d = self.uint()
                 if d == 0:
                     self.error("zero denominator")
-                return self.ring.constant(Fraction(n, d))
+                q, p = Fraction(n, d), self.ring.field.p
+                if p is not None and q.denominator % p == 0:
+                    self.pos = start
+                    self.error(f"denominator divisible by the modulus {p}")
+                return self.ring.constant(q)
             return self.ring.constant(n)
         if ch.isalpha() or ch == "_":
             start = self.pos

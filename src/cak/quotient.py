@@ -56,20 +56,12 @@ class QuotientRing:
     ``defining_ideal`` handle holds the one Groebner basis of the relations
     that the standard basis and the socle both read."""
 
-    __slots__ = ("presentation", "defining_ideal", "_std", "_socle")
+    __slots__ = ("presentation", "defining_ideal", "_std")
 
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
         self.defining_ideal = IdealHandle(presentation, ())
         self._std = None
-        self._socle = None
-
-    @property
-    def ring(self) -> RingPresentation:
-        return self.presentation
-
-    def ideal(self, gens) -> IdealHandle:
-        return IdealHandle(self.presentation, gens)
 
     def standard_basis(self, budget=None):
         """Standard monomials of the defining ideal (Artinian case)."""
@@ -88,11 +80,6 @@ class QuotientRing:
             return True
         except NotArtinianError:
             return False
-
-    def socle_dim(self, budget=None) -> int:
-        if self._socle is None:
-            self._socle = socle_dim(self, budget)
-        return self._socle
 
     def __repr__(self):
         return f"QuotientRing({self.presentation!r})"

@@ -3,9 +3,9 @@ lengths and Hilbert-series bookkeeping.
 
 Resolutions are computed syzygy-by-syzygy.  Every step keeps a minimal
 generating set (graded Nakayama greedy), so all differentials have entries of
-strictly positive weighted degree and the ranks are Betti numbers; a final
-unit-cancellation pass (`minimalize`) exists for complexes built by other
-constructors (mapping cones, tensor products).
+strictly positive weighted degree and the ranks are Betti numbers.  The
+library runs the unit-cancellation pass `minimalize` only on the
+presentation a resolution starts from; it builds no mapping cones.
 
 Differentials are `PolyMatrix` objects, whose columns are packed module
 elements; both routes of a step read and write them in that form.  A step
@@ -77,8 +77,8 @@ class PolyMatrix:
     element: a packed term dict in the layout of ``ModuleContext(ring,
     nrows)``, the form that the engines, the resolution steps and the
     Hom/Tensor ranks read as it is (``cols``).  The row-major constructor,
-    ``from_columns``, ``zero``, ``entries``, ``column`` and ``columns`` pack
-    or unpack polynomials for the callers that build or read by rows."""
+    ``from_columns`` and ``zero`` pack polynomials, and ``entries`` unpacks
+    them, for the callers that build or read by rows."""
 
     __slots__ = ("ring", "nrows", "ncols", "cols")
 
@@ -111,17 +111,11 @@ class PolyMatrix:
         cols = list(columns)
         return cls(ring, [[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
 
-    def column(self, j) -> list[Polynomial]:
-        return ModuleContext(self.ring, self.nrows).to_column(self.cols[j])
-
-    def columns(self) -> list[list[Polynomial]]:
-        ctx = ModuleContext(self.ring, self.nrows)
-        return [ctx.to_column(col) for col in self.cols]
-
     @property
     def entries(self) -> tuple:
         """The rows, as tuples of polynomials."""
-        cols = self.columns()
+        ctx = ModuleContext(self.ring, self.nrows)
+        cols = [ctx.to_column(col) for col in self.cols]
         return tuple(tuple(col[i] for col in cols) for i in range(self.nrows))
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -278,11 +272,11 @@ class BettiTable:
 # -- syzygies and resolutions -------------------------------------------------
 
 
-def syzygies(matrix: PolyMatrix, ambient_twists=None, *, budget=None) -> PolyMatrix:
+def syzygies(matrix: PolyMatrix, *, budget=None) -> PolyMatrix:
     """Matrix whose columns minimally generate the kernel of the map given
     by ``matrix`` (columns = images of basis vectors) over
     ring/(relations)."""
-    ctx = ModuleContext(matrix.ring, matrix.nrows, twists=ambient_twists)
+    ctx = ModuleContext(matrix.ring, matrix.nrows)
     # a zero column has no degree; any twist will do
     twists = [ctx.column_degree(col) or 0 for col in matrix.cols]
     return _syzygy_step(matrix, twists, budget)[0]
@@ -555,6 +549,8 @@ def minimal_free_resolution(
                 "resolutions over a quotient ring need an explicit length bound"
             )
         max_length = len(ring.vars)
+    if max_length < 0:
+        raise PreconditionError("max_length must be >= 0")
     budget = _as_budget(budget)
     builder = module.resolution(budget)
     builder.extend(max_length, budget)

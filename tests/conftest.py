@@ -4,6 +4,7 @@ import signal
 import pytest
 
 from cak import RingPresentation, parse_poly, parse_poly_list
+from cak.groebner import ModuleContext
 
 R1_WEIGHTS = (6, 11, 16, 26)
 R1_RELATIONS = "X^7 - Z*W; Y^2 - X*Z; Z^2 - X*W; W^2 - X^6*Z"
@@ -35,6 +36,12 @@ def P(ring, text):
 
 def PL(ring, text):
     return parse_poly_list(text, ring)
+
+
+def column_lists(mat):
+    """The columns of a PolyMatrix, unpacked into lists of polynomials."""
+    ctx = ModuleContext(mat.ring, mat.nrows)
+    return [ctx.to_column(col) for col in mat.cols]
 
 
 @contextlib.contextmanager

@@ -1,13 +1,16 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cak
 from cak.cli import main
 from cak.fileio import (
     SchemaError,
-    load_ideal,
     load_module,
     load_ring,
     ring_from_dict,
@@ -66,14 +69,6 @@ def test_ring_round_trip(tmp_path, r1_file):
     save_ring(ring, str(out))
     again = load_ring(str(out))
     assert ring_to_dict(again) == ring_to_dict(ring)
-
-
-def test_load_ideal(tmp_path, r1_file):
-    ring = load_ring(r1_file)
-    path = tmp_path / "ideal.json"
-    path.write_text(json.dumps(["X", "Z", "W"]))
-    gens = load_ideal(str(path), ring)
-    assert [str(g) for g in gens] == ["X", "Z", "W"]
 
 
 def test_load_module_schema_errors(tmp_path, r1_file):
@@ -350,3 +345,57 @@ def test_cli_socle_not_artinian_names_the_variable(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: quotient is not finite-dimensional: no pure power of y in the lead-term ideal\n"
     )
+
+
+@pytest.mark.parametrize("where, position", [("ring", 0), ("module", 0), ("gens", 4)])
+def test_cli_denominator_divisible_by_the_modulus_exits_2(tmp_path, capsys, where, position):
+    ring = _ring_file(tmp_path, ["x", "y"], ["1/32003*x^2"] if where == "ring" else [])
+    module = tmp_path / "module.json"
+    entry = "1/32003*x" if where == "module" else "x"
+    module.write_text(json.dumps({"ambient_twists": [0], "relations": [[entry]]}))
+    argv = {
+        "ring": ["gb", "--ring", ring, "--gens", "x"],
+        "module": ["resolve", "--ring", ring, "--module", str(module)],
+        "gens": ["gb", "--ring", ring, "--gens", "x + 1/32003"],
+    }[where]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: denominator divisible by the modulus 32003 (at position {position})\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--ring", "--module"])
+def test_cli_directory_as_input_file_exits_2(tmp_path, capsys, flag):
+    ring = _ring_file(tmp_path, ["x", "y"], [])
+    argv = ["resolve", "--ring", ring, "--module", ring]
+    argv[argv.index(flag) + 1] = str(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_ring_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"vars": ["x", "ÿ"]}'.encode("latin-1"))
+    assert main(["gb", "--ring", str(path), "--gens", "x"]) == 2
+    assert "codec can't decode" in capsys.readouterr().err
+
+
+def test_cli_negative_max_length_exits_2(plain_file, capsys):
+    argv = ["resolve", "--ring", plain_file, "--gens", "x1; x2", "--max-length", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: max_length must be >= 0\n"
+
+
+def test_python_m_cak_prints_the_text_report():
+    """The console entry point and the default text report of verify-paper."""
+    src = os.path.dirname(os.path.dirname(cak.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cak", "verify-paper", "--filter", "c10*"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(line.startswith("PASS  c10_det_reduction") for line in lines)
+    assert lines[-1] == "1/1 cases passed (all passed)"

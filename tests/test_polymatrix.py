@@ -25,6 +25,7 @@ from cak.quotient import (
     residue_field_presentation,
 )
 from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule, minimal_free_resolution
+from conftest import column_lists
 
 
 def dense_compose(a, b):
@@ -122,11 +123,11 @@ def test_views_round_trip(ring):
         assert (mat.nrows, mat.ncols) == (nrows, ncols)
         assert terms_of(mat.entries) == terms_of(rows)
         cols = [[row[j] for row in rows] for j in range(ncols)]
-        assert [[p.terms for p in mat.column(j)] for j in range(ncols)] == terms_of(cols)
-        assert terms_of(mat.columns()) == terms_of(cols)
-        again = PolyMatrix.from_columns(ring, nrows, mat.columns())
-        assert again.cols == mat.cols and again.ncols == ncols
         ctx = ModuleContext(ring, nrows)
+        assert [[p.terms for p in ctx.to_column(c)] for c in mat.cols] == terms_of(cols)
+        assert terms_of(column_lists(mat)) == terms_of(cols)
+        again = PolyMatrix.from_columns(ring, nrows, column_lists(mat))
+        assert again.cols == mat.cols and again.ncols == ncols
         assert list(mat.cols) == [ctx.from_column(col) for col in cols]
         assert PolyMatrix.packed(ring, nrows, mat.cols).entries == mat.entries
         assert mat.is_zero() == all(p.is_zero() for row in rows for p in row)

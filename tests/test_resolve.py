@@ -20,14 +20,14 @@ from cak.resolve import (
     presentation_minimalize,
     syzygies,
 )
-from conftest import P, PL, R1_RELATIONS, deadline
+from conftest import P, PL, R1_RELATIONS, column_lists, deadline
 
 
 def test_syzygy_koszul_pair(kxy):
     mat = PolyMatrix(kxy, [PL(kxy, "x; y")])
     out = syzygies(mat)
     assert out.ncols == 1
-    assert [str(p) for p in out.column(0)] == ["-y", "x"]
+    assert [str(p) for p in column_lists(out)[0]] == ["-y", "x"]
 
 
 def test_syzygy_nonzerodivisor(kxy):
@@ -59,8 +59,8 @@ def test_syzygy_hilbert_burch():
 
     ctx, eng = engine_for(cofactor_rows)
     for j in range(2):
-        assert eng.contains(ctx.from_column(syz.column(j)))
-    ctx2, eng2 = engine_for([syz.column(j) for j in range(2)])
+        assert eng.contains(ctx.from_column(column_lists(syz)[j]))
+    ctx2, eng2 = engine_for(column_lists(syz))
     for col in cofactor_rows:
         assert eng2.contains(ctx2.from_column(col))
 
@@ -319,6 +319,17 @@ def test_free_module_resolution_complete_at_length_zero():
     assert minimal_free_resolution(free, max_length=3).complete
     res = minimal_free_resolution(free, max_length=0)
     assert res.complete and res.total_ranks() == (2,)
+
+
+@pytest.mark.parametrize("resolve_first", [False, True], ids=["fresh", "after_full"])
+def test_negative_max_length_is_rejected(kxyz, resolve_first):
+    # k = k[x,y,z]/(x,y,z): a slice of the cached resolution must not pass
+    # for a resolution of length -1
+    residue = PresentedModule.cyclic(kxyz, PL(kxyz, "x; y; z"))
+    if resolve_first:
+        assert minimal_free_resolution(residue).total_ranks() == (1, 3, 3, 1)
+    with pytest.raises(PreconditionError, match="max_length"):
+        minimal_free_resolution(residue, max_length=-1)
 
 
 def test_call_order_cases_reach_both_completion_states():

@@ -11,31 +11,10 @@ Coefficients are ints mod p when ``p`` is given, otherwise exact numbers
 from .errors import DegreeOverflowError
 
 
-def add_scaled(dst, src, c, p):
-    """dst += c*src, in place, dropping zero entries."""
-    if p is not None:
-        c %= p
-        if not c:
-            return
-        for k, v in src.items():
-            nv = (dst.get(k, 0) + c * v) % p
-            if nv:
-                dst[k] = nv
-            else:
-                dst.pop(k, None)
-    else:
-        if not c:
-            return
-        for k, v in src.items():
-            nv = dst.get(k, 0) + c * v
-            if nv:
-                dst[k] = nv
-            else:
-                dst.pop(k, None)
-
-
 def axpy_terms(dst, src, c, delta, p, guard):
-    """dst += c * x^delta * src, in place; guard-checks every new key."""
+    """dst += c * x^delta * src, in place, dropping zero entries; guard-checks
+    every new key.  With delta 0 and guard 0 this is dst += c * src on any
+    int-keyed dict."""
     if p is not None:
         c %= p
         if not c:
@@ -105,14 +84,13 @@ def divides_key(ka, kb, compmask, segs):
     return True
 
 
-def normal_form_terms(f, leads, invlcs, gterms, p, compmask, segs, guard, sig=None, sigs=None):
+def normal_form_terms(f, leads, gterms, p, compmask, segs, guard, sig=None, sigs=None):
     """Full normal form of term dict ``f`` against the reducer list.
 
-    Reducers are given by parallel lists: lead keys, inverse lead
-    coefficients, and complete term dicts (lead included).  The divisor with
-    the smallest list index is always chosen, so the procedure is
-    deterministic for a fixed reducer list even when it is not yet a
-    Groebner basis.
+    Reducers are given by parallel lists: lead keys and complete term dicts
+    (lead included), every one monic.  The divisor with the smallest list
+    index is always chosen, so the procedure is deterministic for a fixed
+    reducer list even when it is not yet a Groebner basis.
 
     With a signature key ``sig`` only signature-regular steps are taken:
     reducer ``i`` may rewrite term ``m`` only when its multiple's signature
@@ -145,8 +123,5 @@ def normal_form_terms(f, leads, invlcs, gterms, p, compmask, segs, guard, sig=No
             out[m] = c
             del work[m]
         else:
-            factor = -c * invlcs[hit]
-            if p is not None:
-                factor %= p
-            axpy_terms(work, gterms[hit], factor, m - leads[hit], p, guard)
+            axpy_terms(work, gterms[hit], -c, m - leads[hit], p, guard)
     return out

@@ -7,7 +7,7 @@ Tor, the socle and the embedding dimension.
 
 from fractions import Fraction
 
-from ._kernel import add_scaled
+from ._kernel import axpy_terms
 
 
 class Echelon:
@@ -60,9 +60,9 @@ class Echelon:
                 rows[m] = (vec, combo)
                 return True
             c = -vec[m]
-            add_scaled(vec, hit[0], c, p)
+            axpy_terms(vec, hit[0], c, 0, p, 0)
             if combo is not None:
-                add_scaled(combo, hit[1], c, p)
+                axpy_terms(combo, hit[1], c, 0, p, 0)
         return False
 
 

@@ -3,12 +3,15 @@
 Every subcommand is a thin wrapper over the library: parse inputs, call the
 one relevant function, print text or JSON.  Exit codes: 0 success/certified,
 1 negative mathematical verdict, 2 usage or precondition error, 3 resource
-limit exceeded.  All numeric output is exact.
+limit exceeded.  All numeric output is exact.  A command charges all its
+work to one ``Budget`` of ``--budget`` units; ``verify-paper`` gives each
+case a budget of its own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +24,7 @@ from .complexes import (
 from .detring import MinorSpec, det_reduction_sequence, minors_ideal
 from .errors import CakError, PreconditionError, ResourceLimitError
 from .fileio import load_module, load_ring, ring_to_dict, save_ring
-from .groebner import IdealHandle, RingMap, ideal_ops, ring_map_kernel
+from .groebner import Budget, IdealHandle, RingMap, ideal_ops, ring_map_kernel
 from .polyring import RingPresentation, parse_poly, parse_poly_list
 from .quotient import (
     QuotientRing,
@@ -69,22 +72,22 @@ def _gens(args, ring):
     return parse_poly_list(args.gens, ring)
 
 
-def cmd_gb(args):
+def cmd_gb(args, budget):
     ring = load_ring(args.ring)
-    gb = IdealHandle(ring, _gens(args, ring)).groebner_basis(args.budget)
+    gb = IdealHandle(ring, _gens(args, ring)).groebner_basis(budget)
     _emit(args, [str(g) for g in gb], [str(g) for g in gb])
     return EXIT_OK
 
 
-def cmd_nf(args):
+def cmd_nf(args, budget):
     ring = load_ring(args.ring)
     handle = IdealHandle(ring, _gens(args, ring))
-    result = handle.normal_form(parse_poly(args.poly, ring), args.budget)
+    result = handle.normal_form(parse_poly(args.poly, ring), budget)
     _emit(args, str(result), [str(result)])
     return EXIT_OK
 
 
-def cmd_ideal_op(args):
+def cmd_ideal_op(args, budget):
     ring = load_ring(args.ring)
     left = IdealHandle(ring, _gens(args, ring))
     right = None
@@ -96,24 +99,24 @@ def cmd_ideal_op(args):
         if args.other is None:
             raise PreconditionError(f"{args.op} needs --other")
         right = IdealHandle(ring, parse_poly_list(args.other, ring))
-    result = ideal_ops(args.op, left, right, args.budget)
+    result = ideal_ops(args.op, left, right, budget)
     if isinstance(result, bool):
         _emit(args, result, ["true" if result else "false"])
         return EXIT_OK if result else EXIT_NEGATIVE
-    gens = [str(g) for g in result.groebner_basis(args.budget)]
+    gens = [str(g) for g in result.groebner_basis(budget)]
     _emit(args, gens, gens)
     return EXIT_OK
 
 
-def cmd_kernel(args):
+def cmd_kernel(args, budget):
     source = load_ring(args.ring)
     if args.target:
         target = load_ring(args.target)
     else:
         target = RingPresentation(["t"], [1], source.field)
     images = parse_poly_list(args.images, target)
-    kernel = ring_map_kernel(RingMap(source, target, images), args.budget)
-    gens = [str(g) for g in kernel.groebner_basis(args.budget)]
+    kernel = ring_map_kernel(RingMap(source, target, images), budget)
+    gens = [str(g) for g in kernel.groebner_basis(budget)]
     _emit(args, gens, gens)
     return EXIT_OK
 
@@ -126,40 +129,40 @@ def _module_for(args, ring) -> PresentedModule:
     raise PreconditionError("need --gens or --module")
 
 
-def cmd_resolve(args):
+def cmd_resolve(args, budget):
     ring = load_ring(args.ring)
     module = _module_for(args, ring)
-    res = minimal_free_resolution(module, max_length=args.max_length, budget=args.budget)
+    res = minimal_free_resolution(module, max_length=args.max_length, budget=budget)
     payload = {"betti": res.betti.as_rows(), "complete": res.complete}
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
 
 
-def cmd_betti(args):
+def cmd_betti(args, budget):
     ring = load_ring(args.ring)
     module = _module_for(args, ring)
-    res = minimal_free_resolution(module, max_length=args.max_length, budget=args.budget)
+    res = minimal_free_resolution(module, max_length=args.max_length, budget=budget)
     print(res.betti.format_macaulay())
     if not res.complete:
         print(f"(truncated at length {res.complex.length})")
     return EXIT_OK
 
 
-def cmd_betti_formula(args):
+def cmd_betti_formula(args, budget):
     ranks = betti_rank_formula(args.v, args.r, args.d)
     _emit(args, list(ranks), [json.dumps(list(ranks))])
     return EXIT_OK
 
 
-def cmd_koszul(args):
+def cmd_koszul(args, budget):
     ring = load_ring(args.ring)
     cx = koszul_complex(ring, parse_poly_list(args.elems, ring))
     _emit(args, list(cx.ranks()), [json.dumps(list(cx.ranks()))])
     return EXIT_OK
 
 
-def cmd_en(args):
+def cmd_en(args, budget):
     ring = load_ring(args.ring)
     matrix = _matrix_from_text(args.matrix, ring)
     cx = eagon_northcott(matrix)
@@ -175,76 +178,59 @@ def _against_module(args, ring, module):
     return load_module(args.against, ring)
 
 
-def cmd_ext(args):
+def cmd_ext_tor(args, budget):
     ring = load_ring(args.ring)
     R = QuotientRing(ring)
     module = load_module(args.module, ring)
     against = _against_module(args, ring, module)
-    dims = ext_dims(R, module, against, args.bound, args.budget)
+    dims = args.dims(R, module, against, args.bound, budget)
     _emit(args, dims, [json.dumps(dims)])
     return EXIT_OK
 
 
-def cmd_tor(args):
-    ring = load_ring(args.ring)
-    R = QuotientRing(ring)
-    module = load_module(args.module, ring)
-    against = _against_module(args, ring, module)
-    dims = tor_dims(R, module, against, args.bound, args.budget)
-    _emit(args, dims, [json.dumps(dims)])
-    return EXIT_OK
-
-
-def cmd_type(args):
+def cmd_type(args, budget):
     ring = load_ring(args.ring)
     params = parse_poly_list(args.params, ring) if args.params else []
     if params:
-        value = cm_type(QuotientRing(ring), params, args.budget)
+        value = cm_type(QuotientRing(ring), params, budget)
     else:
-        value = socle_dim(QuotientRing(ring), args.budget)
+        value = socle_dim(QuotientRing(ring), budget)
     _emit(args, value, [str(value)])
     return EXIT_OK
 
 
-def cmd_embdim(args):
+def cmd_embdim(args, budget):
     ring = load_ring(args.ring)
     value = embedding_dim(ring)
     _emit(args, value, [str(value)])
     return EXIT_OK
 
 
-def cmd_socle(args):
-    ring = load_ring(args.ring)
-    value = socle_dim(QuotientRing(ring), args.budget)
-    _emit(args, value, [str(value)])
-    return EXIT_OK
-
-
-def cmd_ulrich(args):
+def cmd_ulrich(args, budget):
     ring = load_ring(args.ring)
     R = QuotientRing(ring)
     I = IdealHandle(ring, parse_poly_list(args.ideal, ring))
     q = IdealHandle(ring, parse_poly_list(args.reduction, ring) if args.reduction else [])
-    report = is_ulrich(R, I, q, args.dim, args.budget)
+    report = is_ulrich(R, I, q, args.dim, budget)
     lines = [f"{k}: {v}" for k, v in report.as_dict().items()]
     _emit(args, report.as_dict(), lines)
     return EXIT_OK if report.is_ulrich else EXIT_NEGATIVE
 
 
-def cmd_ar_check(args):
+def cmd_ar_check(args, budget):
     ring = load_ring(args.ring)
     R = QuotientRing(ring)
     module = load_module(args.module, ring)
-    verdict = ar_instance_check(R, module, args.bound, args.budget)
+    verdict = ar_instance_check(R, module, args.bound, budget)
     payload = verdict.as_dict()
     lines = [f"{k}: {v}" for k, v in payload.items()]
     _emit(args, payload, lines)
     return EXIT_OK if verdict.classification != "counterexample_candidate" else EXIT_NEGATIVE
 
 
-def cmd_semigroup(args):
+def cmd_semigroup(args, budget):
     S = NumericalSemigroup(args.generators)
-    presented = semigroup_ring(S, budget=args.budget)
+    presented = semigroup_ring(S, budget=budget)
     payload = ring_to_dict(presented)
     if args.emit_ring:
         save_ring(presented, args.emit_ring)
@@ -257,8 +243,8 @@ def cmd_semigroup(args):
     return EXIT_OK
 
 
-def cmd_family_2x3(args):
-    presented, expected, match = family_2x3(args.n, budget=args.budget)
+def cmd_family_2x3(args, budget):
+    presented, expected, match = family_2x3(args.n, budget=budget)
     payload = {
         "n": args.n,
         "match": match,
@@ -270,7 +256,7 @@ def cmd_family_2x3(args):
     return EXIT_OK if match else EXIT_NEGATIVE
 
 
-def cmd_minors(args):
+def cmd_minors(args, budget):
     ring = load_ring(args.ring)
     matrix = _matrix_from_text(args.matrix, ring)
     handle = minors_ideal(MinorSpec(matrix, args.size))
@@ -279,8 +265,8 @@ def cmd_minors(args):
     return EXIT_OK
 
 
-def cmd_det_reduce(args):
-    forms, report = det_reduction_sequence(args.s, args.t, budget=args.budget)
+def cmd_det_reduce(args, budget):
+    forms, report = det_reduction_sequence(args.s, args.t, budget=budget)
     payload = report.as_dict()
     lines = [
         "forms: " + "; ".join(str(f) for f in forms),
@@ -290,10 +276,9 @@ def cmd_det_reduce(args):
     return EXIT_OK if report.equality else EXIT_NEGATIVE
 
 
-def cmd_verify_paper(args):
-    result = run_suite(
-        pattern=args.filter, workers=args.workers, seed=args.seed, budget=args.budget
-    )
+def cmd_verify_paper(args, budget):
+    # one budget per case, not one for the whole suite
+    result = run_suite(pattern=args.filter, seed=args.seed, budget=args.budget)
     if not result.cases:
         print("warning: filter matched no cases", file=sys.stderr)
         return EXIT_OK
@@ -310,13 +295,16 @@ def _add_common(sp, ring=True, budget=True):
     if budget:
         sp.add_argument(
             "--budget", type=int, default=None,
-            help="work budget: Groebner pairs considered, enumerated standard "
-            "monomials, unit cancellations and vectors inserted into an echelon form",
+            help="one work budget for the whole command: Groebner pairs considered, "
+            "enumerated standard monomials, unit cancellations and vectors "
+            "inserted into an echelon form",
         )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use."""
     ap = argparse.ArgumentParser(
         prog="cak", description="exact commutative-algebra toolkit"
     )
@@ -376,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", required=True, help="rows ';'-separated, entries ','-separated")
     sp.set_defaults(fn=cmd_en)
 
-    for name, fn in (("ext", cmd_ext), ("tor", cmd_tor)):
+    for name, dims in (("ext", ext_dims), ("tor", tor_dims)):
         sp = sub.add_parser(name, help=f"{name} dimensions over an Artinian quotient")
         _add_common(sp)
         sp.add_argument("--module", required=True)
         sp.add_argument("--against", default="self", help="self | ring | module file")
         sp.add_argument("--bound", type=int, default=10)
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=cmd_ext_tor, dims=dims)
 
     sp = sub.add_parser("type", help="Cohen-Macaulay type (socle of Artinian reduction)")
     _add_common(sp)
@@ -391,11 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("embdim", help="embedding dimension")
     _add_common(sp, budget=False)
-    sp.set_defaults(fn=cmd_embdim, budget=None)
+    sp.set_defaults(fn=cmd_embdim)
 
     sp = sub.add_parser("socle", help="socle dimension of an Artinian quotient")
     _add_common(sp)
-    sp.set_defaults(fn=cmd_socle)
+    sp.set_defaults(fn=cmd_type, params="")
 
     sp = sub.add_parser("ulrich", help="certify an Ulrich ideal (exit 0 iff certified)")
     _add_common(sp)
@@ -413,14 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("semigroup", help="numerical semigroup ring presentation")
     sp.add_argument("generators", type=int, nargs="+")
     sp.add_argument("--emit-ring", default=None, dest="emit_ring")
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
+    _add_common(sp, ring=False)
     sp.set_defaults(fn=cmd_semigroup)
 
     sp = sub.add_parser("family-2x3", help="four-generated semigroup family check")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
+    _add_common(sp, ring=False)
     sp.set_defaults(fn=cmd_family_2x3)
 
     sp = sub.add_parser("minors", help="ideal of s x s minors")
@@ -432,15 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("det-reduce", help="determinantal reduction-sequence check")
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
+    _add_common(sp, ring=False)
     sp.set_defaults(fn=cmd_det_reduce)
 
     sp = sub.add_parser("verify-paper", help="run the acceptance verification suite")
     sp.add_argument("--filter", default=None, help="case-id glob, e.g. 'c0[12]*'")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=int, default=None, help="work budget of each case")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_verify_paper)
 
@@ -448,10 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, Budget(getattr(args, "budget", None)))
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE

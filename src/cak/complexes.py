@@ -45,18 +45,11 @@ class GenericMatrix:
         row_degrees, col_degrees = self._solve_degrees()
         self.row_degrees = tuple(row_degrees)
         self.col_degrees = tuple(col_degrees)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                p = self.entries[i][j]
-                if p.is_zero():
-                    continue
-                d = p.homogeneous_degree()
-                if d is None or d != self.col_degrees[j] - self.row_degrees[i]:
-                    raise CakError(
-                        f"entry ({i}, {j}) breaks the row/column degree pattern"
-                    )
 
     def _solve_degrees(self):
+        """Row and column degrees read off the nonzero entries.  Every row is
+        processed once, and each of its nonzero entries is checked against
+        the degrees there, so a solution fits every entry."""
         rows = [None] * self.nrows
         cols = [None] * self.ncols
         # propagate degree constraints across the nonzero-entry graph

@@ -59,12 +59,12 @@ def power_parameter_matrix(ell: int, n: int, ring: RingPresentation) -> GenericM
     return GenericMatrix(ring, entries)
 
 
-def generic_matrix(s: int, t: int, field=None):
+def generic_matrix(s: int, t: int):
     """Fresh polynomial ring k[x11..xst] with the matrix of its variables."""
     names = [f"x{i}{j}" for i in range(1, s + 1) for j in range(1, t + 1)]
     if max(s, t) > 9:
         raise PreconditionError("generic matrices use single-digit indices")
-    ring = RingPresentation(names, [1] * (s * t), field)
+    ring = RingPresentation(names, [1] * (s * t))
     entries = [
         [ring.var(f"x{i}{j}") for j in range(1, t + 1)] for i in range(1, s + 1)
     ]
@@ -91,7 +91,7 @@ class DetReductionReport:
         }
 
 
-def det_reduction_sequence(s: int, t: int, field=None, budget=None):
+def det_reduction_sequence(s: int, t: int, budget=None):
     """Linear forms x_ij - x_(i+1)(j+1) on the band plus the off-band
     variables; verifies that the minors ideal plus these forms equals
     (x11..x1,t-s+1)^s plus the forms.
@@ -100,7 +100,7 @@ def det_reduction_sequence(s: int, t: int, field=None, budget=None):
     """
     if 2 * s > t + 1:
         raise PreconditionError("need 2s <= t + 1")
-    ring, matrix = generic_matrix(s, t, field)
+    ring, matrix = generic_matrix(s, t)
 
     band = set()  # B: chained positions in the first s-1 rows
     for i in range(1, s):

@@ -225,7 +225,6 @@ class GroebnerEngine:
         self.budget = budget
         self.G: list[dict] = []
         self.leads: list[int] = []
-        self._ones: list = []
         self._heap: list = []
         self._pending: set = set()
         self._groups: dict[int, list[int]] = {}  # component bits -> indices
@@ -235,7 +234,6 @@ class GroebnerEngine:
         return normal_form_terms(
             dict(terms),
             self.leads,
-            self._ones,
             self.G,
             self.field.p,
             self.ctx.compmask,
@@ -251,7 +249,6 @@ class GroebnerEngine:
         self.G.append(terms)
         lk = max(terms)
         self.leads.append(lk)
-        self._ones.append(1)
         if self.ctx.fhigh and not lk & self.ctx.blockbit:
             # a syzygy of an elimination layout reduces tails, takes no pairs
             return
@@ -340,7 +337,7 @@ class GroebnerEngine:
         """
         ctx = self.ctx
         ring, p, segs, guard = ctx.ring, self.field.p, ctx.segs, ctx.guard
-        G, leads, ones = self.G, self.leads, self._ones
+        G, leads = self.G, self.leads
         for f in sorted((g for g in gens if g), key=max):
             f = self.reduce(f)
             if not f:
@@ -358,7 +355,6 @@ class GroebnerEngine:
                 t, lk = len(G), max(terms)
                 G.append(terms)
                 leads.append(lk)
-                ones.append(1)
                 sigs.append(sig)
                 for j in range(t):
                     lcm_key = ring.lcm_key(leads[j], lk)
@@ -395,7 +391,7 @@ class GroebnerEngine:
                     continue
                 h: dict = {}
                 axpy_terms(h, G[owner], 1, sig - sigs[owner], p, guard)
-                h = normal_form_terms(h, leads, ones, G, p, 0, segs, guard, sig, sigs)
+                h = normal_form_terms(h, leads, G, p, 0, segs, guard, sig, sigs)
                 if not h:
                     self.zero_reductions += 1
                     zero_sigs.append(sig)
@@ -428,7 +424,6 @@ class GroebnerEngine:
             nf = normal_form_terms(
                 self.G[t],
                 [self.leads[s] for s in others],
-                [1] * len(others),
                 [self.G[s] for s in others],
                 self.field.p,
                 ctx.compmask,
@@ -497,7 +492,6 @@ class IdealHandle:
         nf = normal_form_terms(
             p.terms,
             [g.lead_key() for g in gb],
-            [1] * len(gb),
             [g.terms for g in gb],
             self.ring.field.p,
             ctx.compmask,

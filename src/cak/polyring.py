@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._kernel import axpy_terms, mul_terms
 from .errors import (
     CakError,
     DegreeOverflowError,
@@ -463,20 +464,16 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check(other)
-        from ._kernel import add_scaled
-
         out = dict(self.terms)
-        add_scaled(out, other.terms, 1, self.ring.field.p)
+        axpy_terms(out, other.terms, 1, 0, self.ring.field.p, 0)
         return Polynomial(self.ring, out)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             other = self.ring.constant(other)
         self._check(other)
-        from ._kernel import add_scaled
-
         out = dict(self.terms)
-        add_scaled(out, other.terms, -1, self.ring.field.p)
+        axpy_terms(out, other.terms, -1, 0, self.ring.field.p, 0)
         return Polynomial(self.ring, out)
 
     def __neg__(self):
@@ -487,8 +484,6 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        from ._kernel import mul_terms
-
         out = mul_terms(
             self.terms, other.terms, self.ring.field.p, self.ring.one_key, self.ring.guard
         )

@@ -101,21 +101,21 @@ def semigroup_var_names(k: int):
     return [f"X{i}" for i in range(1, k + 1)]
 
 
-def monomial_curve_ring(exponents, field=None, budget=None) -> RingPresentation:
+def monomial_curve_ring(exponents, budget=None) -> RingPresentation:
     """Presentation of k[t^a : a in the list], one variable per exponent in
     the given order; relations = kernel of the monomial map into k[t]."""
     exponents = tuple(int(a) for a in exponents)
     names = semigroup_var_names(len(exponents))
-    ambient = RingPresentation(names, exponents, field)
+    ambient = RingPresentation(names, exponents)
     target = RingPresentation(["t"], [1], ambient.field)
     images = [target.var("t") ** a for a in exponents]
     kernel = ring_map_kernel(RingMap(ambient, target, images), budget)
     return ambient.extend_relations(kernel.gens)
 
 
-def semigroup_ring(S: NumericalSemigroup, field=None, budget=None) -> RingPresentation:
+def semigroup_ring(S: NumericalSemigroup, budget=None) -> RingPresentation:
     """Presentation of the semigroup ring on the minimal generators."""
-    return monomial_curve_ring(S.generators, field, budget)
+    return monomial_curve_ring(S.generators, budget)
 
 
 # the f-table for the four-generated family <10, 14, 16, 2n+1>, by n mod 6
@@ -137,7 +137,7 @@ def _family_f(ring: RingPresentation, n: int):
     return X ** (m + 2) * Y ** (m - 1) * Z
 
 
-def family_2x3_semigroup(n: int, field=None, budget=None):
+def family_2x3_semigroup(n: int, budget=None):
     """The semigroup ring of <10, 14, 16, 2n+1> against its conjectured
     determinantal presentation: 2x2 minors of [[X, Y^2, Z], [Y, Z^2, X^2]]
     plus (W^2 - f) with f selected by n mod 6.
@@ -148,7 +148,7 @@ def family_2x3_semigroup(n: int, field=None, budget=None):
     if n < 6:
         raise PreconditionError("the family assumes n >= 6")
     NumericalSemigroup((10, 14, 16, 2 * n + 1))  # validates gcd/minimality
-    presented = monomial_curve_ring((10, 14, 16, 2 * n + 1), field, budget)
+    presented = monomial_curve_ring((10, 14, 16, 2 * n + 1), budget)
     ring = presented.polynomial_ambient()
     X, Y, Z, W = (ring.var(v) for v in ("X", "Y", "Z", "W"))
     minors = [

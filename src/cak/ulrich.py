@@ -234,14 +234,14 @@ def type_relation_check(R, I, q, d: int, budget=None):
     return lhs, rhs, lhs == rhs, mu
 
 
-def ulrich_model_ring(r: int, v: int, field=None):
+def ulrich_model_ring(r: int, v: int):
     """The Artinian model k[X_1..X_v]/[(X_1..X_r)^2 + (X_{r+1}..X_v)],
     together with the ideal I = (X_1..X_r).  For 1 <= r <= v this carries
     the square-zero Ulrich-style ideal with complete-intersection residue."""
     if not 1 <= r <= v:
         raise PreconditionError("need 1 <= r <= v")
     names = [f"X{i}" for i in range(1, v + 1)]
-    base = RingPresentation(names, [1] * v, field)
+    base = RingPresentation(names, [1] * v)
     rels = []
     for i in range(r):
         for j in range(i, r):

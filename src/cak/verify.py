@@ -1,10 +1,10 @@
 """End-to-end verification suite behind the verify-paper subcommand: one
 case per family of machine-checkable claims.
 
-Every case is pure and independent, so the suite can run cases in any order
-or in parallel; reports are byte-identical for a fixed seed (timing fields
-aside).  Budgets are per-case fail-stop limits, surfaced per case rather
-than aborting the suite.
+Every case is pure and independent; the suite runs them one after another
+in id order, and reports are byte-identical for a fixed seed (timing fields
+aside).  Each case gets its own fail-stop budget, and a case that exhausts
+it is reported as failed rather than aborting the suite.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import itertools
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .complexes import (
@@ -446,7 +445,7 @@ def run_case(case_id: str, fn, seed: int, budget_limit) -> CaseResult:
     start = time.perf_counter()
     error = None
     try:
-        fn(check, seed, Budget(budget_limit) if budget_limit else None)
+        fn(check, seed, Budget(budget_limit))
     except ResourceLimitError as e:
         error = f"resource limit: {e}"
     except Exception as e:  # a case failure must not kill the suite
@@ -489,15 +488,10 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def run_suite(pattern=None, workers=1, seed=DEFAULT_SEED, budget=None) -> SuiteResult:
-    selected = [
-        (cid, fn) for cid, fn in CASES if pattern is None or fnmatch.fnmatch(cid, pattern)
+def run_suite(pattern=None, seed=DEFAULT_SEED, budget=None) -> SuiteResult:
+    results = [
+        run_case(cid, fn, seed, budget)
+        for cid, fn in CASES
+        if pattern is None or fnmatch.fnmatch(cid, pattern)
     ]
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_case, cid, fn, seed, budget) for cid, fn in selected]
-            results = [f.result() for f in futures]
-    else:
-        results = [run_case(cid, fn, seed, budget) for cid, fn in selected]
-    results.sort(key=lambda c: c.id)
     return SuiteResult(seed, results)

@@ -339,6 +339,66 @@ def test_cli_gb_budget_exits_3(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_cli_budget_is_one_total_for_the_whole_command(r1_file, capsys):
+    # the colon spends 171 units over its syzygy steps and the basis of the
+    # result together; no single engine needs more than 120
+    argv = ["ideal-op", "--ring", r1_file, "--op", "colon", "--gens", "X; Y", "--other", "Z; W"]
+    assert main(argv) == 0
+    basis = capsys.readouterr().out
+    assert main(argv + ["--budget", "170"]) == 3
+    assert capsys.readouterr().err == "error: work budget of 170 exceeded\n"
+    assert main(argv + ["--budget", "171"]) == 0
+    assert capsys.readouterr().out == basis
+
+
+def test_cli_verify_paper_budget_zero_is_a_zero_budget(capsys):
+    assert main(["verify-paper", "--filter", "c01*", "--budget", "0"]) == 1
+    assert "resource limit" in capsys.readouterr().out
+
+
+def test_cli_main_builds_its_parser_once(tmp_path, capsys):
+    """Calls in one process, with a usage error between them, print what
+    separate processes print."""
+    from cak.cli import build_parser
+
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps({"field": {"kind": "fp", "p": 32003},
+                                "vars": ["X"], "weights": [1], "relations": ["X^2"]}))
+    kmod = tmp_path / "k.json"
+    kmod.write_text(json.dumps({"ambient_twists": [0], "relations": [["X"]]}))
+    ext = ["ext", "--ring", str(dual), "--module", str(kmod), "--bound", "2"]
+    tor = ["tor", "--ring", str(dual), "--module", str(kmod), "--json"]
+    build_parser.cache_clear()
+    in_process = []
+    for argv in (ext, ["verify-paper", "--workers", "4"], tor, ext):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        in_process.append((rc, capsys.readouterr().out))
+    assert build_parser.cache_info().misses == 1
+    assert in_process[1] == (2, "")
+    assert in_process[3] == in_process[0]
+    src = os.path.dirname(os.path.dirname(cak.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, (rc, out) in zip((ext, tor), (in_process[0], in_process[2])):
+        proc = subprocess.run([sys.executable, "-m", "cak", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (rc, out)
+
+
+@pytest.mark.parametrize("command, matrix, message", [
+    ("en", "x1,x2^2; x2,x1", "inconsistent row/column degrees"),
+    ("minors", "x1,x2 + x1^2; x2,x1", "entry (0, 1) is not homogeneous"),
+])
+def test_cli_matrix_degree_errors_exit_2(plain_file, capsys, command, matrix, message):
+    argv = [command, "--ring", plain_file, "--matrix", matrix]
+    if command == "minors":
+        argv += ["--size", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_socle_not_artinian_names_the_variable(tmp_path, capsys):
     ring = _ring_file(tmp_path, ["x", "y"], ["x^2"])
     assert main(["socle", "--ring", ring]) == 2

@@ -196,7 +196,7 @@ def test_buchberger_criterion_on_output(kxyz):
 
         axpy_terms(s, terms[a], 1, lcm - leads[a], kxyz.field.p, ctx.guard)
         axpy_terms(s, terms[b], -1, lcm - leads[b], kxyz.field.p, ctx.guard)
-        nf = normal_form_terms(s, leads, [1] * len(gb), terms, kxyz.field.p,
+        nf = normal_form_terms(s, leads, terms, kxyz.field.p,
                                ctx.compmask, ctx.segs, ctx.guard)
         assert not nf
 
@@ -284,7 +284,7 @@ def test_random_gb_self_certifies(data):
             axpy_terms(s, tdicts[a], 1, lcm - leads[a], ring.field.p, ctx.guard)
             axpy_terms(s, tdicts[b], -1, lcm - leads[b], ring.field.p, ctx.guard)
             nf = normal_form_terms(
-                s, leads, [1] * len(gb), tdicts, ring.field.p,
+                s, leads, tdicts, ring.field.p,
                 ctx.compmask, ctx.segs, ctx.guard,
             )
             assert not nf

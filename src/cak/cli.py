@@ -157,7 +157,7 @@ def cmd_betti_formula(args, budget):
 
 def cmd_koszul(args, budget):
     ring = load_ring(args.ring)
-    cx = koszul_complex(ring, parse_poly_list(args.elems, ring))
+    cx = koszul_complex(ring, parse_poly_list(args.elems, ring), budget)
     _emit(args, list(cx.ranks()), [json.dumps(list(cx.ranks()))])
     return EXIT_OK
 
@@ -165,7 +165,7 @@ def cmd_koszul(args, budget):
 def cmd_en(args, budget):
     ring = load_ring(args.ring)
     matrix = _matrix_from_text(args.matrix, ring)
-    cx = eagon_northcott(matrix)
+    cx = eagon_northcott(matrix, budget)
     _emit(args, list(cx.ranks()), [json.dumps(list(cx.ranks()))])
     return EXIT_OK
 
@@ -259,7 +259,7 @@ def cmd_family_2x3(args, budget):
 def cmd_minors(args, budget):
     ring = load_ring(args.ring)
     matrix = _matrix_from_text(args.matrix, ring)
-    handle = minors_ideal(MinorSpec(matrix, args.size))
+    handle = minors_ideal(MinorSpec(matrix, args.size), budget=budget)
     gens = [str(g) for g in handle.gens]
     _emit(args, gens, gens)
     return EXIT_OK
@@ -296,8 +296,9 @@ def _add_common(sp, ring=True, budget=True):
         sp.add_argument(
             "--budget", type=int, default=None,
             help="one work budget for the whole command: Groebner pairs considered, "
-            "enumerated standard monomials, unit cancellations and vectors "
-            "inserted into an echelon form",
+            "enumerated standard monomials, unit cancellations, vectors "
+            "inserted into an echelon form, complex basis elements and "
+            "determinant memo entries",
         )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 

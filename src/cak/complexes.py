@@ -1,5 +1,6 @@
-"""Koszul and Eagon-Northcott complexes, tensor products of complexes, the
-closed Betti-rank formula, and certified resolution verification.
+"""Eagon-Northcott complexes, with the Koszul complex of a sequence as the
+Eagon-Northcott complex of its 1 x m matrix, tensor products of complexes,
+the closed Betti-rank formula, and certified resolution verification.
 
 All complexes carry explicit differentials (not just rank bookkeeping) so
 that d o d = 0 and exactness can be checked on the nose.  Basis orderings
@@ -99,13 +100,15 @@ class GenericMatrix:
         return f"GenericMatrix({self.nrows}x{self.ncols})"
 
 
-def determinant(ring, rows) -> Polynomial:
-    """Laplace expansion along the first row, memoized on column subsets."""
+def determinant(ring, rows, budget=None) -> Polynomial:
+    """Laplace expansion along the first row, memoized on column subsets;
+    each memo entry costs one budget unit."""
     n = len(rows)
     if n == 0:
         return ring.one()
     if any(len(r) != n for r in rows):
         raise CakError("determinant of a non-square matrix")
+    budget = _as_budget(budget)
     memo = {}
 
     def rec(i, cols):
@@ -114,6 +117,7 @@ def determinant(ring, rows) -> Polynomial:
         got = memo.get((i, cols))
         if got is not None:
             return got
+        budget.spend()
         acc = ring.zero()
         for pos, j in enumerate(cols):
             a = rows[i][j]
@@ -150,56 +154,39 @@ def leibniz_determinant(ring, rows) -> Polynomial:
 # -- Koszul -------------------------------------------------------------------
 
 
-def koszul_complex(ring: RingPresentation, elems) -> ChainComplex:
-    """Exterior-algebra complex on the given homogeneous elements."""
+def koszul_complex(ring: RingPresentation, elems, budget=None) -> ChainComplex:
+    """Exterior-algebra complex on the given homogeneous elements: the
+    Eagon-Northcott complex of the 1 x m matrix of the elements."""
     elems = list(elems)
-    degs = []
     for f in elems:
         if f.ring is not ring:
             raise CakError("element from a different ring")
         if f.is_zero():
             raise PreconditionError("Koszul complex wants nonzero elements")
-        d = f.homogeneous_degree()
-        if d is None:
+        if f.homogeneous_degree() is None:
             raise PreconditionError("Koszul complex wants homogeneous elements")
-        degs.append(d)
-    m = len(elems)
-    modules = []
-    bases = []
-    for k in range(m + 1):
-        subsets = list(itertools.combinations(range(m), k))
-        bases.append(subsets)
-        modules.append(GradedFreeModule(ring, [sum(degs[i] for i in J) for J in subsets]))
-    maps = []
-    z = ring.zero()
-    for k in range(1, m + 1):
-        src, tgt = bases[k], bases[k - 1]
-        pos = {J: idx for idx, J in enumerate(tgt)}
-        mat = [[z] * len(src) for _ in range(len(tgt))]
-        for cidx, J in enumerate(src):
-            for l, jl in enumerate(J):
-                rest = J[:l] + J[l + 1 :]
-                entry = elems[jl] if l % 2 == 0 else -elems[jl]
-                mat[pos[rest]][cidx] = entry
-        maps.append(PolyMatrix(ring, mat, ncols=len(src)))
-    return ChainComplex(ring, modules, maps)
+    if not elems:
+        return ChainComplex(ring, [GradedFreeModule(ring, [0])], [])
+    return eagon_northcott(GenericMatrix(ring, [elems]), budget)
 
 
 # -- Eagon-Northcott ----------------------------------------------------------
 
 
-def eagon_northcott(matrix: GenericMatrix) -> ChainComplex:
+def eagon_northcott(matrix: GenericMatrix, budget=None) -> ChainComplex:
     """Eagon-Northcott complex of an s x t matrix (s <= t): length t-s+1,
     resolving ring/(maximal minors) when the expected depth is attained.
 
     Step k >= 1 has basis (J, a) with J an (s+k-1)-subset of columns and a an
     exponent vector over the rows with |a| = k-1, ordered lexicographically;
-    rank binom(t, s+k-1) * binom(s+k-2, k-1).
+    rank binom(t, s+k-1) * binom(s+k-2, k-1).  Each basis element costs one
+    budget unit, and so does each memo entry of the minors of d_1.
     """
     s, t = matrix.nrows, matrix.ncols
     if s > t:
         raise PreconditionError("Eagon-Northcott wants s <= t")
     ring = matrix.ring
+    budget = _as_budget(budget)
     rdeg, cdeg = matrix.row_degrees, matrix.col_degrees
     rsum = sum(rdeg)
 
@@ -212,12 +199,14 @@ def eagon_northcott(matrix: GenericMatrix) -> ChainComplex:
                 out.append((first,) + rest)
         return sorted(out)
 
+    budget.spend()
     bases = [[((), ())]]  # Y_0: single generator
     modules = [GradedFreeModule(ring, [0])]
     for k in range(1, t - s + 2):
         basis = []
         for J in itertools.combinations(range(t), s + k - 1):
             for a in compositions(k - 1, s):
+                budget.spend()
                 basis.append((J, a))
         bases.append(basis)
         twists = [
@@ -231,7 +220,7 @@ def eagon_northcott(matrix: GenericMatrix) -> ChainComplex:
     # d_1: (J, ()) -> minor on columns J
     mat = [[z] * len(bases[1])]
     for cidx, (J, _a) in enumerate(bases[1]):
-        mat[0][cidx] = determinant(ring, matrix.submatrix(range(s), J))
+        mat[0][cidx] = determinant(ring, matrix.submatrix(range(s), J), budget)
     maps.append(PolyMatrix(ring, mat, ncols=len(bases[1])))
     for k in range(2, t - s + 2):
         src, tgt = bases[k], bases[k - 1]

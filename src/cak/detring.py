@@ -9,7 +9,7 @@ import itertools
 
 from .complexes import GenericMatrix, determinant
 from .errors import CakError, PreconditionError
-from .groebner import IdealHandle
+from .groebner import IdealHandle, _as_budget
 from .polyring import RingPresentation
 
 
@@ -25,18 +25,20 @@ class MinorSpec:
             raise PreconditionError("minor size exceeds the matrix shape")
 
 
-def minors_ideal(spec, size: int | None = None) -> IdealHandle:
+def minors_ideal(spec, size: int | None = None, budget=None) -> IdealHandle:
     """Ideal generated by all size x size minors, enumerated in
-    colexicographic order on the row and column index sets."""
+    colexicographic order on the row and column index sets; every memo
+    entry of every minor costs one budget unit."""
     if not isinstance(spec, MinorSpec):
         spec = MinorSpec(spec, size)
     m, s = spec.matrix, spec.size
     ring = m.ring
+    budget = _as_budget(budget)
     gens = []
     colex = lambda idx: tuple(reversed(idx))
     for rows in sorted(itertools.combinations(range(m.nrows), s), key=colex):
         for cols in sorted(itertools.combinations(range(m.ncols), s), key=colex):
-            d = determinant(ring, m.submatrix(rows, cols))
+            d = determinant(ring, m.submatrix(rows, cols), budget)
             if not d.is_zero():
                 gens.append(d)
     return IdealHandle(ring, gens)
@@ -100,6 +102,7 @@ def det_reduction_sequence(s: int, t: int, budget=None):
     """
     if 2 * s > t + 1:
         raise PreconditionError("need 2s <= t + 1")
+    budget = _as_budget(budget)
     ring, matrix = generic_matrix(s, t)
 
     band = set()  # B: chained positions in the first s-1 rows
@@ -118,7 +121,7 @@ def det_reduction_sequence(s: int, t: int, budget=None):
                 forms.append(ring.var(f"x{i}{j}"))
 
     q = IdealHandle(ring, forms)
-    minors = minors_ideal(MinorSpec(matrix, s))
+    minors = minors_ideal(MinorSpec(matrix, s), budget=budget)
     lhs = IdealHandle(ring, list(minors.gens) + list(q.gens))
     linear = IdealHandle(ring, [ring.var(f"x1{j}") for j in range(1, t - s + 2)])
     rhs = IdealHandle(ring, list(linear.power(s).gens) + list(q.gens))

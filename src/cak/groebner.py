@@ -47,8 +47,10 @@ class Budget:
     cancelled by ``resolve.minimalize``, per generator of each monomial
     ideal met by the ``resolve.hilbert_numerator`` recursion and per vector
     inserted into a ``_linalg.Echelon`` (the Artinian resolution steps, the
-    Hom/Tensor ranks of Ext/Tor and the socle).  Exceeding the limit is an
-    error, never a wrong answer."""
+    Hom/Tensor ranks of Ext/Tor and the socle), per basis element of an
+    Eagon-Northcott or Koszul complex and per memo entry of a
+    ``complexes.determinant``.  Exceeding the limit is an error, never a
+    wrong answer."""
 
     __slots__ = ("limit", "used")
 
@@ -782,15 +784,7 @@ class RingMap:
         """Image of a source polynomial."""
         if p.ring is not self.source:
             raise CakError("polynomial from a different ring")
-        out = self.target.zero()
-        src = self.source
-        for k, c in p.terms.items():
-            term = self.target.constant(c)
-            for i, e in enumerate(src.decode(k)):
-                if e:
-                    term = term * self.images[i] ** e
-            out = out + term
-        return out
+        return p.evaluate(self.images, self.target)
 
 
 def ring_map_kernel(rmap: RingMap, budget=None) -> IdealHandle:

@@ -440,9 +440,6 @@ class Polynomial:
             raise PreconditionError("zero polynomial has no lead term")
         return max(self.terms)
 
-    def lead_coeff(self):
-        return self.terms[self.lead_key()]
-
     def homogeneous_degree(self) -> int | None:
         """Weighted degree if homogeneous, None otherwise; error on zero."""
         if not self.terms:
@@ -522,16 +519,20 @@ class Polynomial:
     def substitute(self, images: dict) -> "Polynomial":
         """Evaluate with variables replaced by polynomials of the same ring."""
         ring = self.ring
-        gens = ring.gens()
-        table = []
-        for i, name in enumerate(ring.vars):
-            table.append(images.get(name, gens[i]))
-        out = ring.zero()
+        return self.evaluate(
+            [images.get(name, g) for name, g in zip(ring.vars, ring.gens())], ring
+        )
+
+    def evaluate(self, images, target: RingPresentation) -> "Polynomial":
+        """The polynomial of ``target`` with variable i replaced by
+        ``images[i]``: each term's coefficient times its variables' images
+        raised to their exponents."""
+        out = target.zero()
         for k, c in self.terms.items():
-            term = ring.constant(c)
-            for i, e in enumerate(ring.decode(k)):
+            term = target.constant(c)
+            for image, e in zip(images, self.ring.decode(k)):
                 if e:
-                    term = term * table[i] ** e
+                    term = term * image ** e
             out = out + term
         return out
 

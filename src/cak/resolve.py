@@ -22,6 +22,11 @@ A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
 consumer (`minimal_free_resolution`, Ext, Tor, the AR checker) reads it and
 extends it only as far as it needs.
+
+Regular sequences are decided by the Hilbert series alone: homogeneous
+elements of positive degrees d_i are regular iff the Hilbert numerator of
+the quotient by them is the ring's times prod(1 - t^(d_i))
+(`is_regular_sequence`), the one certificate `graded_rank_check` uses.
 """
 
 from __future__ import annotations
@@ -37,10 +42,9 @@ from .groebner import (
     IdealHandle,
     ModuleContext,
     _as_budget,
-    _rank_one,
+    lead_exponents,
     minimal_generating_subset,
     minimal_generator_count,
-    module_membership_engine,
     module_syzygies,
     staircase,
     standard_monomials,
@@ -315,9 +319,8 @@ class _GradedArtinian:
         self.p = ring.field.p
         self.one = ring.field.coerce(1)
         self.defining_ideal = defining_ideal
-        self.standard = {ring.encode(e) for e in std}
         self.by_degree: dict[int, list[int]] = {}
-        for key in sorted(self.standard):
+        for key in sorted(map(ring.encode, std)):
             self.by_degree.setdefault(ring.key_degree(key), []).append(key)
         self.top = max(self.by_degree, default=-1)
         self._nf: dict[int, tuple] = {}
@@ -334,8 +337,8 @@ class _GradedArtinian:
         return None if missing else cls(ring, relh, std)
 
     def times(self, s: int, vec: dict) -> dict:
-        """Normal form of the standard monomial ``s`` times ``vec``, whose
-        monomials are standard or ``s`` is 1."""
+        """Normal form of the standard monomial ``s`` times ``vec``, an
+        element of F (x) R."""
         out = {}
         p, cache, one_key, guard = self.p, self._nf, self.ring.one_key, self.ring.guard
         bits = ModuleContext.COMP_BITS
@@ -368,9 +371,10 @@ class _GradedArtinian:
         self._nf[key] = nf
         return nf
 
-    def minimal(self, vecs, degrees, budget) -> list[int]:
-        """Indices of a minimal generating subset of the elements ``vecs``
-        of F (x) R of the given degrees: visited by (degree, index), an
+    def minimal(self, vecs, degrees, twists, budget):
+        """A minimal generating subset of the elements ``vecs`` of F (x) R of
+        the given degrees, F with basis degrees ``twists``: (matrix of the
+        kept elements, their degrees).  Visited by (degree, index), an
         element of degree t is kept iff it is not in the span of
         R_(t - deg c) * c over the kept c of lower degree and the kept
         elements of degree t (the graded Nakayama rule)."""
@@ -384,17 +388,9 @@ class _GradedArtinian:
             for j in group:
                 if ech.insert(dict(vecs[j])):
                     kept.append(j)
-        return sorted(kept)
-
-    def first_step(self, module: PresentedModule, budget):
-        """The minimal subset of the relation columns of ``module``: (matrix
-        of the kept columns, their degrees)."""
-        cols = module.relations.cols
-        vecs = [self.times(self.ring.one_key, col) for col in cols]
-        degs = module.column_degrees
-        keep = self.minimal(vecs, degs, budget)
-        mat = PolyMatrix.packed(self.ring, module.ambient.rank, [cols[j] for j in keep])
-        return mat, [degs[j] for j in keep]
+        kept.sort()
+        mat = PolyMatrix.packed(self.ring, len(twists), [vecs[j] for j in kept])
+        return mat, [degrees[j] for j in kept]
 
     def syzygy_step(self, matrix: PolyMatrix, twists, budget):
         """Minimal generators of the kernel of d (x) R for the matrix d
@@ -403,25 +399,16 @@ class _GradedArtinian:
         elimination of the images of its standard basis; the minimal
         subset of the K_t is then a complement of R_+ * K in each K_t."""
         ctx = ModuleContext(self.ring, matrix.ncols)
-        bits, one_key = ModuleContext.COMP_BITS, self.ring.one_key
-        # the kernel vectors of a step lie in F (x) R already; the relation
-        # columns kept by the first step need not
-        cols = [
-            col if all(k >> bits in self.standard for k in col) else self.times(one_key, col)
-            for col in matrix.cols
-        ]
         kernel, degs = [], []
         for t in range(min(twists), max(twists) + self.top + 1):
             ech = Echelon(self.p, budget)
-            for j, (tw, col) in enumerate(zip(twists, cols)):
+            for j, (tw, col) in enumerate(zip(twists, matrix.cols)):
                 for s in self.by_degree.get(t - tw, ()):
                     combo = {ctx.key(j, s): self.one}
                     if not ech.insert(self.times(s, col), combo):
                         kernel.append(combo)
                         degs.append(t)
-        keep = self.minimal(kernel, degs, budget)
-        mat = PolyMatrix.packed(self.ring, ctx.ncomp, [kernel[j] for j in keep])
-        return mat, [degs[j] for j in keep]
+        return self.minimal(kernel, degs, twists, budget)
 
 
 class Resolution:
@@ -490,12 +477,14 @@ class ResolutionBuilder:
         self.maps: list[PolyMatrix] = []
         self._artinian = _GradedArtinian.of(ring, budget)
         # the next differential and its column degrees, computed but not
-        # yet appended: termination is seen one step after the last map
+        # yet appended: termination is seen one step after the last map.
+        # presentation_minimalize left every relation entry reduced modulo
+        # the relations, so over an Artinian ring the columns lie in F (x) R
+        cols, degs = module.relations.cols, module.column_degrees
         if self._artinian is not None:
-            self._next = self._artinian.first_step(module, budget)
+            self._next = self._artinian.minimal(cols, degs, twists0, budget)
         else:
-            cols = module.relations.cols
-            self._next = _minimal_columns(ring, cols, module.column_degrees, twists0, budget)
+            self._next = _minimal_columns(ring, cols, degs, twists0, budget)
         self.complete = not self._next[1]
 
     def extend(self, n_maps: int, budget=None):
@@ -727,8 +716,14 @@ def alternating_twist_sum(complex: ChainComplex) -> dict[int, int]:
 
 
 def is_regular_sequence(ring, elems, budget=None) -> bool:
-    """First-Koszul-homology test: the given homogeneous nonunits form a
-    regular sequence iff every syzygy lies in the Koszul submodule."""
+    """Hilbert-series test: homogeneous elements f_i of positive degrees d_i
+    of the graded ring R = ring/(relations) form a regular sequence iff
+    HS(R/(f)) = HS(R) * prod(1 - t^(d_i)) (Stanley, Adv. Math. 28 (1978)),
+    compared as Hilbert numerators read off lead-term ideals.  The
+    difference is the sum over k of t^(d_k) * HS(0 : f_k in
+    R/(f_1..f_(k-1))) * prod_(j>k) (1 - t^(d_j)); each nonzero summand has a
+    positive lowest coefficient, so the sum vanishes only when every
+    annihilator does."""
     elems = list(elems)
     budget = _as_budget(budget)
     if any(e.is_zero() for e in elems):
@@ -738,20 +733,21 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
             raise PreconditionError("regular-sequence test wants homogeneous elements")
         if e.degree() == 0:
             return False
-    n = len(elems)
-    if n == 0:
+    if not elems:
         return True
-    syz = module_syzygies(ring, _rank_one(ring, elems), nrows=1, budget=budget)
-    ctx = ModuleContext(ring, n)
-    koszul_cols = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            col = [ring.zero()] * n
-            col[i] = elems[j]
-            col[j] = -elems[i]
-            koszul_cols.append(ctx.from_column(col))
-    _, engine = module_membership_engine(ring, koszul_cols, n, budget=budget)
-    return all(engine.contains(s) for s in syz)
+    if any(r.homogeneous_degree() is None for r in ring.relations):
+        raise PreconditionError("regular-sequence test wants homogeneous relations")
+    want = hilbert_numerator(lead_exponents(IdealHandle(ring, ()), budget), ring.weights, budget)
+    for e in elems:
+        # times (1 - t^d)
+        d, before = e.degree(), want
+        want = dict(before)
+        for t, c in before.items():
+            want[t + d] = want.get(t + d, 0) - c
+            if not want[t + d]:
+                del want[t + d]
+    got = hilbert_numerator(lead_exponents(IdealHandle(ring, elems), budget), ring.weights, budget)
+    return got == want
 
 
 def graded_rank_check(ring, q_ideal: IdealHandle, i: int, budget=None) -> int:
@@ -759,10 +755,10 @@ def graded_rank_check(ring, q_ideal: IdealHandle, i: int, budget=None) -> int:
     polynomial ring generated by a homogeneous regular sequence; asserts it
     equals binom(i + n - 1, n - 1).
 
-    Regularity is certified by the length criterion (len(S/Q) * prod(weights)
-    = prod(degrees)) when S/Q is Artinian, by first Koszul homology otherwise;
-    in the Artinian case, the layer length is also checked against a free
-    S/Q-module of the asserted rank.
+    Regularity is certified by the Hilbert series (``is_regular_sequence``).
+    When S/Q is Artinian, its length is then prod(degrees) / prod(weights),
+    and the layer length is also checked against a free S/Q-module of the
+    asserted rank.
     """
     budget = _as_budget(budget)
     if ring.relations:
@@ -774,24 +770,16 @@ def graded_rank_check(ring, q_ideal: IdealHandle, i: int, budget=None) -> int:
     for g in gens:
         if g.homogeneous_degree() is None:
             raise PreconditionError("parameter ideal generators must be homogeneous")
-    try:
-        len_sq = module_length(q_ideal, budget)
-    except NotArtinianError:
-        len_sq = None
-    if len_sq is not None and n == len(ring.vars):
-        prod_deg = math.prod(g.degree() for g in gens)
-        prod_w = math.prod(ring.weights)
-        if len_sq * prod_w != prod_deg:
-            raise PreconditionError("non-regular sequence detected (length test)")
-    elif not is_regular_sequence(ring, gens, budget):
-        raise PreconditionError("non-regular sequence detected (Koszul test)")
+    if not is_regular_sequence(ring, gens, budget):
+        raise PreconditionError("non-regular sequence detected")
     qi = q_ideal.power(i)
     # Q^(i+1) sits inside m*Q^i, so mu(Q^i / Q^(i+1)) = mu(Q^i)
     mu = minimal_generator_count(ring, qi.gens, budget)
     expected = math.comb(i + n - 1, n - 1)
     if mu != expected:
         raise CakError(f"rank of Q^{i}/Q^{i + 1} is {mu}, expected {expected}")
-    if len_sq is not None:
+    if n == len(ring.vars):
+        len_sq = math.prod(g.degree() for g in gens) // math.prod(ring.weights)
         layer = module_length(q_ideal.power(i + 1), budget) - module_length(qi, budget)
         if layer != expected * len_sq:
             raise CakError("layer length does not match a free S/Q-module of that rank")

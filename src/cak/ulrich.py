@@ -39,10 +39,6 @@ def _handle(ring, gens) -> IdealHandle:
     return IdealHandle(ring, gens)
 
 
-def _length(ring, gens, budget) -> int:
-    return module_length(IdealHandle(ring, list(gens)), budget)
-
-
 def is_parameter_ideal(R, q, d: int, budget=None) -> bool:
     """True iff q has exactly d homogeneous generators and R/q is Artinian."""
     ring = as_presentation(R)
@@ -53,7 +49,7 @@ def is_parameter_ideal(R, q, d: int, budget=None) -> bool:
         if g.homogeneous_degree() is None:
             return False
     try:
-        _length(ring, q.gens, budget)
+        module_length(q, budget)
     except NotArtinianError:
         return False
     return True
@@ -116,8 +112,8 @@ def is_ulrich(R, I, q, d: int, budget=None) -> UlrichReport:
     """
     ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
 
-    len_RI = _length(ring, I.gens, budget)
-    len_Rq = _length(ring, q.gens, budget)
+    len_RI = module_length(I, budget)
+    len_Rq = module_length(q, budget)
     mu = minimal_generator_count(ring, I.gens, budget)
 
     I2 = I.power(2)
@@ -125,7 +121,7 @@ def is_ulrich(R, I, q, d: int, budget=None) -> UlrichReport:
     i2_eq_qi = I2.equal(qI, budget)
     i_not_q = not I.equal(q, budget)
 
-    len_RI2 = _length(ring, I2.gens, budget)
+    len_RI2 = module_length(I2, budget)
     free = (len_RI2 - len_RI) == mu * len_RI
 
     ci, _v, _mu = is_complete_intersection(ring, I.gens, budget)
@@ -187,13 +183,13 @@ def check_structure_conditions(R, I, q, d: int, budget=None) -> StructureReport:
     I2 = I.power(2)
     i2_in_q = all(q.contains_poly(g, budget) for g in I2.gens)
     q_proper = not I.equal(q, budget)
-    len_RI = _length(ring, I.gens, budget)
-    len_Rq = _length(ring, q.gens, budget)
+    len_RI = module_length(I, budget)
+    len_Rq = module_length(q, budget)
     len_ImodQ = len_Rq - len_RI
     m_gens = ring.gens()
     mI_gens = [v * g for v in m_gens for g in I.gens]
     # rank of a minimal free cover of I/q over R/I: dim I/(q + mI)
-    rank = _length(ring, list(q.gens) + mI_gens, budget) - len_RI
+    rank = module_length(IdealHandle(ring, q.gens + tuple(mI_gens)), budget) - len_RI
     free = i2_in_q and len_ImodQ == rank * len_RI
     ci, _v, _mu = is_complete_intersection(ring, I.gens, budget)
     return StructureReport(
@@ -213,12 +209,12 @@ def type_relation_check(R, I, q, d: int, budget=None):
     is free over R/I.  Returns (lhs, rhs, equal, mu)."""
     ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
 
-    len_RI = _length(ring, I.gens, budget)
-    len_Rq = _length(ring, q.gens, budget)
+    len_RI = module_length(I, budget)
+    len_Rq = module_length(q, budget)
     mu = minimal_generator_count(ring, I.gens, budget)
     m_gens = ring.gens()
     mI_gens = [v * g for v in m_gens for g in I.gens]
-    len_q_mI = _length(ring, list(q.gens) + mI_gens, budget)
+    len_q_mI = module_length(IdealHandle(ring, q.gens + tuple(mI_gens)), budget)
     if mu - (len_q_mI - len_RI) != d:
         raise PreconditionError(
             "q generators are not part of a minimal generating set of I"

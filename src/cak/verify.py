@@ -243,7 +243,7 @@ def case_05_power_minors(check: Check, seed, budget):
         Q = IdealHandle(ring, ring.gens())
         mat = power_parameter_matrix(l, n, ring)
         check.expect(
-            minors_ideal(MinorSpec(mat, l)).equal(Q.power(l), budget),
+            minors_ideal(MinorSpec(mat, l), budget=budget).equal(Q.power(l), budget),
             f"minors != Q^{l} for (l,n)=({l},{n})",
         )
     ranks = {}
@@ -264,16 +264,16 @@ def case_06_eagon_northcott(check: Check, seed, budget):
 
     for q in (2, 3, 4):
         ring, gm = generic_matrix(2, q)
-        cx = eagon_northcott(gm)
+        cx = eagon_northcott(gm, budget)
         want = tuple([1] + [k * math.comb(q, k + 1) for k in range(1, q)])
         check.equal(cx.ranks(), want, f"EN ranks 2x{q}")
-        target = PresentedModule.cyclic(ring, minors_ideal(MinorSpec(gm, 2)).gens)
+        target = PresentedModule.cyclic(ring, minors_ideal(MinorSpec(gm, 2), budget=budget).gens)
         rep = verify_resolution(cx, target, budget)
         check.expect(rep.ok, f"EN 2x{q} verification: {rep.messages}")
     for n in (1, 2, 3):
         ring = RingPresentation([f"x{i}" for i in range(1, n + 1)], [1] * n)
         mat = power_parameter_matrix(2, n, ring)
-        cx = eagon_northcott(mat)
+        cx = eagon_northcott(mat, budget)
         for k in range(len(cx.ranks())):
             check.equal(
                 cx.ranks()[k], eagon_northcott_rank(2, n + 1, k), f"EN rank (2,n={n},k={k})"

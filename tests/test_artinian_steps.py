@@ -9,7 +9,7 @@ import pytest
 from cak import QQ, RingPresentation, parse_poly_list
 from cak.cli import main
 from cak.errors import ResourceLimitError
-from cak.groebner import Budget
+from cak.groebner import Budget, ModuleContext
 from cak.quotient import (
     QuotientRing,
     ext_dims,
@@ -62,6 +62,36 @@ def test_tor_is_balanced(name, seed):
     k = residue_field_presentation(ring)
     ranks = list(minimal_free_resolution(M, max_length=3).total_ranks()) + [0] * 4
     assert [tor_zero_dim(R, k, M)] + tor_dims(R, k, M, 3) == ranks[:4]
+
+
+@pytest.mark.parametrize("name", sorted(BALANCE_RINGS))
+def test_first_differential_has_only_standard_monomials(name):
+    """Relation columns planted with multiples of J keep none of them: the
+    presentation is reduced modulo J before the first step, so the Artinian
+    steps read every column as an element of F (x) R as it is."""
+    ring = artinian_ring(*BALANCE_RINGS[name])
+    standard = {m.key() for m in QuotientRing(ring).standard_basis()}
+    is_standard = lambda col: all(k >> ModuleContext.COMP_BITS in standard for k in col)
+    rng = random.Random(f"standard {name}")
+    planted = 0
+    for _ in range(6):
+        rank = rng.choice((1, 2))
+        cols = []
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 4)
+            col = []
+            for _ in range(rank):
+                r = rng.choice(ring.relations)
+                multiple = r * random_form(ring, d - r.degree(), rng, zero_chance=0.0)
+                col.append(random_form(ring, d, rng, zero_chance=0.4) + multiple)
+            cols.append(col)
+        relations = PolyMatrix.from_columns(ring, rank, cols)
+        planted += not all(map(is_standard, relations.cols))
+        builder = PresentedModule(ring, GradedFreeModule(ring, (0,) * rank), relations).resolution()
+        builder.extend(1)
+        assert builder._artinian is not None
+        assert all(map(is_standard, builder.differential(1).cols))
+    assert planted
 
 
 def test_zero_ring_outputs_are_pinned():

@@ -356,6 +356,29 @@ def test_cli_verify_paper_budget_zero_is_a_zero_budget(capsys):
     assert "resource limit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["koszul", "--elems", "x1; x2"],
+    ["en", "--matrix", "x1,x2,0; 0,x1,x2"],
+    ["minors", "--matrix", "x1,x2,0; 0,x1,x2", "--size", "2"],
+])
+def test_cli_complex_and_minors_commands_charge_the_budget(plain_file, capsys, argv):
+    argv = [argv[0], "--ring", plain_file, *argv[1:]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--budget", "0"]) == 3
+    assert capsys.readouterr() == ("", "error: work budget of 0 exceeded\n")
+
+
+def test_cli_minors_of_a_large_matrix_stop_at_the_budget(plain_file, capsys):
+    # one 14 x 14 minor: the Laplace memo holds 2^14 - 1 column subsets
+    rng = random.Random(14)
+    matrix = "; ".join(",".join(rng.choice(("x1", "x2")) for _ in range(14)) for _ in range(14))
+    argv = ["minors", "--ring", plain_file, "--matrix", matrix, "--size", "14", "--budget", "1000"]
+    with deadline(20):
+        assert main(argv) == 3
+    assert capsys.readouterr().err == "error: work budget of 1000 exceeded\n"
+
+
 def test_cli_main_builds_its_parser_once(tmp_path, capsys):
     """Calls in one process, with a usage error between them, print what
     separate processes print."""

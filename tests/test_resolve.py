@@ -204,7 +204,7 @@ def test_graded_rank_check_rejects_nonregular():
 
 
 def test_graded_rank_check_non_artinian_branch():
-    # a regular sequence shorter than the variable count: Koszul-certified
+    # a regular sequence shorter than the variable count: no layer length
     ring = RingPresentation(["x1", "x2", "x3"], [1, 1, 1])
     Q = IdealHandle(ring, PL(ring, "x1; x2"))
     assert graded_rank_check(ring, Q, 2) == 3
@@ -218,6 +218,13 @@ def test_is_regular_sequence(kxy, kxyz):
     assert not is_regular_sequence(
         quotient, PL(quotient, "x; y; z")
     )
+
+
+def test_is_regular_sequence_wants_homogeneous_relations(kxy):
+    # an inhomogeneous relation leaves R ungraded: no Hilbert series to compare
+    ring = kxy.extend_relations(PL(kxy, "x^2 - y"))
+    with pytest.raises(PreconditionError, match="homogeneous relations"):
+        is_regular_sequence(ring, PL(ring, "x"))
 
 
 def test_filtration_length_additivity():

@@ -121,6 +121,32 @@ def test_type_relation_hypersurface():
     assert (lhs, rhs, equal) == (1, 1, True)
 
 
+@pytest.mark.parametrize("check", [is_ulrich, check_structure_conditions, type_relation_check])
+def test_certifiers_compute_each_groebner_basis_once(r1, check, monkeypatch):
+    """The handles of I, q and I^2 keep their bases: no Buchberger run in
+    the ring of I repeats an earlier one."""
+    import sys
+
+    from cak import groebner
+
+    R, I, q = r1
+    ring = I.ring
+    calls = []
+    original = groebner.buchberger
+
+    def counting(dicts, ctx, *args, **kwargs):
+        if ctx.ring is ring:
+            calls.append(tuple(sorted(tuple(sorted(d.items())) for d in dicts)))
+        return original(dicts, ctx, *args, **kwargs)
+
+    # patch every cak module that holds the function, not only its home
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cak" and getattr(mod, "buchberger", None) is original:
+            monkeypatch.setattr(mod, "buchberger", counting)
+    check(R, I, q, 1)
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_model_ring_examples():
     R, I = ulrich_model_ring(1, 1)
     assert [str(r) for r in R.presentation.relations] == ["X1^2"]

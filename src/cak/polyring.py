@@ -516,13 +516,6 @@ class Polynomial:
                 base = base * base
         return out
 
-    def substitute(self, images: dict) -> "Polynomial":
-        """Evaluate with variables replaced by polynomials of the same ring."""
-        ring = self.ring
-        return self.evaluate(
-            [images.get(name, g) for name, g in zip(ring.vars, ring.gens())], ring
-        )
-
     def evaluate(self, images, target: RingPresentation) -> "Polynomial":
         """The polynomial of ``target`` with variable i replaced by
         ``images[i]``: each term's coefficient times its variables' images

@@ -4,17 +4,19 @@ Membership and normal forms over R take place in the S-lift: a submodule
 of R^r is computed as the submodule of S^r that contains J*S^r, whose
 generators J*e_i come from ``groebner.relation_multiples``; an
 :class:`ArtinianModule` takes packed columns and reads its standard basis
-off such an engine.  Minimal
-R-free resolutions over a graded Artinian R are linear algebra on the
-standard monomials of R (see :mod:`cak.resolve`); over other quotients they
-read syzygies in S of the columns together with J*e_i.  Ext and Tor are
-finite-dimensional linear algebra over the coefficient field on a
-standard-monomial basis, so R (and the second argument) must be Artinian;
-positive-dimensional inputs are first cut down by an explicit parameter
-sequence, as the certification workflows do.  Every rank (Hom, Tensor,
-socle) is taken by the one sparse echelon form of :mod:`cak._linalg`, which
-charges the budget one unit per inserted vector; the Hom and Tensor
-matrices are assembled from the packed columns of the differentials.
+off such an engine.  Minimal R-free resolutions over a graded Artinian R
+are linear algebra on the standard monomials of R (see :mod:`cak.resolve`);
+over other quotients they read syzygies in S of the columns together with
+J*e_i.  Ext and Tor are finite-dimensional linear algebra over the
+coefficient field on a standard-monomial basis, so R (and the second
+argument) must be Artinian; positive-dimensional inputs are first cut down
+by an explicit parameter sequence, as the certification workflows do.
+Every rank (Hom, Tensor, socle) is taken by the one sparse echelon form of
+:mod:`cak._linalg`, which charges the budget one unit per inserted vector;
+the Hom and Tensor matrices are assembled from the packed columns of the
+differentials.  The socle and the complete-intersection test of S/K read
+the handle of K and build no second quotient ring: S/K is a complete
+intersection iff mu(K) = n = ht K, counted on the basis the handle caches.
 
 Ext, Tor and Tor_0 read the first module's own resolution
 (`PresentedModule.resolution`): it is computed once per module object and
@@ -22,8 +24,6 @@ extended on demand, so repeated calls on one module resolve it once.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from ._linalg import Echelon, matrix_rank
 from .errors import CakError, NotArtinianError, PreconditionError, RingMismatchError
@@ -51,6 +51,12 @@ def as_presentation(R) -> RingPresentation:
     return R.presentation if isinstance(R, QuotientRing) else R
 
 
+def _handle(ring, gens) -> IdealHandle:
+    if isinstance(gens, IdealHandle):
+        return gens
+    return IdealHandle(ring, gens)
+
+
 class QuotientRing:
     """Ring presentation with relations, plus cached Artinian data.  The
     ``defining_ideal`` handle holds the one Groebner basis of the relations
@@ -66,23 +72,22 @@ class QuotientRing:
     def standard_basis(self, budget=None):
         """Standard monomials of the defining ideal (Artinian case)."""
         if self._std is None:
-            if self.defining_ideal.is_unit(budget):
-                raise CakError("relations generate the unit ideal")
-            self._std = tuple(standard_monomials(self.defining_ideal, budget))
+            self._std = _standard_basis(self.defining_ideal, budget)
         return self._std
 
     def length(self, budget=None) -> int:
         return len(self.standard_basis(budget))
 
-    def is_artinian(self, budget=None) -> bool:
-        try:
-            self.standard_basis(budget)
-            return True
-        except NotArtinianError:
-            return False
-
     def __repr__(self):
         return f"QuotientRing({self.presentation!r})"
+
+
+def _standard_basis(ideal: IdealHandle, budget) -> tuple:
+    """Standard monomials of ring/(ideal + relations), which must be
+    Artinian and nonzero."""
+    if ideal.is_unit(budget):
+        raise CakError("relations generate the unit ideal")
+    return tuple(standard_monomials(ideal, budget))
 
 
 def quotient_of(R, extra) -> QuotientRing:
@@ -94,35 +99,39 @@ def quotient_of(R, extra) -> QuotientRing:
 # -- basic invariants ---------------------------------------------------------
 
 
+def _linear_rank(ring, polys) -> int:
+    """Rank of the linear parts (the coefficients of the variables)."""
+    unit_keys = [ring.var_key(i) for i in range(len(ring.vars))]
+    rows = [row for row in ([p.terms.get(k, 0) for k in unit_keys] for p in polys) if any(row)]
+    return matrix_rank(rows, ring.field.p)
+
+
 def embedding_dim(R) -> int:
     """dim m/m^2: variables minus the rank of the relations' linear parts."""
     ring = as_presentation(R)
-    n = len(ring.vars)
-    rows = []
-    unit_keys = [ring.var_key(i) for i in range(n)]
-    for rel in ring.relations:
-        row = [rel.terms.get(k, 0) for k in unit_keys]
-        if any(row):
-            rows.append(row)
-    return n - matrix_rank(rows, ring.field.p)
+    return len(ring.vars) - _linear_rank(ring, ring.relations)
 
 
 def socle_dim(R, budget=None) -> int:
-    """Dimension of (0 : m) in an Artinian quotient: the normal forms of
-    the standard monomials times every variable, one row per monomial, have
-    rank dim - socle."""
+    """Dimension of (0 : m) in an Artinian quotient."""
     R = R if isinstance(R, QuotientRing) else QuotientRing(as_presentation(R))
     budget = _as_budget(budget)
-    basis = [m.key() for m in R.standard_basis(budget)]
-    ring = R.presentation
-    index = {k: i for i, k in enumerate(basis)}
+    return _socle(R.defining_ideal, R.standard_basis(budget), budget)
+
+
+def _socle(ideal: IdealHandle, basis, budget) -> int:
+    """Socle dimension of ring/(ideal + relations), whose standard monomials
+    are ``basis``: the normal forms of the standard monomials times every
+    variable, one row per monomial, have rank dim - socle."""
+    ring = ideal.ring
+    index = {m.key(): i for i, m in enumerate(basis)}
     one = ring.field.coerce(1)
     ech = Echelon(ring.field.p, budget)
-    for k in basis:
+    for k in index:
         row = {}
         for i in range(len(ring.vars)):
             shifted = Polynomial(ring, {ring.mul_keys(ring.var_key(i), k): one})
-            for key, c in R.defining_ideal.normal_form(shifted, budget).terms.items():
+            for key, c in ideal.normal_form(shifted, budget).terms.items():
                 row[i * len(basis) + index[key]] = c
         ech.insert(row)
     return len(basis) - ech.rank
@@ -135,14 +144,19 @@ def cm_type(R, params, budget=None) -> int:
     by the Artinian check after cutting.
     """
     ring = as_presentation(R)
+    budget = _as_budget(budget)
     params = [p if isinstance(p, Polynomial) else parse_poly(p, ring) for p in params]
     for p in params:
         if p.is_zero() or p.homogeneous_degree() is None:
             raise PreconditionError("parameters must be nonzero homogeneous")
-    cut = quotient_of(ring, params)
-    if not cut.is_artinian(budget):
-        raise PreconditionError("params are not a system of parameters (quotient not Artinian)")
-    return socle_dim(cut, budget)
+    cut = IdealHandle(ring, params)
+    try:
+        basis = _standard_basis(cut, budget)
+    except NotArtinianError:
+        raise PreconditionError(
+            "params are not a system of parameters (quotient not Artinian)"
+        ) from None
+    return _socle(cut, basis, budget)
 
 
 # -- module presentations over R ---------------------------------------------
@@ -332,49 +346,22 @@ def cyclic_presentation(R, gens) -> PresentedModule:
     return PresentedModule.cyclic(ring, gens)
 
 
-# -- minimal presentations and complete intersections --------------------------
-
-
-def minimal_presentation(ring: RingPresentation, extra_gens=(), budget=None):
-    """Substitute away every variable that occurs linearly in a defining
-    relation.  Returns (polynomial subring, defining generators there)."""
-    gens = [g for g in itertools.chain(ring.relations, extra_gens) if not g.is_zero()]
-    work_ring = ring.polynomial_ambient()
-    gens = [g.transfer(work_ring) for g in gens]
-    while True:
-        hit = None
-        for g in gens:
-            for i in range(len(work_ring.vars)):
-                c = g.terms.get(work_ring.var_key(i))
-                if c:
-                    hit = (g, i, c)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        g, i, c = hit
-        name = work_ring.vars[i]
-        rest = g - work_ring.var(name).scale(c)
-        image = rest.scale(work_ring.field.neg(work_ring.field.inv(c)))
-        substituted = [q.substitute({name: image}) for q in gens]
-        keep = [v for v in work_ring.vars if v != name]
-        new_ring = work_ring.restrict(keep)
-        gens = [q.reencode(new_ring) for q in substituted if not q.is_zero()]
-        work_ring = new_ring
-    return work_ring, gens
+# -- complete intersections by the height test --------------------------------
 
 
 def is_complete_intersection(ring: RingPresentation, extra_gens=(), budget=None):
-    """Whether ring/(relations + extra) is an Artinian complete intersection.
-
-    Reduces to a minimal presentation, then compares the minimal number of
-    defining relations with the number of remaining variables (= codimension
-    for a zero-dimensional quotient).  Returns (flag, embdim, mu).
-    """
-    sub_ring, gens = minimal_presentation(ring, extra_gens, budget)
-    handle = IdealHandle(sub_ring, gens)
-    standard_monomials(handle, budget)  # raises if not finite-dimensional
-    mu = minimal_generator_count(sub_ring, gens, budget)
-    v = len(sub_ring.vars)
-    return mu == v, v, mu
+    """Whether ring/(relations + extra) is an Artinian complete intersection:
+    K = relations + extra is then m-primary in S = k[x_1..x_n], so S/K is
+    one iff mu(K) = n = ht K (Bruns-Herzog 2.3).  mu(K) is counted over S on
+    the reduced basis that the handle of K (``extra_gens`` may be one)
+    caches, so K must be homogeneous.  Returns (flag, embdim, mu): embdim is
+    n - rank of the linear parts of K, and mu = mu(K) - (n - embdim)."""
+    budget = _as_budget(budget)
+    K = _handle(ring, extra_gens)
+    _standard_basis(K, budget)  # raises unless ring/K is Artinian and nonzero
+    ambient = ring.polynomial_ambient()
+    basis = [g.transfer(ambient) for g in K.groebner_basis(budget)]
+    mu = minimal_generator_count(ambient, basis, budget)
+    n = len(ring.vars)
+    v = n - _linear_rank(ring, basis)
+    return mu == n, v, mu - (n - v)

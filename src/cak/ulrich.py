@@ -5,68 +5,98 @@ instance-level vanishing-implies-free checker.
 Freeness of I/I^2 and I/q is decided by the length criterion: a surjection
 from a free module of the right rank is bijective iff the lengths agree.
 All lengths are standard-monomial counts in the ambient polynomial ring, so
-every verdict is exact.
+every verdict is exact.  One handle per ideal: lengths, socles and the
+residue complete-intersection test are read off the handles of I and q, so
+no Groebner basis is completed twice and no quotient ring is built.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import NotArtinianError, PreconditionError
-from .groebner import IdealHandle, _as_budget
+from .groebner import IdealHandle, _as_budget, lead_exponents, standard_monomials
 from .polyring import RingPresentation, parse_poly
 from .quotient import (
     QuotientRing,
+    _handle,
     _homology_dims,
+    _socle,
     as_presentation,
     free_module_presentation,
     is_complete_intersection,
     is_free_module,
     minimal_generator_count,
     quotient_of,
-    socle_dim,
 )
 from .resolve import (
     PresentedModule,
+    hilbert_numerator,
     is_regular_sequence,
     module_length,
 )
 
 
-def _handle(ring, gens) -> IdealHandle:
-    if isinstance(gens, IdealHandle):
-        return gens
-    return IdealHandle(ring, gens)
+def _krull_dim(relations: IdealHandle, budget) -> int:
+    """Krull dimension of ring/relations (-1 for the zero ring): n minus the
+    order of (1 - t) in the Hilbert numerator of the lead-term ideal, which
+    has the same dimension, so inhomogeneous relations are fine."""
+    ring = relations.ring
+    num = hilbert_numerator(lead_exponents(relations, budget), ring.weights, budget)
+    coeffs = [num.get(i, 0) for i in range(max(num, default=-1) + 1)]
+    order = 0
+    while coeffs and not sum(coeffs):
+        # divide by 1 - t: the partial sums, the last of which is 0
+        coeffs = list(itertools.accumulate(coeffs))[:-1]
+        order += 1
+    return len(ring.vars) - order if coeffs else -1
+
+
+def _parameter_basis(R, q: IdealHandle, d: int, budget):
+    """Standard monomials of R/q when q is a parameter ideal of R: d = dim R
+    generators, homogeneous of positive degree, with R/q Artinian; else
+    None.  An Artinian R/q already bounds dim R by d (Krull's height
+    theorem), so the dimension is read only when d > 0."""
+    if len(q.gens) != d or not all(g.homogeneous_degree() for g in q.gens):
+        return None
+    try:
+        basis = standard_monomials(q, budget)
+    except NotArtinianError:
+        return None
+    relations = R.defining_ideal if isinstance(R, QuotientRing) else IdealHandle(q.ring, ())
+    if d and _krull_dim(relations, budget) != d:
+        return None
+    return basis
 
 
 def is_parameter_ideal(R, q, d: int, budget=None) -> bool:
-    """True iff q has exactly d homogeneous generators and R/q is Artinian."""
-    ring = as_presentation(R)
-    q = _handle(ring, q)
-    if len(q.gens) != d:
-        return False
-    for g in q.gens:
-        if g.homogeneous_degree() is None:
-            return False
-    try:
-        module_length(q, budget)
-    except NotArtinianError:
-        return False
-    return True
+    """True iff q has exactly d = dim R homogeneous generators of positive
+    degree and R/q is Artinian."""
+    q = _handle(as_presentation(R), q)
+    return _parameter_basis(R, q, d, _as_budget(budget)) is not None
 
 
 def _parameter_pair(R, I, q, d: int, budget):
-    """The ring, both ideals as handles and the budget, once q is checked to
-    be a parameter ideal of d generators contained in I."""
+    """The ring, both ideals as handles, the budget and the standard
+    monomials of R/I and of R/q, once q is checked to be a parameter ideal
+    of d generators contained in I."""
     ring = as_presentation(R)
     I = _handle(ring, I)
     q = _handle(ring, q)
     budget = _as_budget(budget)
-    if not is_parameter_ideal(R, q, d, budget):
+    basis_q = _parameter_basis(R, q, d, budget)
+    if basis_q is None:
         raise PreconditionError("q is not a parameter ideal of the stated dimension")
     if not all(I.contains_poly(g, budget) for g in q.gens):
         raise PreconditionError("q is not contained in I")
-    return ring, I, q, budget
+    return ring, I, q, budget, standard_monomials(I, budget), basis_q
+
+
+def _cover_rank(ring, I: IdealHandle, q: IdealHandle, len_RI: int, budget) -> int:
+    """Rank of a minimal free cover of I/q over R/I: dim I/(q + mI)."""
+    mI = [v * g for v in ring.gens() for g in I.gens]
+    return module_length(IdealHandle(ring, q.gens + tuple(mI)), budget) - len_RI
 
 
 @dataclass
@@ -110,22 +140,21 @@ def is_ulrich(R, I, q, d: int, budget=None) -> UlrichReport:
     Preconditions: q is a parameter ideal of d homogeneous generators with
     Artinian quotient, and q is contained in I.
     """
-    ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
+    ring, I, q, budget, basis_I, basis_q = _parameter_pair(R, I, q, d, budget)
 
-    len_RI = module_length(I, budget)
-    len_Rq = module_length(q, budget)
+    len_RI = len(basis_I)
     mu = minimal_generator_count(ring, I.gens, budget)
 
     I2 = I.power(2)
-    qI = q.product(I) if q.gens else IdealHandle(ring, ())
+    qI = q.product(I) if q.gens else q
     i2_eq_qi = I2.equal(qI, budget)
     i_not_q = not I.equal(q, budget)
 
     len_RI2 = module_length(I2, budget)
     free = (len_RI2 - len_RI) == mu * len_RI
 
-    ci, _v, _mu = is_complete_intersection(ring, I.gens, budget)
-    gor = socle_dim(quotient_of(ring, I.gens), budget) == 1
+    ci, _v, _mu = is_complete_intersection(ring, I, budget)
+    gor = _socle(I, basis_I, budget) == 1
 
     return UlrichReport(
         q_is_parameter_reduction=i2_eq_qi,
@@ -136,7 +165,7 @@ def is_ulrich(R, I, q, d: int, budget=None) -> UlrichReport:
         residue_complete_intersection=ci,
         residue_gorenstein=gor,
         len_R_mod_I=len_RI,
-        len_I_mod_q=len_Rq - len_RI,
+        len_I_mod_q=len(basis_q) - len_RI,
         mu_I=mu,
     )
 
@@ -178,20 +207,15 @@ class StructureReport:
 
 
 def check_structure_conditions(R, I, q, d: int, budget=None) -> StructureReport:
-    ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
+    ring, I, q, budget, basis_I, basis_q = _parameter_pair(R, I, q, d, budget)
 
-    I2 = I.power(2)
-    i2_in_q = all(q.contains_poly(g, budget) for g in I2.gens)
+    i2_in_q = all(q.contains_poly(g, budget) for g in I.power(2).gens)
     q_proper = not I.equal(q, budget)
-    len_RI = module_length(I, budget)
-    len_Rq = module_length(q, budget)
-    len_ImodQ = len_Rq - len_RI
-    m_gens = ring.gens()
-    mI_gens = [v * g for v in m_gens for g in I.gens]
-    # rank of a minimal free cover of I/q over R/I: dim I/(q + mI)
-    rank = module_length(IdealHandle(ring, q.gens + tuple(mI_gens)), budget) - len_RI
+    len_RI = len(basis_I)
+    len_ImodQ = len(basis_q) - len_RI
+    rank = _cover_rank(ring, I, q, len_RI, budget)
     free = i2_in_q and len_ImodQ == rank * len_RI
-    ci, _v, _mu = is_complete_intersection(ring, I.gens, budget)
+    ci, _v, _mu = is_complete_intersection(ring, I, budget)
     return StructureReport(
         i2_in_q=i2_in_q,
         q_proper_in_I=q_proper,
@@ -207,26 +231,21 @@ def type_relation_check(R, I, q, d: int, budget=None):
     """Compare r(R) with (mu(I) - d) * r(R/I) after verifying that q sits
     inside I as part of a minimal generating set, I^2 is inside q, and I/q
     is free over R/I.  Returns (lhs, rhs, equal, mu)."""
-    ring, I, q, budget = _parameter_pair(R, I, q, d, budget)
+    ring, I, q, budget, basis_I, basis_q = _parameter_pair(R, I, q, d, budget)
 
-    len_RI = module_length(I, budget)
-    len_Rq = module_length(q, budget)
+    len_RI = len(basis_I)
     mu = minimal_generator_count(ring, I.gens, budget)
-    m_gens = ring.gens()
-    mI_gens = [v * g for v in m_gens for g in I.gens]
-    len_q_mI = module_length(IdealHandle(ring, q.gens + tuple(mI_gens)), budget)
-    if mu - (len_q_mI - len_RI) != d:
+    if mu - _cover_rank(ring, I, q, len_RI, budget) != d:
         raise PreconditionError(
             "q generators are not part of a minimal generating set of I"
         )
-    I2 = I.power(2)
-    if not all(q.contains_poly(g, budget) for g in I2.gens):
+    if not all(q.contains_poly(g, budget) for g in I.power(2).gens):
         raise PreconditionError("I^2 is not contained in q")
-    if (len_Rq - len_RI) != (mu - d) * len_RI:
+    if (len(basis_q) - len_RI) != (mu - d) * len_RI:
         raise PreconditionError("I/q is not free over R/I (length mismatch)")
 
-    lhs = socle_dim(quotient_of(ring, q.gens), budget)
-    rhs = (mu - d) * socle_dim(quotient_of(ring, I.gens), budget)
+    lhs = _socle(q, basis_q, budget)
+    rhs = (mu - d) * _socle(I, basis_I, budget)
     return lhs, rhs, lhs == rhs, mu
 
 
@@ -250,6 +269,13 @@ def ulrich_model_ring(r: int, v: int):
     return R, I
 
 
+def _circulant_quotient(S: RingPresentation, fgh):
+    """S modulo the 2x2 minors of [[f, g, h], [h, f, g]], and f, g, h as
+    polynomials of S (parsed when given as strings)."""
+    f, g, h = (parse_poly(p, S) if isinstance(p, str) else p for p in fgh)
+    return quotient_of(S, [f * f - g * h, g * g - h * f, h * h - f * g]), (f, g, h)
+
+
 def circulant_ulrich_family(S: RingPresentation, f, g, h, f1=None, budget=None):
     """Quotient by the 2x2 minors of [[f, g, h], [h, f, g]], i.e. by
     (f^2 - g*h, g^2 - h*f, h^2 - f*g), for a homogeneous regular sequence
@@ -259,25 +285,18 @@ def circulant_ulrich_family(S: RingPresentation, f, g, h, f1=None, budget=None):
     Returns (R, report) or (R, report, report1).
     """
     budget = _as_budget(budget)
-    f, g, h = (parse_poly(p, S) if isinstance(p, str) else p for p in (f, g, h))
+    R, (f, g, h) = _circulant_quotient(S, (f, g, h))
     if not is_regular_sequence(S, [f, g, h], budget):
         raise PreconditionError("f, g, h is not a regular sequence of length 3")
-    rels = [f * f - g * h, g * g - h * f, h * h - f * g]
-    R = quotient_of(S, rels)
     ring = R.presentation
-    lift = lambda p: p.transfer(ring)
-    I = IdealHandle(ring, [lift(f), lift(g), lift(h)])
-    q = IdealHandle(ring, [lift(f)])
-    report = is_ulrich(R, I, q, 1, budget)
+    lift = lambda *ps: IdealHandle(ring, [p.transfer(ring) for p in ps])
+    report = is_ulrich(R, lift(f, g, h), lift(f), 1, budget)
     if f1 is None:
         return R, report
     f1 = parse_poly(f1, S) if isinstance(f1, str) else f1
     if not IdealHandle(S, [f1]).contains_poly(f, budget):
         raise PreconditionError("f1 does not divide f")
-    I1 = IdealHandle(ring, [lift(f1), lift(g), lift(h)])
-    q1 = IdealHandle(ring, [lift(f1)])
-    report1 = is_ulrich(R, I1, q1, 1, budget)
-    return R, report, report1
+    return R, report, is_ulrich(R, lift(f1, g, h), lift(f1), 1, budget)
 
 
 @dataclass

@@ -52,6 +52,7 @@ from .resolve import (
 )
 from .semigroup import family_2x3_semigroup
 from .ulrich import (
+    _circulant_quotient,
     ar_instance_check,
     circulant_ulrich_family,
     is_ulrich,
@@ -300,10 +301,9 @@ def case_07_type_relation(check: Check, seed, budget):
         ("x2yz", ("X^2", "Y", "Z"), "X"),
         ("xy2z3", ("X", "Y^2", "Z^3"), None),
     ):
-        out = circulant_ulrich_family(S3, *fgh, f1=f1, budget=budget)
-        R = out[0]
+        R, fgh_S = _circulant_quotient(S3, fgh)
         ring = R.presentation
-        f, g, h = (parse_poly_list(";".join(fgh), ring))
+        f, g, h = (p.transfer(ring) for p in fgh_S)
         I = IdealHandle(ring, [f, g, h])
         q = IdealHandle(ring, [f])
         lhs, rhs, equal, mu = type_relation_check(R, I, q, 1, budget)

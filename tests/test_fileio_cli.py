@@ -147,6 +147,16 @@ def test_cli_ulrich_exit_codes(r1_file, capsys):
     capsys.readouterr()
 
 
+def test_cli_ulrich_reduction_at_the_wrong_dimension_exits_2(tmp_path, capsys):
+    # k[X,Y]/(X^2, Y^2) has dimension 0, so no one-generator q is a parameter ideal
+    ring = _ring_file(tmp_path, ["X", "Y"], ["X^2", "Y^2"])
+    argv = ["ulrich", "--ring", ring, "--ideal", "X;Y", "--reduction", "X", "--dim", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: q is not a parameter ideal of the stated dimension\n"
+    )
+
+
 def test_cli_usage_error_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["gb", "--ring", missing, "--gens", "x"]) == 2

@@ -235,7 +235,7 @@ def test_lcm_key_matches_exponent_definition(ring):
 
 def test_substitute(kxyz):
     p = P(kxyz, "x^2 + y")
-    out = p.substitute({"x": P(kxyz, "z"), "y": P(kxyz, "z^2")})
+    out = p.evaluate([P(kxyz, "z"), P(kxyz, "z^2"), P(kxyz, "z")], kxyz)
     assert out == P(kxyz, "2*z^2")
 
 

@@ -16,7 +16,6 @@ from cak.quotient import (
     free_module_presentation,
     is_complete_intersection,
     is_free_module,
-    minimal_presentation,
     quotient_of,
     residue_field_presentation,
     socle_dim,
@@ -146,23 +145,34 @@ def test_embedding_dim_examples(r1_ring):
     assert embedding_dim(elim) == 1
 
 
-def test_minimal_presentation_eliminates():
-    ring = RingPresentation(["X", "Y"], [2, 1])
-    sub, gens = minimal_presentation(ring, PL(ring, "X - Y^2; X^2"))
-    assert sub.vars == ("Y",)
-    assert [str(g) for g in gens] == ["Y^4"]
-    plain = RingPresentation(["X", "Y"], [1, 1])
-    sub2, gens2 = minimal_presentation(plain, PL(plain, "X^2 - Y^2"))
-    assert sub2.vars == ("X", "Y")
-    assert len(gens2) == 1
-
-
 def test_is_complete_intersection(r1_ring):
     ok, v, mu = is_complete_intersection(r1_ring, PL(r1_ring, "X; Z; W"))
     assert ok and (v, mu) == (1, 1)
     square = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "X*Y", "Y^2"])
     ok, v, mu = is_complete_intersection(square)
     assert not ok and (v, mu) == (2, 3)
+
+
+def test_is_complete_intersection_rejects_the_unit_ideal():
+    plain = RingPresentation(["X", "Y"], [1, 1])
+    with pytest.raises(CakError) as err:
+        is_complete_intersection(plain, PL(plain, "1"))
+    assert str(err.value) == "relations generate the unit ideal"
+
+
+def test_is_complete_intersection_wants_homogeneous_K():
+    # K = (X - Y^2, X^2) = (X - Y^2, Y^4): not homogeneous over weights (1, 1)
+    plain = RingPresentation(["X", "Y"], [1, 1])
+    with pytest.raises(PreconditionError, match="homogeneous"):
+        is_complete_intersection(plain, PL(plain, "X - Y^2; X^2"))
+    # the same generators are homogeneous over weights (2, 1)
+    weighted = RingPresentation(["X", "Y"], [2, 1])
+    assert is_complete_intersection(weighted, PL(weighted, "X - Y^2; X^2")) == (True, 1, 1)
+
+
+def test_is_complete_intersection_wants_an_artinian_quotient(kxy):
+    with pytest.raises(NotArtinianError, match="no pure power of y"):
+        is_complete_intersection(kxy, PL(kxy, "x^2"))
 
 
 def test_ext_presentation_independent(square_zero):

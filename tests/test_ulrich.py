@@ -2,8 +2,10 @@ import pytest
 
 from cak import RingPresentation, PreconditionError
 from cak.groebner import IdealHandle, ideal_ops
+from cak.polyring import Polynomial
 from cak.quotient import (
     QuotientRing,
+    cm_type,
     embedding_dim,
     free_module_presentation,
     quotient_of,
@@ -12,6 +14,7 @@ from cak.quotient import (
 )
 from cak.resolve import module_length
 from cak.ulrich import (
+    _circulant_quotient,
     ar_instance_check,
     check_structure_conditions,
     circulant_ulrich_family,
@@ -37,6 +40,21 @@ def test_is_parameter_ideal(r1, kxy):
     assert is_parameter_ideal(R, q, 1)
     assert not is_parameter_ideal(QuotientRing(kxy), IdealHandle(kxy, PL(kxy, "x*y")), 2)
     assert is_parameter_ideal(QuotientRing(kxy), IdealHandle(kxy, PL(kxy, "x; y")), 2)
+    ring = R.presentation
+    # a unit generator is homogeneous of degree 0, not a parameter
+    assert not is_parameter_ideal(R, IdealHandle(ring, PL(ring, "1")), 1)
+    # dim R = 1, though R/(X, Y) is Artinian
+    assert not is_parameter_ideal(ring, IdealHandle(ring, PL(ring, "X; Y")), 2)
+    # dim k[X,Y]/(X^2, Y^2) = 0: one generator is one too many
+    art = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "Y^2"])
+    assert not is_parameter_ideal(QuotientRing(art), IdealHandle(art, PL(art, "X")), 1)
+    assert is_parameter_ideal(QuotientRing(art), IdealHandle(art, []), 0)
+    # the dimension is read off the lead ideal, inhomogeneous relations too
+    S3 = RingPresentation(["X", "Y", "Z"], [1, 1, 1])
+    c04, _ = _circulant_quotient(S3, ("X^2", "Y", "Z"))
+    ring = c04.presentation
+    assert is_parameter_ideal(c04, IdealHandle(ring, PL(ring, "X")), 1)
+    assert not is_parameter_ideal(c04, IdealHandle(ring, PL(ring, "X; Y")), 2)
 
 
 def test_is_ulrich_curve_instance(r1):
@@ -77,6 +95,11 @@ def test_parameter_pair_precondition_messages(r1, check):
     with pytest.raises(PreconditionError) as err:
         check(R, I, bad_q, 1)
     assert str(err.value) == "q is not contained in I"
+    # k[X,Y]/(X^2, Y^2) has dimension 0, so no one-generator q will do
+    art = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "Y^2"])
+    with pytest.raises(PreconditionError) as err:
+        check(QuotientRing(art), PL(art, "X; Y"), PL(art, "X"), 1)
+    assert str(err.value) == "q is not a parameter ideal of the stated dimension"
 
 
 def test_structure_conditions_curve(r1):
@@ -95,7 +118,7 @@ def test_structure_conditions_model_d0():
 
 
 def test_structure_conditions_negative():
-    ring = RingPresentation(["x", "y"], [1, 1], relations=["x^3", "x*y", "y^3"])
+    ring = RingPresentation(["x", "y"], [1, 1], relations=["x*y", "y^3"])
     R = QuotientRing(ring)
     I = IdealHandle(ring, PL(ring, "x; y"))
     q = IdealHandle(ring, PL(ring, "x"))
@@ -121,30 +144,48 @@ def test_type_relation_hypersurface():
     assert (lhs, rhs, equal) == (1, 1, True)
 
 
-@pytest.mark.parametrize("check", [is_ulrich, check_structure_conditions, type_relation_check])
-def test_certifiers_compute_each_groebner_basis_once(r1, check, monkeypatch):
-    """The handles of I, q and I^2 keep their bases: no Buchberger run in
-    the ring of I repeats an earlier one."""
+@pytest.mark.parametrize(
+    "check",
+    [
+        is_ulrich,
+        check_structure_conditions,
+        type_relation_check,
+        lambda R, I, q, d: cm_type(R, q.gens),
+    ],
+    ids=["is_ulrich", "check_structure_conditions", "type_relation_check", "cm_type"],
+)
+def test_certifiers_compute_each_groebner_basis_once(r1_ring, check, monkeypatch):
+    """The handles of I, q and I^2 keep their bases, and the socle and the
+    CI test read them: no Buchberger run repeats an earlier one, in the ring
+    of I or in any other presentation of the same generators.  Checked on
+    the monomial-curve instance and the three circulant instances of c04."""
     import sys
 
     from cak import groebner
 
-    R, I, q = r1
-    ring = I.ring
     calls = []
     original = groebner.buchberger
 
     def counting(dicts, ctx, *args, **kwargs):
-        if ctx.ring is ring:
-            calls.append(tuple(sorted(tuple(sorted(d.items())) for d in dicts)))
+        ambient = ctx.ring.polynomial_ambient()
+        terms = (Polynomial(ctx.ring, d).transfer(ambient).terms for d in dicts)
+        calls.append((ambient.vars, tuple(sorted(tuple(sorted(t.items())) for t in terms))))
         return original(dicts, ctx, *args, **kwargs)
 
     # patch every cak module that holds the function, not only its home
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "cak" and getattr(mod, "buchberger", None) is original:
             monkeypatch.setattr(mod, "buchberger", counting)
-    check(R, I, q, 1)
-    assert calls and len(calls) == len(set(calls))
+    instances = [(QuotientRing(r1_ring), PL(r1_ring, "X; Z; W"), PL(r1_ring, "X"))]
+    S3 = RingPresentation(["X", "Y", "Z"], [1, 1, 1])
+    for fgh in (("X", "Y", "Z"), ("X^2", "Y", "Z"), ("X", "Y^2", "Z^3")):
+        R, polys = _circulant_quotient(S3, fgh)
+        f, g, h = (p.transfer(R.presentation) for p in polys)
+        instances.append((R, [f, g, h], [f]))
+    for R, I, q in instances:
+        calls.clear()
+        check(R, IdealHandle(R.presentation, I), IdealHandle(R.presentation, q), 1)
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_model_ring_examples():

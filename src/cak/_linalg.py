@@ -66,9 +66,10 @@ class Echelon:
         return False
 
 
-def matrix_rank(rows, p) -> int:
-    """Rank of a dense matrix given as a list of rows."""
-    ech = Echelon(p)
+def matrix_rank(rows, p, budget=None) -> int:
+    """Rank of a dense matrix given as a list of rows; a ``budget`` is
+    charged one unit per row."""
+    ech = Echelon(p, budget)
     for row in rows:
         ech.insert({j: v for j, v in enumerate(row) if v})
     return ech.rank

@@ -25,12 +25,15 @@ extended on demand, so repeated calls on one module resolve it once.
 
 from __future__ import annotations
 
+import itertools
+
 from ._linalg import Echelon, matrix_rank
 from .errors import CakError, NotArtinianError, PreconditionError, RingMismatchError
 from .groebner import (
     IdealHandle,
     ModuleContext,
     _as_budget,
+    lead_exponents,
     minimal_generator_count,
     module_membership_engine,
     staircase,
@@ -42,6 +45,7 @@ from .resolve import (
     GradedFreeModule,
     PolyMatrix,
     PresentedModule,
+    hilbert_numerator,
     lead_module_per_component,
     minimal_free_resolution,
 )
@@ -58,16 +62,36 @@ def _handle(ring, gens) -> IdealHandle:
 
 
 class QuotientRing:
-    """Ring presentation with relations, plus cached Artinian data.  The
-    ``defining_ideal`` handle holds the one Groebner basis of the relations
-    that the standard basis and the socle both read."""
+    """Ring presentation with relations, plus cached Artinian data and
+    dimension.  The ``defining_ideal`` handle holds the one Groebner basis
+    of the relations that the standard basis, the socle and the dimension
+    read."""
 
-    __slots__ = ("presentation", "defining_ideal", "_std")
+    __slots__ = ("presentation", "defining_ideal", "_std", "_dim")
 
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
         self.defining_ideal = IdealHandle(presentation, ())
         self._std = None
+        self._dim = None
+
+    def dimension(self, budget=None) -> int:
+        """Krull dimension (-1 for the zero ring), computed once: n minus
+        the order of (1 - t) in the Hilbert numerator of the lead-term ideal
+        of the relations, which has the same dimension, so inhomogeneous
+        relations are fine."""
+        if self._dim is None:
+            ring = self.presentation
+            leads = lead_exponents(self.defining_ideal, budget)
+            num = hilbert_numerator(leads, ring.weights, budget)
+            coeffs = [num.get(i, 0) for i in range(max(num, default=-1) + 1)]
+            order = 0
+            while coeffs and not sum(coeffs):
+                # divide by 1 - t: the partial sums, the last of which is 0
+                coeffs = list(itertools.accumulate(coeffs))[:-1]
+                order += 1
+            self._dim = len(ring.vars) - order if coeffs else -1
+        return self._dim
 
     def standard_basis(self, budget=None):
         """Standard monomials of the defining ideal (Artinian case)."""
@@ -99,11 +123,11 @@ def quotient_of(R, extra) -> QuotientRing:
 # -- basic invariants ---------------------------------------------------------
 
 
-def _linear_rank(ring, polys) -> int:
+def _linear_rank(ring, polys, budget=None) -> int:
     """Rank of the linear parts (the coefficients of the variables)."""
     unit_keys = [ring.var_key(i) for i in range(len(ring.vars))]
     rows = [row for row in ([p.terms.get(k, 0) for k in unit_keys] for p in polys) if any(row)]
-    return matrix_rank(rows, ring.field.p)
+    return matrix_rank(rows, ring.field.p, budget)
 
 
 def embedding_dim(R) -> int:
@@ -363,5 +387,5 @@ def is_complete_intersection(ring: RingPresentation, extra_gens=(), budget=None)
     basis = [g.transfer(ambient) for g in K.groebner_basis(budget)]
     mu = minimal_generator_count(ambient, basis, budget)
     n = len(ring.vars)
-    v = n - _linear_rank(ring, basis)
+    v = n - _linear_rank(ring, basis, budget)
     return mu == n, v, mu - (n - v)

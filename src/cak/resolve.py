@@ -18,6 +18,12 @@ syzygies off the pair reductions of one module completion, which processes
 the pairs of the row block only (Schreyer), and picks the minimal subset
 with a module Groebner basis.
 
+A third route skips the steps altogether.  Over a graded ring that is not
+Artinian, a cyclic R/(f_1..f_m) with m <= n homogeneous f_i of positive
+degree that form a regular sequence (`is_regular_sequence`) is resolved
+by the Koszul complex on the f_i (Bruns-Herzog, Cor. 1.6.19), whose
+entries are the f_i up to sign, so it is minimal.
+
 A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
 consumer (`minimal_free_resolution`, Ext, Tor, the AR checker) reads it and
@@ -454,6 +460,23 @@ def presentation_minimalize(module: PresentedModule, budget=None):
     return PresentedModule(ring, amb, PolyMatrix.packed(ring, amb.rank, cols))
 
 
+def _koszul_resolution(module: PresentedModule, budget):
+    """The Koszul complex on f, the minimal resolution of ``module`` with
+    its ambient twist taken as 0, when ``module`` is R/(f) as in the module
+    docstring's third route; else None."""
+    ring = module.ring
+    if module.ambient.rank != 1 or any(r.homogeneous_degree() is None for r in ring.relations):
+        return None
+    f = module.relations.entries[0]
+    if not 0 < len(f) <= len(ring.vars) or not all(g.homogeneous_degree() for g in f):
+        return None
+    if not is_regular_sequence(ring, f, budget):
+        return None
+    from .complexes import koszul_complex  # complexes imports this module
+
+    return koszul_complex(ring, f, budget)
+
+
 class ResolutionBuilder:
     """Incremental minimal free resolution: one syzygy step at a time.
 
@@ -463,6 +486,10 @@ class ResolutionBuilder:
     Artinian ring and by lift-to-ambient syzygies over any other; over a
     proper quotient minimal resolutions are generally infinite.  ``budget``
     pays for the first step only; each ``extend`` charges its caller's.
+
+    A cyclic R/(f), f a homogeneous regular sequence of m <= n elements of
+    positive degree over a graded R that is not Artinian, is resolved whole
+    at construction by the Koszul complex on f (``_koszul_resolution``).
     """
 
     def __init__(self, module: PresentedModule, budget=None):
@@ -476,6 +503,13 @@ class ResolutionBuilder:
         self.modules = [GradedFreeModule(ring, twists0)]
         self.maps: list[PolyMatrix] = []
         self._artinian = _GradedArtinian.of(ring, budget)
+        koszul = None if self._artinian is not None else _koszul_resolution(module, budget)
+        if koszul is not None:
+            self.maps = koszul.maps
+            self.modules = [GradedFreeModule(ring, [t + twists0[0] for t in m.twists])
+                            for m in koszul.modules]
+            self._next, self.complete = None, True
+            return
         # the next differential and its column degrees, computed but not
         # yet appended: termination is seen one step after the last map.
         # presentation_minimalize left every relation entry reduced modulo

@@ -12,11 +12,10 @@ no Groebner basis is completed twice and no quotient ring is built.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import NotArtinianError, PreconditionError
-from .groebner import IdealHandle, _as_budget, lead_exponents, standard_monomials
+from .groebner import IdealHandle, _as_budget, standard_monomials
 from .polyring import RingPresentation, parse_poly
 from .quotient import (
     QuotientRing,
@@ -32,25 +31,9 @@ from .quotient import (
 )
 from .resolve import (
     PresentedModule,
-    hilbert_numerator,
     is_regular_sequence,
     module_length,
 )
-
-
-def _krull_dim(relations: IdealHandle, budget) -> int:
-    """Krull dimension of ring/relations (-1 for the zero ring): n minus the
-    order of (1 - t) in the Hilbert numerator of the lead-term ideal, which
-    has the same dimension, so inhomogeneous relations are fine."""
-    ring = relations.ring
-    num = hilbert_numerator(lead_exponents(relations, budget), ring.weights, budget)
-    coeffs = [num.get(i, 0) for i in range(max(num, default=-1) + 1)]
-    order = 0
-    while coeffs and not sum(coeffs):
-        # divide by 1 - t: the partial sums, the last of which is 0
-        coeffs = list(itertools.accumulate(coeffs))[:-1]
-        order += 1
-    return len(ring.vars) - order if coeffs else -1
 
 
 def _parameter_basis(R, q: IdealHandle, d: int, budget):
@@ -64,8 +47,8 @@ def _parameter_basis(R, q: IdealHandle, d: int, budget):
         basis = standard_monomials(q, budget)
     except NotArtinianError:
         return None
-    relations = R.defining_ideal if isinstance(R, QuotientRing) else IdealHandle(q.ring, ())
-    if d and _krull_dim(relations, budget) != d:
+    R = R if isinstance(R, QuotientRing) else QuotientRing(q.ring)
+    if d and R.dimension(budget) != d:
         return None
     return basis
 
@@ -84,6 +67,8 @@ def _parameter_pair(R, I, q, d: int, budget):
     ring = as_presentation(R)
     I = _handle(ring, I)
     q = _handle(ring, q)
+    if I.gens == q.gens:  # one handle, so one basis, when I = q
+        I = q
     budget = _as_budget(budget)
     basis_q = _parameter_basis(R, q, d, budget)
     if basis_q is None:
@@ -146,7 +131,7 @@ def is_ulrich(R, I, q, d: int, budget=None) -> UlrichReport:
     mu = minimal_generator_count(ring, I.gens, budget)
 
     I2 = I.power(2)
-    qI = q.product(I) if q.gens else q
+    qI = I2 if q is I else q.product(I) if q.gens else q
     i2_eq_qi = I2.equal(qI, budget)
     i_not_q = not I.equal(q, budget)
 

@@ -1,8 +1,10 @@
+import random
 import sys
 
 import pytest
 
 from cak import RingPresentation, PreconditionError
+from cak._linalg import matrix_rank
 from cak.errors import CakError, NotArtinianError, ResourceLimitError
 from cak.groebner import Budget, ModuleContext, module_syzygies
 from cak.quotient import (
@@ -173,6 +175,21 @@ def test_is_complete_intersection_wants_homogeneous_K():
 def test_is_complete_intersection_wants_an_artinian_quotient(kxy):
     with pytest.raises(NotArtinianError, match="no pure power of y"):
         is_complete_intersection(kxy, PL(kxy, "x^2"))
+
+
+def test_matrix_rank_charges_its_budget(r1_ring):
+    """One unit per row: a dense 400 x 400 rank over F_32003 ends in
+    ResourceLimitError under a budget of 50 instead of running to the end,
+    and the CI test charges the rank of the linear parts of K's basis (the
+    three rows of X, Z and W) to its caller's budget."""
+    rng = random.Random("matrix rank budget")
+    rows = [[rng.randrange(32003) for _ in range(400)] for _ in range(400)]
+    with deadline(5), pytest.raises(ResourceLimitError):
+        matrix_rank(rows, 32003, Budget(50))
+    assert matrix_rank(rows[:3], 32003, Budget(3)) == 3
+    budget = Budget()
+    assert is_complete_intersection(r1_ring, PL(r1_ring, "X; Z; W"), budget) == (True, 1, 1)
+    assert budget.used == 6
 
 
 def test_ext_presentation_independent(square_zero):

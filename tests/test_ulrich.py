@@ -1,7 +1,7 @@
 import pytest
 
 from cak import RingPresentation, PreconditionError
-from cak.groebner import IdealHandle, ideal_ops
+from cak.groebner import Budget, IdealHandle, ideal_ops
 from cak.polyring import Polynomial
 from cak.quotient import (
     QuotientRing,
@@ -55,6 +55,21 @@ def test_is_parameter_ideal(r1, kxy):
     ring = c04.presentation
     assert is_parameter_ideal(c04, IdealHandle(ring, PL(ring, "X")), 1)
     assert not is_parameter_ideal(c04, IdealHandle(ring, PL(ring, "X; Y")), 2)
+
+
+def test_dimension_is_computed_once_per_quotient_ring(r1_ring):
+    """The first call on a QuotientRing pays for dim R (the basis of the
+    relations and a Hilbert numerator); later calls on the same ring pay
+    only for R/q.  A bare presentation keeps no dimension."""
+    q = PL(r1_ring, "X")
+    for R, want in ((QuotientRing(r1_ring), [30, 8]), (r1_ring, [30, 30])):
+        totals = []
+        for _ in range(2):
+            budget = Budget()
+            assert is_parameter_ideal(R, q, 1, budget)
+            totals.append(budget.used)
+        assert totals == want
+    assert QuotientRing(r1_ring).dimension() == 1
 
 
 def test_is_ulrich_curve_instance(r1):
@@ -158,7 +173,8 @@ def test_certifiers_compute_each_groebner_basis_once(r1_ring, check, monkeypatch
     """The handles of I, q and I^2 keep their bases, and the socle and the
     CI test read them: no Buchberger run repeats an earlier one, in the ring
     of I or in any other presentation of the same generators.  Checked on
-    the monomial-curve instance and the three circulant instances of c04."""
+    the monomial-curve instance, the same with I = q (whose two handles
+    share one basis) and the three circulant instances of c04."""
     import sys
 
     from cak import groebner
@@ -176,7 +192,10 @@ def test_certifiers_compute_each_groebner_basis_once(r1_ring, check, monkeypatch
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "cak" and getattr(mod, "buchberger", None) is original:
             monkeypatch.setattr(mod, "buchberger", counting)
-    instances = [(QuotientRing(r1_ring), PL(r1_ring, "X; Z; W"), PL(r1_ring, "X"))]
+    instances = [
+        (QuotientRing(r1_ring), PL(r1_ring, "X; Z; W"), PL(r1_ring, "X")),
+        (QuotientRing(r1_ring), PL(r1_ring, "X"), PL(r1_ring, "X")),
+    ]
     S3 = RingPresentation(["X", "Y", "Z"], [1, 1, 1])
     for fgh in (("X", "Y", "Z"), ("X^2", "Y", "Z"), ("X", "Y^2", "Z^3")):
         R, polys = _circulant_quotient(S3, fgh)

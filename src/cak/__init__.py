@@ -23,12 +23,9 @@ from .polyring import (
     Monomial,
     Polynomial,
     RingPresentation,
-    compare_monomials,
     parse_poly,
     parse_poly_list,
-    poly_arith,
     render_poly,
-    weighted_degree,
 )
 from .groebner import (
     Budget,
@@ -51,7 +48,6 @@ from .resolve import (
     minimal_free_resolution,
     minimalize,
     module_length,
-    syzygies,
 )
 from .complexes import (
     GenericMatrix,
@@ -68,7 +64,6 @@ from .quotient import (
     ext_dims,
     is_free_module,
     socle_dim,
-    syzygy_over_quotient,
     tor_dims,
 )
 from .ulrich import (
@@ -83,7 +78,6 @@ from .ulrich import (
 from .semigroup import (
     NumericalSemigroup,
     family_2x3_semigroup,
-    semigroup_membership,
     semigroup_ring,
 )
 from .detring import (

@@ -201,7 +201,7 @@ def cmd_type(args, budget):
 
 def cmd_embdim(args, budget):
     ring = load_ring(args.ring)
-    value = embedding_dim(ring)
+    value = embedding_dim(ring, budget)
     _emit(args, value, [str(value)])
     return EXIT_OK
 
@@ -289,17 +289,16 @@ def cmd_verify_paper(args, budget):
     return EXIT_OK if result.passed else EXIT_NEGATIVE
 
 
-def _add_common(sp, ring=True, budget=True):
+def _add_common(sp, ring=True):
     if ring:
         sp.add_argument("--ring", required=True, help="ring presentation JSON file")
-    if budget:
-        sp.add_argument(
-            "--budget", type=int, default=None,
-            help="one work budget for the whole command: Groebner pairs considered, "
-            "enumerated standard monomials, unit cancellations, vectors "
-            "inserted into an echelon form, complex basis elements and "
-            "determinant memo entries",
-        )
+    sp.add_argument(
+        "--budget", type=int, default=None,
+        help="one work budget for the whole command: Groebner pairs considered, "
+        "enumerated standard monomials, unit cancellations, vectors "
+        "inserted into an echelon form, complex basis elements and "
+        "determinant memo entries",
+    )
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_type)
 
     sp = sub.add_parser("embdim", help="embedding dimension")
-    _add_common(sp, budget=False)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_embdim)
 
     sp = sub.add_parser("socle", help="socle dimension of an Artinian quotient")

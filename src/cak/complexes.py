@@ -4,7 +4,10 @@ the closed Betti-rank formula, and certified resolution verification.
 
 All complexes carry explicit differentials (not just rank bookkeeping) so
 that d o d = 0 and exactness can be checked on the nose.  Basis orderings
-are lexicographic on index tuples throughout, which fixes every sign.
+are lexicographic on index tuples throughout, which fixes every sign.  The
+Eagon-Northcott and tensor sign rules make d o d = 0 by construction, so no
+complex is multiplied out when it is built: `ChainComplex.composition_defect`
+and `verify_resolution` check d o d, never the constructor.
 """
 
 from __future__ import annotations
@@ -131,24 +134,6 @@ def determinant(ring, rows, budget=None) -> Polynomial:
         return acc
 
     return rec(0, tuple(range(n)))
-
-
-def leibniz_determinant(ring, rows) -> Polynomial:
-    """Permutation-sum determinant; independent cross-check for Laplace."""
-    n = len(rows)
-    acc = ring.zero()
-    for perm in itertools.permutations(range(n)):
-        inv = sum(
-            1
-            for a in range(n)
-            for b in range(a + 1, n)
-            if perm[a] > perm[b]
-        )
-        term = ring.one()
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        acc = acc + term if inv % 2 == 0 else acc - term
-    return acc
 
 
 # -- Koszul -------------------------------------------------------------------
@@ -339,14 +324,6 @@ def betti_rank_formula(v: int, r: int, d: int) -> tuple[int, ...]:
     while len(ranks) > 1 and ranks[-1] == 0:
         ranks.pop()
     return tuple(ranks)
-
-
-def convolve_ranks(a, b) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 # -- verification ----------------------------------------------------------------

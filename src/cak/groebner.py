@@ -772,14 +772,6 @@ class RingMap:
         self.target = target
         self.images = tuple(imgs)
 
-    def is_graded(self) -> bool:
-        for w, im in zip(self.source.weights, self.images):
-            if im.is_zero():
-                continue
-            if im.homogeneous_degree() != w:
-                return False
-        return True
-
     def apply(self, p: Polynomial) -> Polynomial:
         """Image of a source polynomial."""
         if p.ring is not self.source:

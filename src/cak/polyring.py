@@ -409,12 +409,6 @@ class Monomial:
         return f"Monomial({self})"
 
 
-def compare_monomials(ring: RingPresentation, a: Monomial, b: Monomial) -> int:
-    """Total order used by the ring: -1, 0 or +1."""
-    ka, kb = ring.encode(a.exponents), ring.encode(b.exponents)
-    return (ka > kb) - (ka < kb)
-
-
 class Polynomial:
     """Sparse exact polynomial: dict of monomial key -> nonzero coefficient."""
 
@@ -572,25 +566,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def poly_arith(op: str, a: Polynomial, b) -> Polynomial:
-    """Dispatch add/sub/mul/pow; ``b`` is a polynomial or an int for pow."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a**b
-    raise CakError(f"unknown arithmetic op {op!r}")
-
-
-def weighted_degree(p: Polynomial):
-    """Weighted degree of a nonzero polynomial, or "inhomogeneous"."""
-    d = p.homogeneous_degree()
-    return d if d is not None else "inhomogeneous"
 
 
 # -- rendering ------------------------------------------------------------

@@ -41,13 +41,10 @@ from .groebner import (
 )
 from .polyring import Polynomial, RingPresentation, parse_poly
 from .resolve import (
-    ChainComplex,
-    GradedFreeModule,
     PolyMatrix,
     PresentedModule,
     hilbert_numerator,
     lead_module_per_component,
-    minimal_free_resolution,
 )
 
 
@@ -130,10 +127,10 @@ def _linear_rank(ring, polys, budget=None) -> int:
     return matrix_rank(rows, ring.field.p, budget)
 
 
-def embedding_dim(R) -> int:
+def embedding_dim(R, budget=None) -> int:
     """dim m/m^2: variables minus the rank of the relations' linear parts."""
     ring = as_presentation(R)
-    return len(ring.vars) - _linear_rank(ring, ring.relations)
+    return len(ring.vars) - _linear_rank(ring, ring.relations, budget)
 
 
 def socle_dim(R, budget=None) -> int:
@@ -196,18 +193,6 @@ def is_free_module(R, module: PresentedModule, budget=None):
     if builder.complete and not builder.maps:
         return True, builder.rank(0)
     return False, None
-
-
-def syzygy_over_quotient(R, matrix, steps: int, budget=None) -> ChainComplex:
-    """First ``steps`` maps of a minimal R-free resolution of coker(matrix)."""
-    ring = as_presentation(R)
-    if isinstance(matrix, PresentedModule):
-        module = matrix
-    else:
-        module = PresentedModule(
-            ring, GradedFreeModule(ring, (0,) * matrix.nrows), matrix
-        )
-    return minimal_free_resolution(module, max_length=steps, budget=budget).complex
 
 
 def module_standard_basis(ctx, engine, budget=None):

@@ -188,11 +188,13 @@ class PresentedModule:
 
 
 class ChainComplex:
-    """Complex of graded free modules; maps[i] : modules[i+1] -> modules[i]."""
+    """Graded free modules and maps[i] : modules[i+1] -> modules[i].  The
+    constructor checks shapes only; d o d = 0 is checked by
+    `composition_defect` (and `verify_resolution`), never at construction."""
 
     __slots__ = ("ring", "modules", "maps")
 
-    def __init__(self, ring, modules, maps, check: bool = True):
+    def __init__(self, ring, modules, maps):
         self.ring = ring
         self.modules = list(modules)
         self.maps = list(maps)
@@ -201,10 +203,6 @@ class ChainComplex:
         for i, m in enumerate(self.maps):
             if m.nrows != self.modules[i].rank or m.ncols != self.modules[i + 1].rank:
                 raise CakError(f"map {i + 1} has the wrong shape")
-        if check:
-            err = self.composition_defect()
-            if err is not None:
-                raise CakError(f"d o d != 0 between steps {err} and {err + 1}")
 
     @property
     def length(self) -> int:
@@ -280,16 +278,6 @@ class BettiTable:
 
 
 # -- syzygies and resolutions -------------------------------------------------
-
-
-def syzygies(matrix: PolyMatrix, *, budget=None) -> PolyMatrix:
-    """Matrix whose columns minimally generate the kernel of the map given
-    by ``matrix`` (columns = images of basis vectors) over
-    ring/(relations)."""
-    ctx = ModuleContext(matrix.ring, matrix.nrows)
-    # a zero column has no degree; any twist will do
-    twists = [ctx.column_degree(col) or 0 for col in matrix.cols]
-    return _syzygy_step(matrix, twists, budget)[0]
 
 
 def _minimal_columns(ring, columns, degrees, twists, budget):
@@ -446,15 +434,8 @@ def presentation_minimalize(module: PresentedModule, budget=None):
     ring = module.ring
     # zero columns have no degree; any twist will do, they are dropped below
     col_twists = [0 if d is None else d for d in module.column_degrees]
-    cx = minimalize(
-        ChainComplex(
-            ring,
-            [module.ambient, GradedFreeModule(ring, col_twists)],
-            [module.relations],
-            check=False,
-        ),
-        budget,
-    )
+    cx = ChainComplex(ring, [module.ambient, GradedFreeModule(ring, col_twists)], [module.relations])
+    cx = minimalize(cx, budget)
     amb = cx.modules[0]
     cols = [col for col in cx.maps[0].cols if col] if cx.maps else []
     return PresentedModule(ring, amb, PolyMatrix.packed(ring, amb.rank, cols))
@@ -584,7 +565,7 @@ def minimal_free_resolution(
     if not complete and not over_quotient and len(maps) >= len(ring.vars):
         # Hilbert bound: a minimal resolution over the polynomial ring stops
         complete = True
-    cx = ChainComplex(ring, builder.modules[: len(maps) + 1], maps, check=False)
+    cx = ChainComplex(ring, builder.modules[: len(maps) + 1], maps)
     return Resolution(cx, complete)
 
 
@@ -646,7 +627,7 @@ def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
     maps = [
         PolyMatrix(ring, m, ncols=modules[i + 1].rank) for i, m in enumerate(mats)
     ]
-    return ChainComplex(ring, modules, maps, check=False)
+    return ChainComplex(ring, modules, maps)
 
 
 # -- lengths, Hilbert data, regular sequences ---------------------------------

@@ -1,8 +1,8 @@
 """Numerical semigroups and their toric ring presentations.
 
-Membership uses the Apery table of the smallest generator (dynamic
-relaxation), so every query is exact and comes with a witness.  The toric
-defining ideal is the kernel of X_i -> t^(a_i), computed by elimination.
+The Apery table of the smallest generator (dynamic relaxation) gives the
+Frobenius number exactly.  The toric defining ideal is the kernel of
+X_i -> t^(a_i), computed by elimination.
 """
 
 from __future__ import annotations
@@ -36,12 +36,9 @@ class NumericalSemigroup:
         object.__setattr__(self, "generators", tuple(gens))
 
     def apery(self):
-        """w[c] = least element congruent to c mod the smallest generator,
-        with predecessor links for witness extraction."""
+        """w[c] = least element congruent to c mod the smallest generator."""
         a0 = self.generators[0]
-        INF = None
-        w = [INF] * a0
-        pred = [None] * a0
+        w = [None] * a0
         w[0] = 0
         changed = True
         while changed:
@@ -54,13 +51,12 @@ class NumericalSemigroup:
                     cand = w[c] + g
                     if w[nc] is None or cand < w[nc]:
                         w[nc] = cand
-                        pred[nc] = (c, g)
                         changed = True
-        return w, pred
+        return w
 
     def frobenius(self) -> int:
         """Largest gap (-1 when the semigroup is all of N)."""
-        w, _ = self.apery()
+        w = self.apery()
         return max(w) - self.generators[0]
 
 
@@ -73,26 +69,6 @@ def _in_additive_span(target: int, gens) -> bool:
                 reachable[v] = True
                 break
     return reachable[target]
-
-
-def semigroup_membership(S: NumericalSemigroup, m: int):
-    """(True, coefficient vector) when m is in the semigroup, else
-    (False, None).  The witness satisfies m = sum(c_i * a_i)."""
-    if m < 0:
-        raise PreconditionError("membership wants m >= 0")
-    gens = S.generators
-    a0 = gens[0]
-    w, pred = S.apery()
-    c = m % a0
-    if w[c] is None or m < w[c]:
-        return False, None
-    counts = {g: 0 for g in gens}
-    counts[a0] = (m - w[c]) // a0
-    while c != 0:
-        pc, g = pred[c]
-        counts[g] += 1
-        c = pc
-    return True, tuple(counts[g] for g in gens)
 
 
 def semigroup_var_names(k: int):

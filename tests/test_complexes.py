@@ -1,18 +1,17 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from cak import RingPresentation, PreconditionError, ResourceLimitError, resolve
+from cak import QQ, RingPresentation, PreconditionError, ResourceLimitError, resolve
 from cak.complexes import (
     GenericMatrix,
     betti_rank_formula,
-    convolve_ranks,
     determinant,
     eagon_northcott,
     eagon_northcott_rank,
     koszul_complex,
-    leibniz_determinant,
     tensor_complexes,
     verify_resolution,
 )
@@ -20,6 +19,30 @@ from cak.detring import generic_matrix, minors_ideal, MinorSpec, power_parameter
 from cak.groebner import Budget, IdealHandle, module_membership_engine
 from cak.resolve import ChainComplex, GradedFreeModule, PresentedModule, minimal_free_resolution
 from conftest import P, PL, deadline
+from test_min_subset import random_form
+
+
+def leibniz_determinant(ring, rows):
+    """Permutation-sum determinant, an independent oracle for the Laplace
+    expansion of ``determinant``."""
+    n = len(rows)
+    acc = ring.zero()
+    for perm in itertools.permutations(range(n)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = ring.one()
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        acc = acc + term if inv % 2 == 0 else acc - term
+    return acc
+
+
+def convolve_ranks(a, b):
+    """Ranks of a tensor product of complexes with ranks a and b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def test_koszul_ranks(kxy):
@@ -98,6 +121,55 @@ def test_tensor_convolution_law():
     t = tensor_complexes(c, d)
     assert t.ranks() == convolve_ranks(c.ranks(), d.ranks())
     assert t.composition_defect() is None
+
+
+# -- d o d = 0 by construction ------------------------------------------------------
+#
+# ChainComplex does not multiply its maps out; the Eagon-Northcott and tensor
+# sign rules make d o d = 0, and these seeded complexes hold them to it.
+
+FIELDS = pytest.mark.parametrize("field", [None, QQ], ids=["fp", "qq"])
+
+
+def seeded_matrix(ring, s, t, rng):
+    """An s x t matrix of forms with row degrees in {0, 1}, column degrees
+    in {2, 3} and about a third of the entries zero."""
+    rows = [rng.randint(0, 1) for _ in range(s)]
+    cols = [rng.randint(2, 3) for _ in range(t)]
+    return GenericMatrix(
+        ring,
+        [[random_form(ring, c - r, rng, 0.5) if rng.random() > 0.3 else ring.zero()
+          for c in cols] for r in rows],
+    )
+
+
+@FIELDS
+def test_eagon_northcott_composes_to_zero(field):
+    ring = RingPresentation(["x", "y", "z"], [1, 1, 1], field)
+    rng = random.Random(f"en d o d {field}")
+    with deadline(60):
+        for s in range(1, 6):
+            for t in range(s, 6):
+                cx = eagon_northcott(seeded_matrix(ring, s, t, rng))
+                assert cx.ranks() == tuple(
+                    eagon_northcott_rank(s, t, k) for k in range(t - s + 2)
+                )
+                assert cx.composition_defect() is None, (s, t)
+
+
+@FIELDS
+def test_koszul_and_tensor_compose_to_zero(field):
+    ring = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1], field)
+    rng = random.Random(f"koszul d o d {field}")
+
+    def forms(m):
+        return [random_form(ring, rng.randint(1, 3), rng, 0.5) or ring.var("x") for _ in range(m)]
+
+    for m in range(1, 5):
+        assert koszul_complex(ring, forms(m)).composition_defect() is None, m
+    for a, b in ((1, 1), (1, 3), (2, 2)):
+        t = tensor_complexes(koszul_complex(ring, forms(a)), koszul_complex(ring, forms(b)))
+        assert t.composition_defect() is None, (a, b)
 
 
 def test_mapping_cone_shape_for_curve_model():
@@ -206,7 +278,6 @@ def test_verify_resolution_negative_control(kxy):
         kxy,
         cx.modules,
         [cx.differential(1), PolyMatrix(kxy, corrupted)],
-        check=False,
     )
     rep = verify_resolution(broken, PresentedModule.cyclic(kxy, PL(kxy, "x; y")))
     assert not rep.checks["dd_zero"]

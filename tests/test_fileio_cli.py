@@ -379,6 +379,22 @@ def test_cli_complex_and_minors_commands_charge_the_budget(plain_file, capsys, a
     assert capsys.readouterr() == ("", "error: work budget of 0 exceeded\n")
 
 
+def test_cli_embdim_charges_the_budget(tmp_path, capsys):
+    # X - Y^2 has the linear part X: one row of the rank, one unit
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "fp", "p": 32003},
+        "vars": ["X", "Y"],
+        "weights": [2, 1],
+        "relations": ["X - Y^2"],
+    }))
+    argv = ["embdim", "--ring", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert main(argv + ["--budget", "0"]) == 3
+    assert capsys.readouterr() == ("", "error: work budget of 0 exceeded\n")
+
+
 def test_cli_minors_of_a_large_matrix_stop_at_the_budget(plain_file, capsys):
     # one 14 x 14 minor: the Laplace memo holds 2^14 - 1 column subsets
     rng = random.Random(14)

@@ -128,13 +128,6 @@ def test_ring_map_kernel_cusp():
     assert gb_strs(ker) == ["X^3 - Y^2"]
 
 
-def test_ring_map_graded_check():
-    src = RingPresentation(["X", "Y"], [2, 3])
-    tgt = RingPresentation(["t"], [1])
-    assert RingMap(src, tgt, ["t^2", "t^3"]).is_graded()
-    assert not RingMap(src, tgt, ["t", "t^3"]).is_graded()
-
-
 def test_standard_monomials_examples(kxy):
     sq = IdealHandle(kxy, PL(kxy, "x^2; x*y; y^2"))
     assert [str(m) for m in standard_monomials(sq)] == ["1", "y", "x"]

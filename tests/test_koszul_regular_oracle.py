@@ -44,7 +44,9 @@ def reference_koszul_complex(ring, elems):
                 rest = J[:l] + J[l + 1 :]
                 mat[pos[rest]][cidx] = elems[jl] if l % 2 == 0 else -elems[jl]
         maps.append(PolyMatrix(ring, mat, ncols=len(src)))
-    return ChainComplex(ring, modules, maps)
+    cx = ChainComplex(ring, modules, maps)
+    assert cx.composition_defect() is None
+    return cx
 
 
 def reference_is_regular_sequence(ring, elems):

@@ -3,12 +3,11 @@
 A cyclic R/(f) over a graded ring R that is not Artinian, with f a
 homogeneous regular sequence of m <= n elements of positive degree, is
 resolved by the Koszul complex on f (Bruns-Herzog 1.6.19), with no syzygy
-step.  The oracle is the Groebner syzygy step behind ``resolve.syzygies``,
-iterated from the 1 x m matrix of f with the column degrees carried along
-(``syzygies`` itself reads every row as of twist 0, so it cannot be fed its
-own output when the degrees of f differ).  Both Betti tables must agree,
-and ``verify_resolution`` must certify the Koszul one.  Inputs outside the
-route keep the Groebner route, whose tables are pinned here too.
+step.  The oracle is the Groebner syzygy step ``resolve._syzygy_step``,
+iterated from the 1 x m matrix of f with the column degrees carried along.
+Both Betti tables must agree, and ``verify_resolution`` must certify the
+Koszul one.  Inputs outside the route keep the Groebner route, whose tables
+are pinned here too.
 """
 
 import random

@@ -21,11 +21,10 @@ from cak.quotient import (
     quotient_of,
     residue_field_presentation,
     socle_dim,
-    syzygy_over_quotient,
     tor_dims,
     tor_zero_dim,
 )
-from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule
+from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule, minimal_free_resolution
 from conftest import P, PL, deadline
 
 
@@ -43,8 +42,8 @@ def square_zero():
 
 def test_syzygy_over_quotient_periodic(dual_numbers):
     ring = dual_numbers.presentation
-    mat = PolyMatrix(ring, [PL(ring, "X")])
-    cx = syzygy_over_quotient(dual_numbers, mat, 4)
+    module = PresentedModule.cyclic(ring, PL(ring, "X"))
+    cx = minimal_free_resolution(module, max_length=4).complex
     assert cx.ranks() == (1, 1, 1, 1, 1)
     for i in range(1, 5):
         assert [str(p) for row in cx.differential(i).entries for p in row] == ["X"]
@@ -52,7 +51,7 @@ def test_syzygy_over_quotient_periodic(dual_numbers):
 
 def test_syzygy_over_quotient_free_terminates(dual_numbers):
     ring = dual_numbers.presentation
-    cx = syzygy_over_quotient(dual_numbers, free_module_presentation(ring), 5)
+    cx = minimal_free_resolution(free_module_presentation(ring), max_length=5).complex
     assert cx.ranks() == (1,)
 
 
@@ -61,7 +60,7 @@ def test_syzygy_over_quotient_three_vars():
         RingPresentation(["Y", "Z", "W"], [1, 1, 1],
                          relations=["Y^2", "Y*Z", "Z^2", "W^2"])
     )
-    cx = syzygy_over_quotient(R, residue_field_presentation(R.presentation), 1)
+    cx = minimal_free_resolution(residue_field_presentation(R.presentation), max_length=1).complex
     assert cx.modules[1].rank == 3
 
 

@@ -18,20 +18,21 @@ from cak.resolve import (
     minimalize,
     module_length,
     presentation_minimalize,
-    syzygies,
+    _syzygy_step,
 )
 from conftest import P, PL, R1_RELATIONS, column_lists, deadline
 
 
 def test_syzygy_koszul_pair(kxy):
     mat = PolyMatrix(kxy, [PL(kxy, "x; y")])
-    out = syzygies(mat)
+    out, degrees = _syzygy_step(mat, (1, 1), None)
     assert out.ncols == 1
+    assert degrees == [2]
     assert [str(p) for p in column_lists(out)[0]] == ["-y", "x"]
 
 
 def test_syzygy_nonzerodivisor(kxy):
-    out = syzygies(PolyMatrix(kxy, [[P(kxy, "x")]]))
+    out, _ = _syzygy_step(PolyMatrix(kxy, [[P(kxy, "x")]]), (1,), None)
     assert out.ncols == 0
 
 
@@ -41,7 +42,7 @@ def test_syzygy_hilbert_burch():
     ring = RingPresentation(["X", "Y", "Z"], [10, 14, 16])
     minors = PL(ring, "X*Z^2 - Y^3; X^3 - Y*Z; X^2*Y^2 - Z^3")
     mat = PolyMatrix(ring, [minors])
-    syz = syzygies(mat)
+    syz, _ = _syzygy_step(mat, (42, 30, 48), None)
     assert syz.ncols == 2
     cofactor_rows = [
         PL(ring, "Z; -Y^2; X"),
@@ -63,6 +64,17 @@ def test_syzygy_hilbert_burch():
     ctx2, eng2 = engine_for(column_lists(syz))
     for col in cofactor_rows:
         assert eng2.contains(ctx2.from_column(col))
+
+
+def test_syzygy_steps_carry_the_twists(kxy):
+    # the columns x^2, y^3 have degrees 2 and 3: one syzygy (y^3, -x^2) of
+    # degree 5, and the step on it, with twist 5, finds none
+    mat = PolyMatrix(kxy, [PL(kxy, "x^2; y^3")])
+    syz, degrees = _syzygy_step(mat, (2, 3), None)
+    assert degrees == [5]
+    assert [str(p) for p in column_lists(syz)[0]] == ["y^3", "-x^2"]
+    out, degrees = _syzygy_step(syz, tuple(degrees), None)
+    assert (out.ncols, degrees) == (0, [])
 
 
 def test_resolution_monomial_curve(r1_ambient):
@@ -123,7 +135,7 @@ def test_presentation_unit_cancellation(kxy):
 def test_minimalize_unit_complex(kxy):
     modules = [GradedFreeModule(kxy, (0,)), GradedFreeModule(kxy, (0,))]
     maps = [PolyMatrix(kxy, [[kxy.one()]])]
-    out = minimalize(ChainComplex(kxy, modules, maps, check=False))
+    out = minimalize(ChainComplex(kxy, modules, maps))
     assert out.ranks() == (0,)
 
 
@@ -145,7 +157,7 @@ def unit_laden_complex(ring, rank, plain, laden):
     mats = [[[x] * rank for _ in range(rank)]] * plain
     mats += [ident if k % 2 == 0 else nil for k in range(laden)]
     modules = [GradedFreeModule(ring, (0,) * rank) for _ in range(len(mats) + 1)]
-    return ChainComplex(ring, modules, [PolyMatrix(ring, m) for m in mats], check=False)
+    return ChainComplex(ring, modules, [PolyMatrix(ring, m) for m in mats])
 
 
 def test_minimalize_charges_one_unit_per_cancellation(kxy):

@@ -6,9 +6,19 @@ delta, and a guard-bit pattern validates every produced key.
 
 Coefficients are ints mod p when ``p`` is given, otherwise exact numbers
 (Fractions) with ordinary arithmetic.
+
+A reducer list is a :class:`DivisorIndex`: lead keys, their term dicts and
+per-variable bitsets, so that the leads dividing a key are found with one
+bitset per variable instead of a scan over every lead (the divisibility
+masks of Bachmann and Schoenemann, ISSAC 1998).  Normal forms and every
+lead search of the Groebner engine go through it.
 """
 
 from .errors import DegreeOverflowError
+
+EXP_BITS = 16  # width of one exponent field of a key
+EXP_MASK = (1 << EXP_BITS) - 1
+CLAMP = 15  # a DivisorIndex stores larger exponents as this one
 
 
 def axpy_terms(dst, src, c, delta, p, guard):
@@ -74,23 +84,101 @@ def mul_terms(a, b, p, one_key, guard):
     return out
 
 
-def divides_key(ka, kb, compmask, segs):
-    """True iff term position ka divides kb (same component, exponentwise <=)."""
-    if (ka ^ kb) & compmask:
+class DivisorIndex:
+    """A reducer list and the bitsets that find the divisors of a key.
+
+    ``leads`` and ``terms`` are parallel lists: lead keys and their term
+    dicts (None in an index of signatures).  For each variable, whose
+    exponent field sits at bit ``s`` of a key, ``rows`` holds ``(s, above)``
+    with CLAMP + 1 bitsets: bit i of ``above[e]`` is set iff lead i has
+    exponent greater than e in that variable, so inserting a lead touches
+    only the variables it contains.  ``comps`` maps the component bits of a
+    key (``key & compmask``) to the bitset of the leads of that component.
+    A query clears from the component's bitset the leads above the key in
+    some variable, one bitset per variable, and what is left are the
+    divisors; the lowest set bit is the one of smallest list index.
+
+    An exponent above CLAMP is stored as CLAMP, and a query exponent above
+    it reads the last bitset, so a lead may be kept that does not divide.
+    Every candidate is confirmed by one masked subtraction over all exponent
+    fields (``cmask``): where a field of the lead holds the larger exponent,
+    the borrow of the lowest such field sets its guard bit (one of
+    ``gmask``).
+    """
+
+    __slots__ = ("leads", "terms", "rows", "fields", "comps", "compmask", "cmask", "gmask")
+
+    def __init__(self, shifts, compmask, cmask, gmask):
+        self.leads = []
+        self.terms = []
+        self.rows = tuple((s, [0] * (CLAMP + 1)) for s in shifts)
+        self.fields = dict(self.rows)
+        self.comps = {}
+        self.compmask = compmask
+        self.cmask = cmask
+        self.gmask = gmask
+
+    def append(self, lead, terms=None):
+        bit = 1 << len(self.leads)
+        # a field holds EXP_MASK - exponent, so this holds the exponents
+        exps = (lead & self.cmask) ^ self.cmask
+        while exps:
+            s = ((exps & -exps).bit_length() - 1) // EXP_BITS * EXP_BITS
+            above = self.fields[s]
+            for e in range(min((exps >> s) & EXP_MASK, CLAMP)):
+                above[e] |= bit
+            exps &= ~(EXP_MASK << s)
+        code = lead & self.compmask
+        self.comps[code] = self.comps.get(code, 0) | bit
+        self.leads.append(lead)
+        self.terms.append(terms)
+
+    def candidates(self, key, mask=-1):
+        """Bitset of the leads within ``mask`` that may divide ``key``:
+        every divisor, and maybe a lead with an exponent above CLAMP."""
+        bits = self.comps.get(key & self.compmask, 0) & mask
+        if not bits:
+            return 0
+        over = 0
+        try:
+            for s, above in self.rows:
+                over |= above[EXP_MASK - ((key >> s) & EXP_MASK)]
+        except IndexError:  # an exponent of the key above CLAMP
+            for s, above in self.rows:
+                over |= above[min(EXP_MASK - ((key >> s) & EXP_MASK), CLAMP)]
+        return bits & ~over
+
+    def divisors(self, key, mask=-1):
+        """Indices of the leads within ``mask`` that divide ``key``, ascending."""
+        leads, cmask, gmask = self.leads, self.cmask, self.gmask
+        bits, low_key = self.candidates(key, mask), key & cmask
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            if not ((leads[i] & cmask) - low_key) & gmask:
+                yield i
+            bits ^= low
+
+    def has_divisor(self, key, mask=-1):
+        """True iff a lead within ``mask`` divides ``key``."""
+        leads, cmask, gmask = self.leads, self.cmask, self.gmask
+        bits, low_key = self.candidates(key, mask), key & cmask
+        while bits:
+            low = bits & -bits
+            if not ((leads[low.bit_length() - 1] & cmask) - low_key) & gmask:
+                return True
+            bits ^= low
         return False
-    for cmask, gmask in segs:
-        if ((ka & cmask) - (kb & cmask)) & gmask:
-            return False
-    return True
 
 
-def normal_form_terms(f, leads, gterms, p, compmask, segs, guard, sig=None, sigs=None):
-    """Full normal form of term dict ``f`` against the reducer list.
+def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1):
+    """Full normal form of term dict ``f`` against the reducers of ``index``
+    (a :class:`DivisorIndex` of monic term dicts, lead included) within the
+    bitset ``mask``.
 
-    Reducers are given by parallel lists: lead keys and complete term dicts
-    (lead included), every one monic.  The divisor with the smallest list
-    index is always chosen, so the procedure is deterministic for a fixed
-    reducer list even when it is not yet a Groebner basis.
+    The divisor with the smallest list index is always chosen, so the
+    procedure is deterministic for a fixed reducer list even when it is not
+    yet a Groebner basis.
 
     With a signature key ``sig`` only signature-regular steps are taken:
     reducer ``i`` may rewrite term ``m`` only when its multiple's signature
@@ -99,29 +187,23 @@ def normal_form_terms(f, leads, gterms, p, compmask, segs, guard, sig=None, sigs
     """
     work = dict(f)
     out = {}
-    nred = len(leads)
+    leads, gterms, cmask, gmask = index.leads, index.terms, index.cmask, index.gmask
+    candidates = index.candidates
     while work:
         m = max(work)
         c = work[m]
-        hit = -1
-        for i in range(nred):
+        bits = candidates(m, mask)
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
             lk = leads[i]
-            # order-compatibility: a divisor's key never exceeds the term's
-            if lk > m or (lk ^ m) & compmask:
-                continue
-            ok = True
-            for cmask, gmask in segs:
-                if ((lk & cmask) - (m & cmask)) & gmask:
-                    ok = False
-                    break
-            if ok:
-                if sig is not None and sigs[i] is not None and m - lk + sigs[i] >= sig:
-                    continue
-                hit = i
+            if not ((lk & cmask) - (m & cmask)) & gmask and (
+                sig is None or sigs[i] is None or m - lk + sigs[i] < sig
+            ):
+                axpy_terms(work, gterms[i], -c, m - lk, p, guard)
                 break
-        if hit < 0:
+            bits ^= low
+        else:
             out[m] = c
             del work[m]
-        else:
-            axpy_terms(work, gterms[hit], -c, m - leads[hit], p, guard)
     return out

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("v", type=int)
     sp.add_argument("r", type=int)
     sp.add_argument("d", type=int)
-    sp.add_argument("--json", action="store_true")
+    _add_common(sp, ring=False)
     sp.set_defaults(fn=cmd_betti_formula)
 
     sp = sub.add_parser("koszul", help="Koszul complex ranks")

@@ -2,9 +2,17 @@
 
 One engine serves polynomial rings and free modules: a term position is a
 single int key (see :mod:`cak.polyring`), and a "context" object supplies the
-layout constants (component mask, divisibility segments, guard bits).  Module
-keys put the component rank in the low 32 bits and, for syzygy elimination,
-a block bit above the monomial part so that target components dominate.
+layout constants (component mask, exponent-field shifts and masks, guard
+bits).  Module keys put the component rank in the low 32 bits and, for
+syzygy elimination, a block bit above the monomial part so that target
+components dominate.
+
+Every search for a lead that divides a key goes through a
+:class:`~cak._kernel.DivisorIndex` built by the context: the reducers of a
+normal form, the chain criterion, the principal-syzygy, rewriter,
+regular-reducibility and singular-lead tests of the signature completion,
+the minimal leads of a reduced basis and the cached reducers of an
+:class:`IdealHandle`.  No search scans the lead list.
 
 Rank-one input (every ideal basis, elimination and ring-map kernel) is
 completed by a signature-based algorithm, which never reduces a Koszul
@@ -33,7 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from ._kernel import axpy_terms, divides_key, normal_form_terms
+from ._kernel import DivisorIndex, axpy_terms, normal_form_terms
 from .errors import CakError, PreconditionError, NotArtinianError, ResourceLimitError
 from .polyring import Field, Monomial, Polynomial, RingPresentation
 
@@ -74,19 +82,37 @@ def _as_budget(budget) -> Budget:
     return Budget(budget)
 
 
-class RingContext:
+class _Layout:
+    """What a term layout tells a :class:`~cak._kernel.DivisorIndex`: the
+    bit offset of each variable's exponent field (``shifts``), the component
+    bits (``compmask``) and the exponent fields with their guard bits
+    (``cmask``, ``gmask``)."""
+
+    __slots__ = ()
+
+    def index(self, entries=()) -> DivisorIndex:
+        """A divisor index over this layout holding the (lead, terms) pairs
+        of ``entries``, in order."""
+        index = DivisorIndex(self.shifts, self.compmask, self.cmask, self.gmask)
+        for lead, terms in entries:
+            index.append(lead, terms)
+        return index
+
+
+class RingContext(_Layout):
     """Layout facade for polynomial (rank-one) term keys."""
 
-    __slots__ = ("ring", "compmask", "segs", "guard")
+    __slots__ = ("ring", "compmask", "shifts", "cmask", "gmask", "guard")
 
     def __init__(self, ring: RingPresentation):
         self.ring = ring
         self.compmask = 0
-        self.segs = ring.div_segments
+        self.shifts = ring.field_shifts
+        self.cmask, self.gmask = ring.div_mask
         self.guard = ring.guard
 
 
-class ModuleContext:
+class ModuleContext(_Layout):
     """Layout for terms of a free module of rank ``ncomp``.
 
     The first ``fhigh`` components form the dominant order block (used to
@@ -99,7 +125,8 @@ class ModuleContext:
     COMP_BITS = 32
 
     __slots__ = (
-        "ring", "ncomp", "fhigh", "twists", "blockbit", "compmask", "segs", "guard", "_rk_mask"
+        "ring", "ncomp", "fhigh", "twists", "blockbit", "compmask", "shifts", "cmask", "gmask",
+        "guard", "_rk_mask",
     )
 
     def __init__(self, ring: RingPresentation, ncomp: int, fhigh: int = 0, twists=None):
@@ -111,9 +138,8 @@ class ModuleContext:
         self.twists = (0,) * ncomp if twists is None else tuple(twists)
         self.blockbit = 1 << (self.COMP_BITS + ring.key_bits)
         self.compmask = ((1 << self.COMP_BITS) - 1) | self.blockbit
-        self.segs = tuple(
-            (c << self.COMP_BITS, g << self.COMP_BITS) for c, g in ring.div_segments
-        )
+        self.shifts = tuple(s + self.COMP_BITS for s in ring.field_shifts)
+        self.cmask, self.gmask = (m << self.COMP_BITS for m in ring.div_mask)
         self.guard = ring.guard << self.COMP_BITS
         self._rk_mask = (1 << ring.key_bits) - 1
 
@@ -219,50 +245,45 @@ class GroebnerEngine:
     basis is a Groebner basis through that degree.  In an elimination
     layout (``fhigh`` > 0) an element below the block takes no pairs.
     ``zero_reductions`` counts the reductions that gave zero.
+
+    The basis lives in one :class:`~cak._kernel.DivisorIndex`; ``G`` and
+    ``leads`` are its lists.  Every search for a lead dividing a key (a
+    reducer, a chain-criterion witness, a principal syzygy, a rewriter) is
+    a query of that index or of the signature index of a step.
     """
 
     def __init__(self, ctx, field: Field, budget: Budget):
         self.ctx = ctx
         self.field = field
         self.budget = budget
-        self.G: list[dict] = []
-        self.leads: list[int] = []
+        self.index = ctx.index()
+        self.G: list[dict] = self.index.terms
+        self.leads: list[int] = self.index.leads
         self._heap: list = []
         self._pending: set = set()
-        self._groups: dict[int, list[int]] = {}  # component bits -> indices
         self.zero_reductions = 0
 
     def reduce(self, terms: dict) -> dict:
-        return normal_form_terms(
-            dict(terms),
-            self.leads,
-            self.G,
-            self.field.p,
-            self.ctx.compmask,
-            self.ctx.segs,
-            self.ctx.guard,
-        )
+        return normal_form_terms(terms, self.index, self.field.p, self.ctx.guard)
 
     def contains(self, terms: dict) -> bool:
         return not self.reduce(terms)
 
     def _append(self, terms: dict):
-        t = len(self.G)
-        self.G.append(terms)
-        lk = max(terms)
-        self.leads.append(lk)
-        if self.ctx.fhigh and not lk & self.ctx.blockbit:
+        ctx, t, lk = self.ctx, len(self.G), max(terms)
+        self.index.append(lk, terms)
+        if ctx.fhigh and not lk & ctx.blockbit:
             # a syzygy of an elimination layout reduces tails, takes no pairs
             return
-        # pairs exist only within a component group
-        group = self._groups.setdefault(lk & self.ctx.compmask, [])
-        for i in group:
-            lcm_key = self.ctx.lcm(self.leads[i], lk)
-            if lcm_key is None:
-                continue
-            heapq.heappush(self._heap, (self.ctx.degree(lcm_key), i, t, lcm_key))
+        # pairs exist only within a component (and its block bit)
+        peers = self.index.comps[lk & ctx.compmask] ^ (1 << t)
+        while peers:
+            low = peers & -peers
+            peers ^= low
+            i = low.bit_length() - 1
+            lcm_key = ctx.lcm(self.leads[i], lk)
+            heapq.heappush(self._heap, (ctx.degree(lcm_key), i, t, lcm_key))
             self._pending.add((i, t))
-        group.append(t)
 
     def add_raw(self, terms: dict):
         """Insert a generator without pre-reduction (classic Buchberger)."""
@@ -285,25 +306,20 @@ class GroebnerEngine:
         of degree at most ``upto``; the others stay queued."""
         ctx, G, leads = self.ctx, self.G, self.leads
         p = self.field.p
-        heap = self._heap
+        heap, pending = self._heap, self._pending
         while heap and (upto is None or heap[0][0] <= upto):
             _, i, j, lcm_key = heapq.heappop(heap)
-            self._pending.discard((i, j))
+            pending.discard((i, j))
             self.budget.spend()
-            skip = False
-            for t in self._groups.get(lcm_key & ctx.compmask, ()):
-                if t == i or t == j:
-                    continue
-                if leads[t] > lcm_key or not divides_key(
-                    leads[t], lcm_key, ctx.compmask, ctx.segs
-                ):
-                    continue
-                a = (i, t) if i < t else (t, i)
-                b = (j, t) if j < t else (t, j)
-                if a not in self._pending and b not in self._pending:
-                    skip = True
+            # chain criterion: a third lead dividing the lcm, both its pairs done
+            chained = False
+            for t in self.index.divisors(lcm_key, ~(1 << i | 1 << j)):
+                if ((i, t) if i < t else (t, i)) not in pending and (
+                    (j, t) if j < t else (t, j)
+                ) not in pending:
+                    chained = True
                     break
-            if skip:
+            if chained:
                 continue
             s: dict = {}
             axpy_terms(s, G[i], 1, lcm_key - leads[i], p, ctx.guard)
@@ -338,26 +354,26 @@ class GroebnerEngine:
         no reduction gives zero.
         """
         ctx = self.ctx
-        ring, p, segs, guard = ctx.ring, self.field.p, ctx.segs, ctx.guard
-        G, leads = self.G, self.leads
+        ring, p, guard = ctx.ring, self.field.p, ctx.guard
+        G, leads, index = self.G, self.leads, self.index
         for f in sorted((g for g in gens if g), key=max):
             f = self.reduce(f)
             if not f:
                 self.zero_reductions += 1
                 continue
             start = len(G)
+            earlier = (1 << start) - 1  # the basis of the earlier steps
             sigs: list = [None] * start
-            zero_sigs: list[int] = []
+            # the signatures of this step, element start + b at position b
+            sig_index = ctx.index()
+            zero_sigs = ctx.index()
             heap: list = []
-
-            def principal(sig):
-                return any(divides_key(leads[q], sig, 0, segs) for q in range(start))
 
             def insert(terms, sig):
                 t, lk = len(G), max(terms)
-                G.append(terms)
-                leads.append(lk)
+                index.append(lk, terms)
                 sigs.append(sig)
+                sig_index.append(sig)
                 for j in range(t):
                     lcm_key = ring.lcm_key(leads[j], lk)
                     jsig, owner = lcm_key - lk + sig, t
@@ -367,7 +383,8 @@ class GroebnerEngine:
                             continue
                         if other > jsig:
                             jsig, owner = other, j
-                    if not principal(jsig):
+                    # a lead of the earlier basis dividing jsig: a principal syzygy
+                    if not index.has_divisor(jsig, earlier):
                         heapq.heappush(heap, (jsig, -owner))
 
             insert(_monic(f, self.field), ring.one_key)
@@ -378,62 +395,40 @@ class GroebnerEngine:
                 if sig == last:
                     continue
                 last = sig
-                if any(divides_key(z, sig, 0, segs) for z in zero_sigs):
+                if zero_sigs.has_divisor(sig):
                     continue
                 # the canonical rewriter; the pair's own element qualifies
-                owner = max(
-                    b for b in range(-owner, len(G)) if divides_key(sigs[b], sig, 0, segs)
-                )
+                owner = start + max(sig_index.divisors(sig, -1 << (-owner - start)))
                 m = sig - sigs[owner] + leads[owner]
                 if not any(
-                    divides_key(leads[b], m, 0, segs)
-                    and (sigs[b] is None or m - leads[b] + sigs[b] < sig)
-                    for b in range(len(G))
+                    sigs[b] is None or m - leads[b] + sigs[b] < sig for b in index.divisors(m)
                 ):
                     continue
                 h: dict = {}
                 axpy_terms(h, G[owner], 1, sig - sigs[owner], p, guard)
-                h = normal_form_terms(h, leads, G, p, 0, segs, guard, sig, sigs)
+                h = normal_form_terms(h, index, p, guard, sig, sigs)
                 if not h:
                     self.zero_reductions += 1
                     zero_sigs.append(sig)
                     continue
                 lk = max(h)
                 if not any(
-                    lk - leads[b] + sigs[b] == sig and divides_key(leads[b], lk, 0, segs)
-                    for b in range(start, len(G))
+                    lk - leads[b] + sigs[b] == sig for b in index.divisors(lk, -1 << start)
                 ):
                     insert(_monic(h, self.field), sig)
 
     def reduced_basis(self) -> list[dict]:
         """Unique reduced (monic, auto-reduced) basis, sorted by lead key."""
-        ctx = self.ctx
-        order = sorted(range(len(self.G)), key=lambda t: self.leads[t])
-        survivors: list[int] = []
-        by_group: dict[int, list[int]] = {}
-        for t in order:
+        survivors = self.ctx.index()
+        for t in sorted(range(len(self.G)), key=lambda t: self.leads[t]):
             lk = self.leads[t]
-            grp = by_group.setdefault(lk & ctx.compmask, [])
-            if any(
-                divides_key(self.leads[s], lk, ctx.compmask, ctx.segs) for s in grp
-            ):
-                continue
-            survivors.append(t)
-            grp.append(t)
-        out = []
-        for t in survivors:
-            others = [s for s in survivors if s != t]
-            nf = normal_form_terms(
-                self.G[t],
-                [self.leads[s] for s in others],
-                [self.G[s] for s in others],
-                self.field.p,
-                ctx.compmask,
-                ctx.segs,
-                ctx.guard,
-            )
-            out.append(_monic(nf, self.field))
-        return out
+            if not survivors.has_divisor(lk):
+                survivors.append(lk, self.G[t])
+        p, guard = self.field.p, self.ctx.guard
+        return [
+            _monic(normal_form_terms(terms, survivors, p, guard, mask=~(1 << q)), self.field)
+            for q, terms in enumerate(survivors.terms)
+        ]
 
 
 def buchberger(gens, ctx, field: Field, budget=None) -> list[dict]:
@@ -453,13 +448,14 @@ def buchberger(gens, ctx, field: Field, budget=None) -> list[dict]:
 
 class IdealHandle:
     """Generator list within a ring presentation with a cached reduced
-    Groebner basis of the full preimage (generators + ring relations).
+    Groebner basis of the full preimage (generators + ring relations), and
+    the divisor index of that basis that its normal forms reduce by.
 
-    The cache is write-once; concurrent duplicate computation is harmless
+    The caches are write-once; concurrent duplicate computation is harmless
     because the reduced basis is canonical.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_index")
 
     def __init__(self, ring: RingPresentation, gens):
         self.ring = ring
@@ -475,6 +471,7 @@ class IdealHandle:
                 parsed.append(g)
         self.gens = tuple(parsed)
         self._gb = None
+        self._index = None  # a DivisorIndex over _gb, built on first normal form
 
     def groebner_basis(self, budget=None) -> list[Polynomial]:
         if self._gb is None:
@@ -489,17 +486,10 @@ class IdealHandle:
     def normal_form(self, p: Polynomial, budget=None) -> Polynomial:
         if p.ring is not self.ring:
             raise CakError("polynomial from a different ring")
-        gb = self.groebner_basis(budget)
-        ctx = RingContext(self.ring)
-        nf = normal_form_terms(
-            p.terms,
-            [g.lead_key() for g in gb],
-            [g.terms for g in gb],
-            self.ring.field.p,
-            ctx.compmask,
-            ctx.segs,
-            ctx.guard,
-        )
+        if self._index is None:
+            gb = self.groebner_basis(budget)
+            self._index = RingContext(self.ring).index((g.lead_key(), g.terms) for g in gb)
+        nf = normal_form_terms(p.terms, self._index, self.ring.field.p, self.ring.guard)
         return Polynomial(self.ring, nf)
 
     def contains_poly(self, p: Polynomial, budget=None) -> bool:

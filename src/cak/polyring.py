@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._kernel import axpy_terms, mul_terms
+from ._kernel import EXP_BITS, EXP_MASK, axpy_terms, mul_terms
 from .errors import (
     CakError,
     DegreeOverflowError,
@@ -33,8 +33,6 @@ from .errors import (
     RingMismatchError,
 )
 
-EXP_BITS = 16
-EXP_MASK = 0xFFFF
 MAX_EXP = 0x7FFF  # one guard bit per field
 DEG_BITS = 64
 MAX_WEIGHT = 1 << 32
@@ -189,13 +187,13 @@ class RingPresentation:
         self.key_bits = shift
         self.one_key = sum(b.cmask for b in layout)
         self.guard = sum(b.gmask for b in layout)
-        self.div_segments = tuple((b.cmask, b.gmask) for b in layout)
+        # every exponent field and their guard bits: one masked subtraction
+        # tests divisibility across all blocks (see divides_key)
+        self.div_mask = (self.one_key, self.guard)
         self._exp_low = self.one_key & ~self.guard  # exponent fields, guard bits off
         self._deg_mask = sum(((1 << DEG_BITS) - 1) << b.deg_shift for b in layout)
-        self._field_shift = {}
-        for b in layout:
-            for j, i in enumerate(b.vars):
-                self._field_shift[i] = b.shift + EXP_BITS * j
+        shift_of = {i: b.shift + EXP_BITS * j for b in layout for j, i in enumerate(b.vars)}
+        self.field_shifts = tuple(shift_of[i] for i in range(len(vars)))  # per variable
         self._var_keys = [
             self.encode(tuple(1 if j == i else 0 for j in range(len(vars))))
             for i in range(len(vars))
@@ -232,10 +230,7 @@ class RingPresentation:
 
     def decode(self, key: int):
         """Monomial key -> exponent tuple."""
-        return tuple(
-            EXP_MASK - ((key >> self._field_shift[i]) & EXP_MASK)
-            for i in range(len(self.vars))
-        )
+        return tuple(EXP_MASK - ((key >> s) & EXP_MASK) for s in self.field_shifts)
 
     def key_degree(self, key: int) -> int:
         """Total weighted degree of a monomial key."""
@@ -248,11 +243,15 @@ class RingPresentation:
         return k
 
     def divides_key(self, ka: int, kb: int) -> bool:
-        """True iff the monomial of ka divides the monomial of kb."""
-        for cmask, gmask in self.div_segments:
-            if ((ka & cmask) - (kb & cmask)) & gmask:
-                return False
-        return True
+        """True iff the monomial of ka divides the monomial of kb.
+
+        A field holds ``0xFFFF - exponent``, so ka divides kb iff no field
+        of ka is below kb's.  Subtracting the exponent fields of all blocks
+        at once, the lowest field where ka's is below borrows and sets its
+        guard bit, and fields without one leave every guard bit clear.
+        """
+        cmask, gmask = self.div_mask
+        return not ((ka & cmask) - (kb & cmask)) & gmask
 
     def lcm_key(self, ka: int, kb: int) -> int:
         """Key of the lcm, computed on the packed keys.

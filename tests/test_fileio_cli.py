@@ -135,6 +135,12 @@ def test_cli_betti_formula(capsys):
     assert json.loads(capsys.readouterr().out) == [1, 4, 5, 2]
 
 
+def test_cli_betti_formula_takes_the_global_budget(capsys):
+    # a closed formula spends no work, so even a zero budget suffices
+    assert main(["betti-formula", "4", "2", "1", "--budget", "0"]) == 0
+    assert capsys.readouterr() == ("[1, 4, 5, 2]\n", "")
+
+
 def test_cli_ulrich_exit_codes(r1_file, capsys):
     assert main([
         "ulrich", "--ring", r1_file, "--ideal", "X; Z; W",

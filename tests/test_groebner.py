@@ -189,8 +189,7 @@ def test_buchberger_criterion_on_output(kxyz):
 
         axpy_terms(s, terms[a], 1, lcm - leads[a], kxyz.field.p, ctx.guard)
         axpy_terms(s, terms[b], -1, lcm - leads[b], kxyz.field.p, ctx.guard)
-        nf = normal_form_terms(s, leads, terms, kxyz.field.p,
-                               ctx.compmask, ctx.segs, ctx.guard)
+        nf = normal_form_terms(s, ctx.index(zip(leads, terms)), kxyz.field.p, ctx.guard)
         assert not nf
 
 
@@ -276,10 +275,7 @@ def test_random_gb_self_certifies(data):
             s: dict = {}
             axpy_terms(s, tdicts[a], 1, lcm - leads[a], ring.field.p, ctx.guard)
             axpy_terms(s, tdicts[b], -1, lcm - leads[b], ring.field.p, ctx.guard)
-            nf = normal_form_terms(
-                s, leads, tdicts, ring.field.p,
-                ctx.compmask, ctx.segs, ctx.guard,
-            )
+            nf = normal_form_terms(s, ctx.index(zip(leads, tdicts)), ring.field.p, ctx.guard)
             assert not nf
 
 

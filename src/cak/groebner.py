@@ -57,8 +57,9 @@ class Budget:
     inserted into a ``_linalg.Echelon`` (the Artinian resolution steps, the
     Hom/Tensor ranks of Ext/Tor and the socle), per basis element of an
     Eagon-Northcott or Koszul complex and per memo entry of a
-    ``complexes.determinant``.  Exceeding the limit is an error, never a
-    wrong answer."""
+    ``complexes.determinant``.  A cached datum is charged once, to the call
+    that computes it.  Exceeding the limit is an error, never a wrong
+    answer."""
 
     __slots__ = ("limit", "used")
 
@@ -448,14 +449,16 @@ def buchberger(gens, ctx, field: Field, budget=None) -> list[dict]:
 
 class IdealHandle:
     """Generator list within a ring presentation with a cached reduced
-    Groebner basis of the full preimage (generators + ring relations), and
-    the divisor index of that basis that its normal forms reduce by.
+    Groebner basis of the full preimage (generators + ring relations), the
+    divisor index of that basis that its normal forms reduce by, and the
+    staircase of its lead ideal that ``standard_monomials`` walks.
 
-    The caches are write-once; concurrent duplicate computation is harmless
-    because the reduced basis is canonical.
+    The caches are write-once, and the basis and the staircase are charged
+    to the call that computes them; concurrent duplicate computation is
+    harmless because the reduced basis is canonical.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_index")
+    __slots__ = ("ring", "gens", "_gb", "_index", "_std")
 
     def __init__(self, ring: RingPresentation, gens):
         self.ring = ring
@@ -472,6 +475,7 @@ class IdealHandle:
         self.gens = tuple(parsed)
         self._gb = None
         self._index = None  # a DivisorIndex over _gb, built on first normal form
+        self._std = None  # (standard monomials, variables with no pure power)
 
     def groebner_basis(self, budget=None) -> list[Polynomial]:
         if self._gb is None:
@@ -542,7 +546,7 @@ class IdealHandle:
         self._check(other)
         a, b = self.gens, other.gens
         if not a or not b:
-            return IdealHandle(self.ring, ())
+            return relations_ideal(self.ring)
         syz = module_syzygies(self.ring, _rank_one(self.ring, a + b), nrows=1, budget=budget)
         ctx = ModuleContext(self.ring, len(a) + len(b))
         gens = []
@@ -563,7 +567,7 @@ class IdealHandle:
         others = [g for g in other.gens if not g.is_zero()]
         if not others:
             return IdealHandle(self.ring, [self.ring.one()])
-        relations = IdealHandle(self.ring, ())
+        relations = relations_ideal(self.ring)
         result = None
         ctx = ModuleContext(self.ring, 1 + len(self.gens))
         for g in others:
@@ -573,6 +577,13 @@ class IdealHandle:
             part = IdealHandle(self.ring, gens)
             result = part if result is None else result.intersection(part, budget)
         return result
+
+
+def relations_ideal(ring: RingPresentation) -> IdealHandle:
+    """The ring's one handle of its relations J, made on first use."""
+    if ring._relations_ideal is None:
+        ring._relations_ideal = IdealHandle(ring, ())
+    return ring._relations_ideal
 
 
 def _rank_one(ring, polys) -> list[dict]:
@@ -834,19 +845,23 @@ def staircase(leads, nvars: int, budget: Budget):
 
 
 def standard_monomials(ideal: IdealHandle, budget=None) -> list[Monomial]:
-    """Monomials outside the lead-term ideal of (gens + relations).
+    """Monomials outside the lead-term ideal of (gens + relations), sorted
+    by key; the handle walks its staircase once and keeps the result.
 
     Errors when some variable has no pure power among the lead terms, in
     which case the quotient is not a finite-dimensional vector space.
     """
     ring = ideal.ring
-    budget = _as_budget(budget)
-    out, missing = staircase(lead_exponents(ideal, budget), len(ring.vars), budget)
+    if ideal._std is None:
+        budget = _as_budget(budget)
+        out, missing = staircase(lead_exponents(ideal, budget), len(ring.vars), budget)
+        out.sort(key=ring.encode)
+        ideal._std = [Monomial(ring, e) for e in out], missing
+    out, missing = ideal._std
     if missing:
         raise NotArtinianError(
             "quotient is not finite-dimensional: no pure power of "
             + ", ".join(ring.vars[i] for i in missing)
             + " in the lead-term ideal"
         )
-    out.sort(key=ring.encode)
-    return [Monomial(ring, e) for e in out]
+    return list(out)

@@ -148,7 +148,9 @@ class RingPresentation:
 
     ``blocks`` is the elimination-order structure: a tuple of tuples of
     variable indices, most significant block first.  The default is one
-    block, i.e. plain weighted degrevlex.
+    block, i.e. plain weighted degrevlex.  A presentation never changes
+    after construction, so the one handle of its relations that
+    ``groebner.relations_ideal`` caches on it stays valid.
     """
 
     def __init__(self, vars, weights, field=None, relations=(), blocks=None):
@@ -187,8 +189,10 @@ class RingPresentation:
         self.key_bits = shift
         self.one_key = sum(b.cmask for b in layout)
         self.guard = sum(b.gmask for b in layout)
-        # every exponent field and their guard bits: one masked subtraction
-        # tests divisibility across all blocks (see divides_key)
+        # every exponent field and their guard bits.  A field holds 0xFFFF
+        # minus the exponent, so in (a & cmask) - (b & cmask) the lowest field
+        # where a's exponent exceeds b's borrows and sets its guard bit: a
+        # divides b iff the difference has no guard bit set
         self.div_mask = (self.one_key, self.guard)
         self._exp_low = self.one_key & ~self.guard  # exponent fields, guard bits off
         self._deg_mask = sum(((1 << DEG_BITS) - 1) << b.deg_shift for b in layout)
@@ -206,6 +210,7 @@ class RingPresentation:
             if not q.is_zero():
                 rels.append(q)
         self.relations = tuple(rels)
+        self._relations_ideal = None  # set by groebner.relations_ideal
 
     # -- key arithmetic -------------------------------------------------
 
@@ -241,17 +246,6 @@ class RingPresentation:
         if k & self.guard != self.guard:
             raise DegreeOverflowError("exponent overflow in monomial product")
         return k
-
-    def divides_key(self, ka: int, kb: int) -> bool:
-        """True iff the monomial of ka divides the monomial of kb.
-
-        A field holds ``0xFFFF - exponent``, so ka divides kb iff no field
-        of ka is below kb's.  Subtracting the exponent fields of all blocks
-        at once, the lowest field where ka's is below borrows and sets its
-        guard bit, and fields without one leave every guard bit clear.
-        """
-        cmask, gmask = self.div_mask
-        return not ((ka & cmask) - (kb & cmask)) & gmask
 
     def lcm_key(self, ka: int, kb: int) -> int:
         """Key of the lcm, computed on the packed keys.
@@ -333,14 +327,9 @@ class RingPresentation:
 
     def extend_relations(self, extra) -> "RingPresentation":
         """Same ambient ring, relation list extended by ``extra``."""
-        new = RingPresentation(self.vars, self.weights, self.field, (), self.blocks)
-        rels = [p.transfer(new) for p in self.relations]
-        for p in extra:
-            q = parse_poly(p, new) if isinstance(p, str) else p.transfer(new)
-            if not q.is_zero():
-                rels.append(q)
-        new.relations = tuple(rels)
-        return new
+        return RingPresentation(
+            self.vars, self.weights, self.field, self.relations + tuple(extra), self.blocks
+        )
 
     def polynomial_ambient(self) -> "RingPresentation":
         """The underlying polynomial ring (relations dropped)."""
@@ -350,9 +339,7 @@ class RingPresentation:
 
     def with_blocks(self, blocks) -> "RingPresentation":
         """Same vars/weights/field, different elimination-order blocks."""
-        new = RingPresentation(self.vars, self.weights, self.field, (), blocks)
-        new.relations = tuple(p.reencode(new) for p in self.relations)
-        return new
+        return RingPresentation(self.vars, self.weights, self.field, self.relations, blocks)
 
     def restrict(self, keep_names) -> "RingPresentation":
         """Subring presentation on a subset of the variables (no relations)."""
@@ -377,10 +364,6 @@ class Monomial:
             raise CakError("exponent vector has wrong length")
         if any(e < 0 for e in self.exponents):
             raise CakError("negative exponent")
-
-    @property
-    def weighted_degree(self) -> int:
-        return sum(e * w for e, w in zip(self.exponents, self.ring.weights))
 
     def key(self) -> int:
         return self.ring.encode(self.exponents)

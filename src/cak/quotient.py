@@ -18,9 +18,10 @@ differentials.  The socle and the complete-intersection test of S/K read
 the handle of K and build no second quotient ring: S/K is a complete
 intersection iff mu(K) = n = ht K, counted on the basis the handle caches.
 
-Ext, Tor and Tor_0 read the first module's own resolution
-(`PresentedModule.resolution`): it is computed once per module object and
-extended on demand, so repeated calls on one module resolve it once.
+Each datum has one owner that computes it once, charged to the call that
+does: the ring owns the handle of J (``groebner.relations_ideal``), a handle
+its basis and standard monomials, and a module its resolution (extended on
+demand by Ext, Tor and Tor_0) and its Ext/Tor target `ArtinianModule`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .groebner import (
     lead_exponents,
     minimal_generator_count,
     module_membership_engine,
+    relations_ideal,
     staircase,
     standard_monomials,
 )
@@ -59,17 +61,16 @@ def _handle(ring, gens) -> IdealHandle:
 
 
 class QuotientRing:
-    """Ring presentation with relations, plus cached Artinian data and
-    dimension.  The ``defining_ideal`` handle holds the one Groebner basis
-    of the relations that the standard basis, the socle and the dimension
-    read."""
+    """Ring presentation with relations, plus its cached dimension.  The
+    ``defining_ideal`` is the presentation's one handle of its relations,
+    whose basis and standard monomials (read by the standard basis, the
+    socle and the dimension) are computed and charged once."""
 
-    __slots__ = ("presentation", "defining_ideal", "_std", "_dim")
+    __slots__ = ("presentation", "defining_ideal", "_dim")
 
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
-        self.defining_ideal = IdealHandle(presentation, ())
-        self._std = None
+        self.defining_ideal = relations_ideal(presentation)
         self._dim = None
 
     def dimension(self, budget=None) -> int:
@@ -92,9 +93,7 @@ class QuotientRing:
 
     def standard_basis(self, budget=None):
         """Standard monomials of the defining ideal (Artinian case)."""
-        if self._std is None:
-            self._std = _standard_basis(self.defining_ideal, budget)
-        return self._std
+        return _standard_basis(self.defining_ideal, budget)
 
     def length(self, budget=None) -> int:
         return len(self.standard_basis(budget))
@@ -221,9 +220,9 @@ class ArtinianModule:
     def __init__(self, ring: RingPresentation, columns, nrows: int, budget=None):
         self.ring = ring
         self.nrows = nrows
-        self.budget = _as_budget(budget)
-        self.ctx, self.engine = module_membership_engine(ring, columns, nrows, budget=self.budget)
-        self.basis = module_standard_basis(self.ctx, self.engine, self.budget)
+        budget = _as_budget(budget)
+        self.ctx, self.engine = module_membership_engine(ring, columns, nrows, budget=budget)
+        self.basis = module_standard_basis(self.ctx, self.engine, budget)
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._op_cache: dict = {}
@@ -257,13 +256,15 @@ class ArtinianModule:
 def _homology_dims(R, module, against, start: int, stop: int, budget, *, tensor=False):
     """Yield dim_k H_i of Hom(F, N), or of F (x) N with ``tensor``, for
     i = start .. stop - 1, where F is the module's minimal resolution over
-    R and N is ``against``.  F is extended only as far as the caller
-    consumes."""
+    R and N is ``against``, whose `ArtinianModule` is built once per module
+    object.  F is extended only as far as the caller consumes."""
     ring = as_presentation(R)
     if module.ring is not ring or against.ring is not ring:
         raise RingMismatchError("modules are not presented over the given ring")
     builder = module.resolution(budget)
-    target = ArtinianModule.from_presented(against, budget)
+    if against._target is None:
+        against._target = ArtinianModule.from_presented(against, budget)
+    target = against._target
     rank_of = _tensor_rank if tensor else _hom_rank
 
     def induced_rank(i):
@@ -271,7 +272,7 @@ def _homology_dims(R, module, against, start: int, stop: int, budget, *, tensor=
         if i == 0:
             return 0
         builder.extend(i, budget)
-        return rank_of(builder.differential(i), builder.rank(i - 1), builder.rank(i), target)
+        return rank_of(builder.differential(i), builder.rank(i - 1), builder.rank(i), target, budget)
 
     below = induced_rank(start)
     for i in range(start, stop):
@@ -287,11 +288,11 @@ def ext_dims(R, module: PresentedModule, against: PresentedModule, bound: int, b
     return list(_homology_dims(R, module, against, 1, bound + 1, _as_budget(budget)))
 
 
-def _hom_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
+def _hom_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule, budget) -> int:
     """Rank of Hom(d, N): Hom(F_lo, N) -> Hom(F_hi, N), one sparse row per
     (basis vector j of F_lo, basis element b of N) over the coordinates
     (basis vector c of F_hi, basis element of N): row j of d times b."""
-    return _assembled_rank(mat, r_lo, r_hi, target, by_rows=True)
+    return _assembled_rank(mat, r_lo, r_hi, target, budget, by_rows=True)
 
 
 def tor_dims(R, module: PresentedModule, against: PresentedModule, bound: int, budget=None):
@@ -301,13 +302,13 @@ def tor_dims(R, module: PresentedModule, against: PresentedModule, bound: int, b
     return list(_homology_dims(R, module, against, 1, bound + 1, _as_budget(budget), tensor=True))
 
 
-def _tensor_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule) -> int:
+def _tensor_rank(mat: PolyMatrix, r_lo: int, r_hi: int, target: ArtinianModule, budget) -> int:
     """Rank of d (x) N : N^(r_hi) -> N^(r_lo): the Hom assembly along the
     columns of d instead of its rows."""
-    return _assembled_rank(mat, r_hi, r_lo, target, by_rows=False)
+    return _assembled_rank(mat, r_hi, r_lo, target, budget, by_rows=False)
 
 
-def _assembled_rank(mat: PolyMatrix, n_lines: int, width: int, target, by_rows: bool) -> int:
+def _assembled_rank(mat: PolyMatrix, n_lines: int, width: int, target, budget, by_rows: bool) -> int:
     """Rank of the matrix with one sparse row per (line of d, basis element
     b of N), a line being a row of d (``by_rows``) or a column: for every
     entry e of the line, the coordinates of e * b at (position of e in the
@@ -324,7 +325,7 @@ def _assembled_rank(mat: PolyMatrix, n_lines: int, width: int, target, by_rows: 
     lines: list = [[] for _ in range(n_lines)]
     for (line, pos), terms in entries.items():
         lines[line].append((pos * dim, frozenset(terms)))
-    ech = Echelon(target.ring.field.p, target.budget)
+    ech = Echelon(target.ring.field.p, budget)
     for line in lines:
         for b in range(dim):
             row = {}

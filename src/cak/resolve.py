@@ -27,7 +27,9 @@ entries are the f_i up to sign, so it is minimal.
 A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
 consumer (`minimal_free_resolution`, Ext, Tor, the AR checker) reads it and
-extends it only as far as it needs.
+extends it only as far as it needs.  The Artinian steps, `minimalize` and
+`is_regular_sequence` read J through the ring's one handle of it
+(``groebner.relations_ideal``), completed once per ring object.
 
 Regular sequences are decided by the Hilbert series alone: homogeneous
 elements of positive degrees d_i are regular iff the Hilbert numerator of
@@ -52,7 +54,7 @@ from .groebner import (
     minimal_generating_subset,
     minimal_generator_count,
     module_syzygies,
-    staircase,
+    relations_ideal,
     standard_monomials,
 )
 from .polyring import Polynomial, RingPresentation
@@ -153,9 +155,10 @@ class PolyMatrix:
 
 class PresentedModule:
     """Cokernel presentation: ambient graded free module and a relation
-    matrix whose columns are the relations."""
+    matrix whose columns are the relations.  It owns its resolution and its
+    Ext/Tor target (``quotient._homology_dims``), each built once."""
 
-    __slots__ = ("ring", "ambient", "relations", "column_degrees", "_resolution")
+    __slots__ = ("ring", "ambient", "relations", "column_degrees", "_resolution", "_target")
 
     def __init__(self, ring, ambient: GradedFreeModule, relations: PolyMatrix):
         if relations.nrows != ambient.rank:
@@ -166,6 +169,7 @@ class PresentedModule:
         ctx = ModuleContext(ring, ambient.rank, twists=ambient.twists)
         self.column_degrees = tuple(ctx.column_degree(col) for col in relations.cols)
         self._resolution = None
+        self._target = None
 
     def resolution(self, budget=None) -> "ResolutionBuilder":
         """The minimal free resolution of this module over ring/(relations),
@@ -314,7 +318,7 @@ class _GradedArtinian:
         self.one = ring.field.coerce(1)
         self.defining_ideal = defining_ideal
         self.by_degree: dict[int, list[int]] = {}
-        for key in sorted(map(ring.encode, std)):
+        for key in (m.key() for m in std):  # in key order
             self.by_degree.setdefault(ring.key_degree(key), []).append(key)
         self.top = max(self.by_degree, default=-1)
         self._nf: dict[int, tuple] = {}
@@ -325,10 +329,11 @@ class _GradedArtinian:
         relation is homogeneous and the staircase is finite, else None."""
         if not ring.relations or any(r.homogeneous_degree() is None for r in ring.relations):
             return None
-        relh = _relations_handle(ring, budget)
-        leads = [ring.decode(g.lead_key()) for g in relh.groebner_basis(budget)]
-        std, missing = staircase(leads, len(ring.vars), budget)
-        return None if missing else cls(ring, relh, std)
+        relh = relations_ideal(ring)
+        try:
+            return cls(ring, relh, standard_monomials(relh, budget))
+        except NotArtinianError:
+            return None
 
     def times(self, s: int, vec: dict) -> dict:
         """Normal form of the standard monomial ``s`` times ``vec``, an
@@ -417,14 +422,6 @@ class Resolution:
 
     def total_ranks(self) -> tuple[int, ...]:
         return self.complex.ranks()
-
-
-def _relations_handle(ring, budget) -> IdealHandle | None:
-    if not ring.relations:
-        return None
-    h = IdealHandle(ring, ())
-    h.groebner_basis(budget)
-    return h
 
 
 def presentation_minimalize(module: PresentedModule, budget=None):
@@ -575,8 +572,8 @@ def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
     cancellation costs one budget unit."""
     ring = complex.ring
     budget = _as_budget(budget)
-    relh = _relations_handle(ring, budget)
-    nf = (lambda p: relh.normal_form(p)) if relh else (lambda p: p)
+    relh = relations_ideal(ring) if ring.relations else None
+    nf = (lambda p: relh.normal_form(p, budget)) if relh else (lambda p: p)
     mats = [[list(map(nf, row)) for row in m.entries] for m in complex.maps]
     twists = [list(m.twists) for m in complex.modules]
 
@@ -752,7 +749,7 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
         return True
     if any(r.homogeneous_degree() is None for r in ring.relations):
         raise PreconditionError("regular-sequence test wants homogeneous relations")
-    want = hilbert_numerator(lead_exponents(IdealHandle(ring, ()), budget), ring.weights, budget)
+    want = hilbert_numerator(lead_exponents(relations_ideal(ring), budget), ring.weights, budget)
     for e in elems:
         # times (1 - t^d)
         d, before = e.degree(), want

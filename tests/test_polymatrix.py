@@ -52,13 +52,13 @@ def dense_basis_times(target, f, b):
     )
 
 
-def dense_hom_rank(rows, r_lo, r_hi, target):
+def dense_hom_rank(rows, r_lo, r_hi, target, budget):
     """Rank of Hom(d, N) from the dense rows of d: one row per (row j of
     d, basis element b of N) over (column c of d, basis element of N)."""
     if r_lo == 0 or r_hi == 0 or target.dim == 0:
         return 0
     dim = target.dim
-    ech = Echelon(target.ring.field.p, target.budget)
+    ech = Echelon(target.ring.field.p, budget)
     for j in range(r_lo):
         entries = [(c * dim, e) for c, e in enumerate(rows[j]) if e.terms]
         for b in range(dim):
@@ -71,9 +71,9 @@ def dense_hom_rank(rows, r_lo, r_hi, target):
     return ech.rank
 
 
-def dense_tensor_rank(rows, r_lo, r_hi, target):
+def dense_tensor_rank(rows, r_lo, r_hi, target, budget):
     transposed = [[row[j] for row in rows] for j in range(r_hi)]
-    return dense_hom_rank(transposed, r_hi, r_lo, target)
+    return dense_hom_rank(transposed, r_hi, r_lo, target, budget)
 
 
 def artinian(field=None):
@@ -176,12 +176,17 @@ def test_hom_and_tensor_ranks_match_the_dense_assembly(field):
     res = minimal_free_resolution(residue_field_presentation(ring), max_length=3)
     mats += res.complex.maps + [PolyMatrix.zero(ring, 2, 3)]
     for module in targets(ring):
-        packed = ArtinianModule.from_presented(module, Budget())
-        dense = ArtinianModule.from_presented(module, Budget())
+        packed_budget, dense_budget = Budget(), Budget()
+        packed = ArtinianModule.from_presented(module, packed_budget)
+        dense = ArtinianModule.from_presented(module, dense_budget)
         for mat in mats:
             rows, shape = mat.entries, (mat.nrows, mat.ncols)
-            before = (packed.budget.used, dense.budget.used)
-            assert _hom_rank(mat, *shape, packed) == dense_hom_rank(rows, *shape, dense)
-            assert _tensor_rank(mat, *shape, packed) == dense_tensor_rank(rows, *shape, dense)
+            before = (packed_budget.used, dense_budget.used)
+            assert _hom_rank(mat, *shape, packed, packed_budget) == dense_hom_rank(
+                rows, *shape, dense, dense_budget
+            )
+            assert _tensor_rank(mat, *shape, packed, packed_budget) == dense_tensor_rank(
+                rows, *shape, dense, dense_budget
+            )
             # one echelon insertion per row on both sides
-            assert packed.budget.used - before[0] == dense.budget.used - before[1]
+            assert packed_budget.used - before[0] == dense_budget.used - before[1]

@@ -211,7 +211,8 @@ def test_hom_into_ring_detects_socle(dual_numbers):
 
     res = minimal_free_resolution(k, max_length=1)
     target = ArtinianModule(ring, [], 1)
-    rank_delta0 = _hom_rank(res.complex.differential(1), 1, res.complex.modules[1].rank, target)
+    d1 = res.complex.differential(1)
+    rank_delta0 = _hom_rank(d1, 1, res.complex.modules[1].rank, target, Budget())
     dim_hom = target.dim * 1 - rank_delta0
     assert dim_hom == 1
 
@@ -251,7 +252,8 @@ def test_ext_retry_after_budget_exhaustion(square_zero):
     want_tor = tor_dims(square_zero, residue_field_presentation(ring), k, 4)
     partial = set()
     for limit in range(0, 120, 6):
-        M = residue_field_presentation(ring)
+        # a fresh target each time: k's is built once and then costs nothing
+        M, k = residue_field_presentation(ring), residue_field_presentation(ring)
         try:
             ext_dims(square_zero, M, k, 4, Budget(limit))
             continue
@@ -265,18 +267,45 @@ def test_ext_retry_after_budget_exhaustion(square_zero):
     assert {None, 0} <= partial and any(n for n in partial if n)
 
 
+def test_minimalize_charges_the_relations_basis_to_its_caller(square_zero):
+    # (X, Y) has no unit entry, so completing J is all the work there is
+    from cak.resolve import ChainComplex, minimalize
+
+    ring = square_zero.presentation
+    amb = GradedFreeModule(ring, (0,))
+    d1 = PolyMatrix(ring, [PL(ring, "X; Y")])
+    cx = ChainComplex(ring, [amb, GradedFreeModule(ring, (1, 1))], [d1])
+    with pytest.raises(ResourceLimitError):
+        minimalize(cx, Budget(0))
+    assert minimalize(cx).ranks() == (1, 2)
+
+
+def test_cached_target_still_charges_the_hom_ranks(square_zero):
+    ring = square_zero.presentation
+    M, k = cyclic_presentation(ring, ["X"]), residue_field_presentation(ring)
+    want = ext_dims(square_zero, M, k, 3)  # resolves M and builds k's target
+    with pytest.raises(ResourceLimitError):
+        ext_dims(square_zero, M, k, 3, Budget(0))
+    assert ext_dims(square_zero, M, k, 3) == want
+
+
 def test_one_resolution_per_module(square_zero, monkeypatch):
     from cak import resolve
     from cak.ulrich import ar_instance_check
 
-    built = []
-    init = resolve.ResolutionBuilder.__init__
+    built, targets = [], []
+    init, target_init = resolve.ResolutionBuilder.__init__, ArtinianModule.__init__
 
     def counting_init(self, module, budget=None):
         built.append(module)
         init(self, module, budget)
 
+    def counting_target_init(self, ring, columns, nrows, budget=None):
+        targets.append(columns)  # a target module's own relation columns
+        target_init(self, ring, columns, nrows, budget)
+
     monkeypatch.setattr(resolve.ResolutionBuilder, "__init__", counting_init)
+    monkeypatch.setattr(ArtinianModule, "__init__", counting_target_init)
     ring = square_zero.presentation
     M = cyclic_presentation(ring, ["X"])
     N = residue_field_presentation(ring)
@@ -285,6 +314,10 @@ def test_one_resolution_per_module(square_zero, monkeypatch):
     tor0 = tor_zero_dim(square_zero, M, N)
     verdict = ar_instance_check(square_zero, M, 3)
     assert built == [M]
+    # one target each for N, for M (Ext(M, M)) and for R (Ext(M, R))
+    ids = [id(cols) for cols in targets]
+    assert len(ids) == len(set(ids)) == 3
+    assert id(N.relations.cols) in ids and id(M.relations.cols) in ids
     # the shared resolution gives what fresh modules give
     monkeypatch.undo()
     fresh = lambda: cyclic_presentation(ring, ["X"])
@@ -374,6 +407,35 @@ def test_artinian_module_builds_one_engine(square_zero, monkeypatch):
     module = ArtinianModule(ring, [ModuleContext(ring, 1).from_column(PL(ring, "X"))], 1)
     assert len(calls) == 1
     assert module.dim == 2
+
+
+def test_relations_are_completed_once_per_ring(monkeypatch, r1_ring):
+    from cak import groebner
+    from cak.groebner import IdealHandle
+    from cak.resolve import is_regular_sequence
+
+    completed = []
+    original = groebner.buchberger
+
+    def counting(gens, ctx, field, budget=None):
+        gens = list(gens)
+        if gens == [r.terms for r in ctx.ring.relations]:
+            completed.append(ctx.ring)
+        return original(gens, ctx, field, budget)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cak" and getattr(mod, "buchberger", None) is original:
+            monkeypatch.setattr(mod, "buchberger", counting)
+    ring = RingPresentation(
+        ["x", "y", "z"], [1, 1, 1], relations=["x^3", "y^3", "z^3", "x*y*z"]
+    )
+    assert socle_dim(QuotientRing(ring)) == socle_dim(QuotientRing(ring)) == 3
+    for gens in (["x"], ["x", "y^2"]):
+        minimal_free_resolution(cyclic_presentation(ring, gens), max_length=3)
+    assert is_regular_sequence(r1_ring, PL(r1_ring, "X"))
+    IdealHandle(r1_ring, PL(r1_ring, "Z")).colon(IdealHandle(r1_ring, PL(r1_ring, "X")))
+    # by identity: a presentation has no __eq__
+    assert completed == [ring, r1_ring]
 
 
 def test_socle_dim_builds_one_basis_and_one_staircase(monkeypatch):

@@ -60,9 +60,11 @@ def test_is_parameter_ideal(r1, kxy):
 def test_dimension_is_computed_once_per_quotient_ring(r1_ring):
     """The first call on a QuotientRing pays for dim R (the basis of the
     relations and a Hilbert numerator); later calls on the same ring pay
-    only for R/q.  A bare presentation keeps no dimension."""
+    only for R/q.  A bare presentation keeps no dimension, but J is
+    completed once per ring, so its calls pay for the Hilbert numerator
+    and R/q only."""
     q = PL(r1_ring, "X")
-    for R, want in ((QuotientRing(r1_ring), [30, 8]), (r1_ring, [30, 30])):
+    for R, want in ((QuotientRing(r1_ring), [30, 8]), (r1_ring, [28, 28])):
         totals = []
         for _ in range(2):
             budget = Budget()

@@ -43,7 +43,7 @@ import itertools
 
 from ._kernel import DivisorIndex, axpy_terms, normal_form_terms
 from .errors import CakError, PreconditionError, NotArtinianError, ResourceLimitError
-from .polyring import Field, Monomial, Polynomial, RingPresentation
+from .polyring import Field, Monomial, Polynomial, RingPresentation, parse_poly
 
 DEFAULT_BUDGET = 10**6
 
@@ -450,23 +450,22 @@ def buchberger(gens, ctx, field: Field, budget=None) -> list[dict]:
 class IdealHandle:
     """Generator list within a ring presentation with a cached reduced
     Groebner basis of the full preimage (generators + ring relations), the
-    divisor index of that basis that its normal forms reduce by, and the
-    staircase of its lead ideal that ``standard_monomials`` walks.
+    divisor index of that basis that its normal forms reduce by, the
+    staircase of its lead ideal that ``standard_monomials`` walks, and the
+    normal forms of monomials (``monomial_normal_form``).
 
     The caches are write-once, and the basis and the staircase are charged
     to the call that computes them; concurrent duplicate computation is
     harmless because the reduced basis is canonical.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_index", "_std")
+    __slots__ = ("ring", "gens", "_gb", "_index", "_std", "_nf")
 
     def __init__(self, ring: RingPresentation, gens):
         self.ring = ring
         parsed = []
         for g in gens:
             if isinstance(g, str):
-                from .polyring import parse_poly
-
                 g = parse_poly(g, ring)
             if g.ring is not ring:
                 raise CakError("ideal generator from a different ring")
@@ -476,6 +475,7 @@ class IdealHandle:
         self._gb = None
         self._index = None  # a DivisorIndex over _gb, built on first normal form
         self._std = None  # (standard monomials, variables with no pure power)
+        self._nf: dict[int, tuple] = {}  # monomial key -> (key, coeff) pairs of its normal form
 
     def groebner_basis(self, budget=None) -> list[Polynomial]:
         if self._gb is None:
@@ -495,6 +495,14 @@ class IdealHandle:
             self._index = RingContext(self.ring).index((g.lead_key(), g.terms) for g in gb)
         nf = normal_form_terms(p.terms, self._index, self.ring.field.p, self.ring.guard)
         return Polynomial(self.ring, nf)
+
+    def monomial_normal_form(self, key: int, budget=None) -> tuple:
+        """The (key, coeff) pairs of the normal form of the monomial ``key``,
+        computed once per handle into ``_nf``, which hot loops read first."""
+        if key not in self._nf:
+            mono = Polynomial(self.ring, {key: self.ring.field.coerce(1)})
+            self._nf[key] = tuple(self.normal_form(mono, budget).terms.items())
+        return self._nf[key]
 
     def contains_poly(self, p: Polynomial, budget=None) -> bool:
         return self.normal_form(p, budget).is_zero()
@@ -763,8 +771,6 @@ class RingMap:
         imgs = []
         for im in images:
             if isinstance(im, str):
-                from .polyring import parse_poly
-
                 im = parse_poly(im, target)
             if im.ring is not target:
                 raise CakError("image from a different ring")

@@ -149,8 +149,8 @@ class RingPresentation:
     ``blocks`` is the elimination-order structure: a tuple of tuples of
     variable indices, most significant block first.  The default is one
     block, i.e. plain weighted degrevlex.  A presentation never changes
-    after construction, so the one handle of its relations that
-    ``groebner.relations_ideal`` caches on it stays valid.
+    after construction, so its caches stay valid: the one handle of its
+    relations (``groebner.relations_ideal``) and R as a module.
     """
 
     def __init__(self, vars, weights, field=None, relations=(), blocks=None):
@@ -211,6 +211,7 @@ class RingPresentation:
                 rels.append(q)
         self.relations = tuple(rels)
         self._relations_ideal = None  # set by groebner.relations_ideal
+        self._free_module = None  # R as a module, set by quotient.free_module_presentation
 
     # -- key arithmetic -------------------------------------------------
 

@@ -19,9 +19,11 @@ the handle of K and build no second quotient ring: S/K is a complete
 intersection iff mu(K) = n = ht K, counted on the basis the handle caches.
 
 Each datum has one owner that computes it once, charged to the call that
-does: the ring owns the handle of J (``groebner.relations_ideal``), a handle
-its basis and standard monomials, and a module its resolution (extended on
-demand by Ext, Tor and Tor_0) and its Ext/Tor target `ArtinianModule`.
+does: the ring owns the handle of J (``groebner.relations_ideal``) and R as
+a module (``free_module_presentation``), a handle its basis, standard
+monomials and monomial normal forms (read by the socle and by every Artinian
+resolution step), and a module its resolution (extended on demand by Ext,
+Tor and Tor_0) and its Ext/Tor target `ArtinianModule`.
 """
 
 from __future__ import annotations
@@ -145,13 +147,11 @@ def _socle(ideal: IdealHandle, basis, budget) -> int:
     variable, one row per monomial, have rank dim - socle."""
     ring = ideal.ring
     index = {m.key(): i for i, m in enumerate(basis)}
-    one = ring.field.coerce(1)
     ech = Echelon(ring.field.p, budget)
     for k in index:
         row = {}
         for i in range(len(ring.vars)):
-            shifted = Polynomial(ring, {ring.mul_keys(ring.var_key(i), k): one})
-            for key, c in ideal.normal_form(shifted, budget).terms.items():
+            for key, c in ideal.monomial_normal_form(ring.mul_keys(ring.var_key(i), k), budget):
                 row[i * len(basis) + index[key]] = c
         ech.insert(row)
     return len(basis) - ech.rank
@@ -340,9 +340,18 @@ def tor_zero_dim(R, module: PresentedModule, against: PresentedModule, budget=No
     return next(_homology_dims(R, module, against, 0, 1, _as_budget(budget), tensor=True))
 
 
-def free_module_presentation(R, rank: int = 1, twists=None) -> PresentedModule:
+def free_module_presentation(R, rank: int | None = None, twists=None) -> PresentedModule:
+    """R^rank in degrees ``twists`` (all 0 by default); R itself is one
+    module per ring, so its resolution and Ext/Tor target are built once."""
     ring = as_presentation(R)
-    return PresentedModule.free(ring, twists if twists is not None else (0,) * rank)
+    twists = (0,) * (1 if rank is None else rank) if twists is None else tuple(twists)
+    if rank is not None and rank != len(twists):
+        raise PreconditionError(f"rank {rank} disagrees with {len(twists)} twists")
+    if twists != (0,):
+        return PresentedModule.free(ring, twists)
+    if ring._free_module is None:
+        ring._free_module = PresentedModule.free(ring)
+    return ring._free_module
 
 
 def residue_field_presentation(R) -> PresentedModule:

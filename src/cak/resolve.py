@@ -29,7 +29,8 @@ module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
 consumer (`minimal_free_resolution`, Ext, Tor, the AR checker) reads it and
 extends it only as far as it needs.  The Artinian steps, `minimalize` and
 `is_regular_sequence` read J through the ring's one handle of it
-(``groebner.relations_ideal``), completed once per ring object.
+(``groebner.relations_ideal``), completed once per ring object, and every
+Artinian step and the socle read one cache of monomial normal forms on it.
 
 Regular sequences are decided by the Hilbert series alone: homogeneous
 elements of positive degrees d_i are regular iff the Hilbert numerator of
@@ -57,7 +58,7 @@ from .groebner import (
     relations_ideal,
     standard_monomials,
 )
-from .polyring import Polynomial, RingPresentation
+from .polyring import RingPresentation
 
 
 class GradedFreeModule:
@@ -308,20 +309,20 @@ class _GradedArtinian:
 
     Module elements are packed term dicts in the layout of
     ``ModuleContext(ring, rank)``; an element of F (x) R is one whose
-    monomials are all standard.  Normal forms of monomials are cached for
-    the lifetime of the object.
+    monomials are all standard.  The view groups J's standard monomials by
+    degree; the normal forms of monomials are the handle's, shared by the
+    socle and every resolution over the ring.
     """
 
-    def __init__(self, ring, defining_ideal: IdealHandle, std):
-        self.ring = ring
+    def __init__(self, relations: IdealHandle, std):
+        self.ring = ring = relations.ring
         self.p = ring.field.p
         self.one = ring.field.coerce(1)
-        self.defining_ideal = defining_ideal
+        self.relations = relations
         self.by_degree: dict[int, list[int]] = {}
         for key in (m.key() for m in std):  # in key order
             self.by_degree.setdefault(ring.key_degree(key), []).append(key)
         self.top = max(self.by_degree, default=-1)
-        self._nf: dict[int, tuple] = {}
 
     @classmethod
     def of(cls, ring, budget):
@@ -331,7 +332,7 @@ class _GradedArtinian:
             return None
         relh = relations_ideal(ring)
         try:
-            return cls(ring, relh, standard_monomials(relh, budget))
+            return cls(relh, standard_monomials(relh, budget))
         except NotArtinianError:
             return None
 
@@ -339,7 +340,8 @@ class _GradedArtinian:
         """Normal form of the standard monomial ``s`` times ``vec``, an
         element of F (x) R."""
         out = {}
-        p, cache, one_key, guard = self.p, self._nf, self.ring.one_key, self.ring.guard
+        # the handle's cache is read here, and the handle called on a miss only
+        p, cache, one_key, guard = self.p, self.relations._nf, self.ring.one_key, self.ring.guard
         bits = ModuleContext.COMP_BITS
         low_mask = (1 << bits) - 1  # the component of a module key
         for k, c in vec.items():
@@ -348,7 +350,7 @@ class _GradedArtinian:
                 raise DegreeOverflowError("exponent overflow in monomial product")
             nf = cache.get(prod)
             if nf is None:
-                nf = self._normal_form(prod)
+                nf = self.relations.monomial_normal_form(prod)
             low = k & low_mask
             for sk, sc in nf:
                 kk = (sk << bits) | low
@@ -360,15 +362,6 @@ class _GradedArtinian:
                 else:
                     del out[kk]
         return out
-
-    def _normal_form(self, key):
-        if self.ring.key_degree(key) > self.top:
-            nf = ()
-        else:
-            mono = Polynomial(self.ring, {key: self.one})
-            nf = tuple(self.defining_ideal.normal_form(mono).terms.items())
-        self._nf[key] = nf
-        return nf
 
     def minimal(self, vecs, degrees, twists, budget):
         """A minimal generating subset of the elements ``vecs`` of F (x) R of
@@ -474,7 +467,7 @@ class ResolutionBuilder:
         ring = module.ring
         budget = _as_budget(budget)
         self.ring = ring
-        # the relations divided out at every step
+        # read only by cakbench's tracer, for resolve.resolutions.distinct_ratio
         self.qrels = tuple(ring.relations)
         module = presentation_minimalize(module, budget)
         twists0 = module.ambient.twists
@@ -656,28 +649,31 @@ def hilbert_numerator(gens, weights, budget=None) -> dict[int, int]:
     def rec(fs):
         if not fs:
             return {0: 1}
-        got = memo.get(fs)
-        if got is not None:
-            return got
+        if fs in memo:
+            return memo[fs]
         budget.spend(len(fs))
         lst = sorted(fs, key=lambda e: (wdeg(e), e))
         pivot = lst[-1]
         rest = tuple(e for e in lst if e != pivot)
-        base = rec(rest)
         colon = _minimalize_monomials(
             [tuple([a - b if a > b else 0 for a, b in zip(e, pivot)]) for e in rest]
         )
-        sub = rec(tuple(sorted(colon)))
-        out = dict(base)
-        shift = wdeg(pivot)
-        for d, c in sub.items():
-            out[d + shift] = out.get(d + shift, 0) - c
-            if not out[d + shift]:
-                del out[d + shift]
-        memo[fs] = out
+        out = memo[fs] = _add_shifted(dict(rec(rest)), rec(tuple(sorted(colon))), wdeg(pivot), -1)
         return out
 
     return rec(tuple(sorted(gens)))
+
+
+def _add_shifted(out: dict, poly: dict, shift: int = 0, sign: int = 1) -> dict:
+    """out += sign * t^shift * poly, for integer polynomials as degree ->
+    coefficient dicts with no zero coefficient; returns ``out``."""
+    for d, c in poly.items():
+        v = out.get(d + shift, 0) + sign * c
+        if v:
+            out[d + shift] = v
+        else:
+            del out[d + shift]
+    return out
 
 
 def _minimalize_monomials(gens):
@@ -707,11 +703,7 @@ def lead_module_hilbert_numerator(ctx, engine, twists, budget) -> dict[int, int]
     ``twists`` are the degrees of the basis vectors of ``ctx``."""
     out: dict[int, int] = {}
     for tau, gens in zip(twists, lead_module_per_component(ctx, engine)):
-        num = hilbert_numerator(gens, ctx.ring.weights, budget)
-        for d, c in num.items():
-            out[d + tau] = out.get(d + tau, 0) + c
-            if not out[d + tau]:
-                del out[d + tau]
+        _add_shifted(out, hilbert_numerator(gens, ctx.ring.weights, budget), tau)
     return out
 
 
@@ -719,11 +711,8 @@ def alternating_twist_sum(complex: ChainComplex) -> dict[int, int]:
     """Sum over i of (-1)^i t^(twists of F_i), as an integer polynomial."""
     out: dict[int, int] = {}
     for i, mod in enumerate(complex.modules):
-        s = -1 if i % 2 else 1
         for t in mod.twists:
-            out[t] = out.get(t, 0) + s
-            if not out[t]:
-                del out[t]
+            _add_shifted(out, {t: 1}, 0, -1 if i % 2 else 1)
     return out
 
 
@@ -751,13 +740,7 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
         raise PreconditionError("regular-sequence test wants homogeneous relations")
     want = hilbert_numerator(lead_exponents(relations_ideal(ring), budget), ring.weights, budget)
     for e in elems:
-        # times (1 - t^d)
-        d, before = e.degree(), want
-        want = dict(before)
-        for t, c in before.items():
-            want[t + d] = want.get(t + d, 0) - c
-            if not want[t + d]:
-                del want[t + d]
+        want = _add_shifted(dict(want), want, e.degree(), -1)  # times (1 - t^d)
     got = hilbert_numerator(lead_exponents(IdealHandle(ring, elems), budget), ring.weights, budget)
     return got == want
 

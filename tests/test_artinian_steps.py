@@ -15,6 +15,7 @@ from cak.quotient import (
     ext_dims,
     free_module_presentation,
     residue_field_presentation,
+    socle_dim,
     tor_dims,
     tor_zero_dim,
 )
@@ -92,6 +93,43 @@ def test_first_differential_has_only_standard_monomials(name):
         assert builder._artinian is not None
         assert all(map(is_standard, builder.differential(1).cols))
     assert planted
+
+
+def seeded_ring(seed, weights, field):
+    """k[x,y,z]/J, J a pure power of each variable and one random form: a
+    graded Artinian ring, rebuilt as a new presentation on every call."""
+    rng = random.Random(f"order {seed} {weights} {field}")
+    ambient = RingPresentation(["x", "y", "z"], weights, field)
+    powers = [f"{v}^{rng.randint(2, 3)}" for v in ambient.vars]
+    form = random_form(ambient, rng.randint(2, 4), rng, zero_chance=0.5)
+    return ambient.extend_relations(parse_poly_list("; ".join(powers), ambient) + [form])
+
+
+def socle_and_homology(ring, socle_first):
+    """The socle dimension, then or after the Betti tables of k and of a
+    random module to length 4 and Ext/Tor of that module against k and R to
+    bound 3, all over one presentation."""
+    R = QuotientRing(ring)
+    k = residue_field_presentation(ring)
+    M = random_module(ring, random.Random("order module"))
+    socle = socle_dim(R) if socle_first else None
+    out = [minimal_free_resolution(m, max_length=4).betti.as_rows() for m in (k, M)]
+    for N in (k, free_module_presentation(ring)):
+        out += [ext_dims(R, M, N, 3), tor_dims(R, M, N, 3)]
+    return socle_dim(R) if socle is None else socle, out
+
+
+@pytest.mark.parametrize("field", [None, QQ], ids=["fp", "qq"])
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_shared_normal_forms_do_not_depend_on_who_fills_them(seed, weights, field):
+    """The socle and the resolutions over R read one cache of monomial
+    normal forms on the handle of J; whichever fills it first, every answer
+    is the one that presentations with nothing cached give."""
+    make = lambda: seeded_ring(seed, weights, field)
+    fresh = (socle_dim(QuotientRing(make())), socle_and_homology(make(), False)[1])
+    assert socle_and_homology(make(), True) == fresh
+    assert socle_and_homology(make(), False) == fresh
 
 
 def test_zero_ring_outputs_are_pinned():

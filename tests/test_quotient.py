@@ -289,6 +289,67 @@ def test_cached_target_still_charges_the_hom_ranks(square_zero):
     assert ext_dims(square_zero, M, k, 3) == want
 
 
+def test_free_module_presentation_checks_rank_against_twists(square_zero):
+    ring = square_zero.presentation
+    assert free_module_presentation(ring, 2).ambient.twists == (0, 0)
+    assert free_module_presentation(ring, twists=(0, 1)).ambient.twists == (0, 1)
+    assert free_module_presentation(ring, 2, (0, 3)).ambient.twists == (0, 3)
+    with pytest.raises(PreconditionError):
+        free_module_presentation(ring, 2, (0,))
+    # R itself is one module per ring, however it is asked for
+    R = free_module_presentation(ring)
+    assert free_module_presentation(square_zero) is R
+    assert free_module_presentation(ring, 1, (0,)) is R
+    assert free_module_presentation(ring, 2) is not free_module_presentation(ring, 2)
+
+
+def test_the_ring_as_a_target_is_built_once_per_ring(square_zero, monkeypatch):
+    from cak.ulrich import ar_instance_check
+
+    shapes = []
+    target_init = ArtinianModule.__init__
+
+    def counting_target_init(self, ring, columns, nrows, budget=None):
+        shapes.append((nrows, len(columns)))
+        target_init(self, ring, columns, nrows, budget)
+
+    monkeypatch.setattr(ArtinianModule, "__init__", counting_target_init)
+    ring = square_zero.presentation
+    M = cyclic_presentation(ring, ["X"])
+    ar_instance_check(square_zero, M, 3)
+    ar_instance_check(square_zero, residue_field_presentation(ring), 3)
+    want = ext_dims(square_zero, M, free_module_presentation(ring), 3)
+    assert shapes.count((1, 0)) == 1  # R: rank one, no relations
+    # the cached target still charges the Hom ranks to each call's budget
+    with pytest.raises(ResourceLimitError):
+        ext_dims(square_zero, M, free_module_presentation(ring), 3, Budget(0))
+    assert ext_dims(square_zero, M, free_module_presentation(ring), 3) == want
+    assert shapes.count((1, 0)) == 1
+
+
+def test_monomial_normal_forms_are_computed_once_per_handle(monkeypatch):
+    """The socle and every resolution over R read one cache of monomial
+    normal forms on the handle of J, so each monomial is reduced once."""
+    from cak.groebner import IdealHandle
+
+    reduced = []
+    normal_form = IdealHandle.normal_form
+
+    def counting(self, p, budget=None):
+        if len(p.terms) == 1 and set(p.terms.values()) == {1}:
+            reduced.append((id(self), *p.terms))
+        return normal_form(self, p, budget)
+
+    monkeypatch.setattr(IdealHandle, "normal_form", counting)
+    ring = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=["x^3", "y^3", "z^3", "x*y*z"])
+    R = QuotientRing(ring)
+    assert socle_dim(R) == 3  # x^2*y^2, x^2*z^2, y^2*z^2
+    # no monomial entries, so minimalize reduces no monomial of its own
+    for gens in (["x + y", "y*z - z^2"], ["x*y + z^2", "y - z"]):
+        minimal_free_resolution(cyclic_presentation(ring, gens), max_length=3)
+    assert reduced and len(reduced) == len(set(reduced))
+
+
 def test_one_resolution_per_module(square_zero, monkeypatch):
     from cak import resolve
     from cak.ulrich import ar_instance_check

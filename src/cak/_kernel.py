@@ -133,6 +133,16 @@ class DivisorIndex:
         self.leads.append(lead)
         self.terms.append(terms)
 
+    def sharing(self, key):
+        """Bitset of the leads that share a variable with ``key``."""
+        out = 0
+        exps = (key & self.cmask) ^ self.cmask
+        while exps:
+            s = ((exps & -exps).bit_length() - 1) // EXP_BITS * EXP_BITS
+            out |= self.fields[s][0]
+            exps &= ~(EXP_MASK << s)
+        return out
+
     def candidates(self, key, mask=-1):
         """Bitset of the leads within ``mask`` that may divide ``key``:
         every divisor, and maybe a lead with an exponent above CLAMP."""

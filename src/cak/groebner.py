@@ -375,7 +375,13 @@ class GroebnerEngine:
                 index.append(lk, terms)
                 sigs.append(sig)
                 sig_index.append(sig)
-                for j in range(t):
+                # an earlier-basis lead coprime to lk gives jsig = lead * sig,
+                # a principal syzygy: only those sharing a variable are paired
+                peers = (index.sharing(lk) & earlier) | (((1 << t) - 1) ^ earlier)
+                while peers:
+                    low = peers & -peers
+                    peers ^= low
+                    j = low.bit_length() - 1
                     lcm_key = ring.lcm_key(leads[j], lk)
                     jsig, owner = lcm_key - lk + sig, t
                     if j >= start:
@@ -536,7 +542,8 @@ class IdealHandle:
 
     def product(self, other: "IdealHandle") -> "IdealHandle":
         self._check(other)
-        gens = [a * b for a in self.gens for b in other.gens]
+        # each product once, in first-occurrence order
+        gens = dict.fromkeys(a * b for a in self.gens for b in other.gens)
         return IdealHandle(self.ring, gens)
 
     def power(self, n: int) -> "IdealHandle":

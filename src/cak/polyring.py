@@ -380,12 +380,7 @@ class Monomial:
         return hash(self.exponents)
 
     def __str__(self):
-        parts = []
-        for name, e in zip(self.ring.vars, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
+        parts = [v if e == 1 else f"{v}^{e}" for v, e in zip(self.ring.vars, self.exponents) if e]
         return "*".join(parts) if parts else "1"
 
     def __repr__(self):
@@ -562,22 +557,27 @@ def _coeff_repr(c, field: Field):
 
 
 def render_poly(p: Polynomial) -> str:
+    """Text of ``p``, exponents read off its keys' fields (``field_shifts``)."""
     if p.is_zero():
         return "0"
     ring = p.ring
+    names, shifts, full = ring.vars, ring.field_shifts, ring.one_key
     parts = []
     for k in sorted(p.terms, reverse=True):
         c = _coeff_repr(p.terms[k], ring.field)
-        mono = Monomial(ring, ring.decode(k))
-        mono_s = str(mono)
         neg = c < 0
         c = -c if neg else c
-        if mono_s == "1":
-            body = str(c)
-        elif c == 1:
-            body = mono_s
+        exps = (k & full) ^ full  # a field holds EXP_MASK - exponent
+        if exps:
+            factors = []
+            for name, s in zip(names, shifts):
+                e = (exps >> s) & EXP_MASK
+                if e:
+                    factors.append(name if e == 1 else f"{name}^{e}")
+            mono_s = "*".join(factors)
+            body = mono_s if c == 1 else f"{c}*{mono_s}"
         else:
-            body = f"{c}*{mono_s}"
+            body = str(c)
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

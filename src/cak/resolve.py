@@ -32,10 +32,9 @@ extends it only as far as it needs.  The Artinian steps, `minimalize` and
 (``groebner.relations_ideal``), completed once per ring object, and every
 Artinian step and the socle read one cache of monomial normal forms on it.
 
-Regular sequences are decided by the Hilbert series alone: homogeneous
-elements of positive degrees d_i are regular iff the Hilbert numerator of
-the quotient by them is the ring's times prod(1 - t^(d_i))
-(`is_regular_sequence`), the one certificate `graded_rank_check` uses.
+Regular sequences have one test, `is_regular_sequence` (a face test over a
+polynomial ring, else the Hilbert series), which the Koszul route,
+`graded_rank_check` and the Ulrich certifiers read.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import itertools
 import math
 import operator
 
-from ._kernel import axpy_terms
+from ._kernel import EXP_MASK, axpy_terms
 from ._linalg import Echelon
 from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
 from .groebner import (
@@ -58,7 +57,7 @@ from .groebner import (
     relations_ideal,
     standard_monomials,
 )
-from .polyring import RingPresentation
+from .polyring import Polynomial, RingPresentation
 
 
 class GradedFreeModule:
@@ -297,10 +296,14 @@ def _minimal_columns(ring, columns, degrees, twists, budget):
 def _syzygy_step(matrix: PolyMatrix, twists, budget):
     """One syzygy step: minimal generators of the kernel of ``matrix``,
     whose columns have degrees ``twists``, and their degrees."""
-    cols = module_syzygies(matrix.ring, matrix.cols, nrows=matrix.nrows, budget=budget)
-    ctx = ModuleContext(matrix.ring, len(twists), twists=twists)
-    degs = [ctx.column_degree(c) for c in cols]
-    return _minimal_columns(matrix.ring, cols, degs, twists, budget)
+    ring = matrix.ring
+    cols = module_syzygies(ring, matrix.cols, nrows=matrix.nrows, budget=budget)
+    ctx = ModuleContext(ring, len(twists), twists=twists)
+    # over homogeneous relations the syzygies of homogeneous columns are
+    # homogeneous, so a lead has the degree; else the scan raises on them
+    graded = all(r.homogeneous_degree() is not None for r in ring.relations)
+    degs = [ctx.degree(max(c)) if graded else ctx.column_degree(c) for c in cols]
+    return _minimal_columns(ring, cols, degs, twists, budget)
 
 
 class _GradedArtinian:
@@ -724,7 +727,13 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
     difference is the sum over k of t^(d_k) * HS(0 : f_k in
     R/(f_1..f_(k-1))) * prod_(j>k) (1 - t^(d_j)); each nonzero summand has a
     positive lowest coefficient, so the sum vanishes only when every
-    annihilator does."""
+    annihilator does.
+
+    Over a polynomial ring with m <= n elements a face test comes first:
+    if the f_i with x_(m+1)..x_n set to 0 have finite colength in
+    k[x_1..x_m], (f, x_(m+1), .., x_n) is a homogeneous system of parameters
+    of the Cohen-Macaulay S, so f is regular (Bruns-Herzog, Thm. 2.1.2);
+    for m = n finite colength is also necessary, so the test decides."""
     elems = list(elems)
     budget = _as_budget(budget)
     if any(e.is_zero() for e in elems):
@@ -738,6 +747,10 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
         return True
     if any(r.homogeneous_degree() is None for r in ring.relations):
         raise PreconditionError("regular-sequence test wants homogeneous relations")
+    if not ring.relations and len(elems) <= len(ring.vars):
+        face = _face_is_artinian(ring, elems, budget)
+        if face or len(elems) == len(ring.vars):
+            return face
     want = hilbert_numerator(lead_exponents(relations_ideal(ring), budget), ring.weights, budget)
     for e in elems:
         want = _add_shifted(dict(want), want, e.degree(), -1)  # times (1 - t^d)
@@ -745,12 +758,22 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
     return got == want
 
 
+def _face_is_artinian(ring, elems, budget) -> bool:
+    """The face test of ``is_regular_sequence``, for m = len(elems)."""
+    m = len(elems)
+    # a field holds EXP_MASK - exponent, so a term free of x_v fills field v
+    full = sum(EXP_MASK << s for s in ring.field_shifts[m:])
+    cut = [Polynomial(ring, {k: c for k, c in f.terms.items() if k & full == full}) for f in elems]
+    leads = lead_exponents(IdealHandle(ring, cut), budget)
+    return all(any(e[i] == sum(e) > 0 for e in leads) for i in range(m))
+
+
 def graded_rank_check(ring, q_ideal: IdealHandle, i: int, budget=None) -> int:
     """Minimal generator count of Q^i/Q^(i+1) for an ideal Q of the
     polynomial ring generated by a homogeneous regular sequence; asserts it
     equals binom(i + n - 1, n - 1).
 
-    Regularity is certified by the Hilbert series (``is_regular_sequence``).
+    Regularity is certified by ``is_regular_sequence`` (its face test).
     When S/Q is Artinian, its length is then prod(degrees) / prod(weights),
     and the layer length is also checked against a free S/Q-module of the
     asserted rank.

@@ -41,6 +41,21 @@ def test_gb_square_of_maximal():
     assert set(gb_strs(Q.power(2))) == {"x1^2", "x1*x2", "x2^2"}
 
 
+def test_powers_list_each_product_once():
+    """a*b and b*a are one generator: (x1..x4)^2 has binom(5, 2) = 10
+    generators and (x1..x4)^3 has binom(6, 3) = 20, in first-occurrence
+    order; the product's basis is that of the power."""
+    ring = RingPresentation(["x1", "x2", "x3", "x4"], [1] * 4)
+    m = IdealHandle(ring, PL(ring, "x1; x2; x3; x4"))
+    square = m.power(2)
+    assert [str(g) for g in square.gens] == [
+        "x1^2", "x1*x2", "x1*x3", "x1*x4", "x2^2", "x2*x3", "x2*x4", "x3^2", "x3*x4", "x4^2",
+    ]
+    assert len(m.power(3).gens) == 20
+    assert len(set(m.power(3).gens)) == 20
+    assert square.equal(m.product(m))
+
+
 def test_normal_form_examples(kxy):
     ring = RingPresentation(["x1", "x2"], [1, 1])
     Q2 = IdealHandle(ring, PL(ring, "x1; x2")).power(2)

@@ -1,12 +1,14 @@
 """Koszul complexes and regular sequences against the former routes.
 
 ``koszul_complex`` is the Eagon-Northcott complex of the 1 x m matrix of the
-sequence, and ``is_regular_sequence`` compares Hilbert numerators.  The
-former routes are kept here as references: an exterior-algebra builder with
-its own basis and matrix loops, and the first-Koszul-homology test (every
-syzygy of the sequence lies in the Koszul submodule).  The complexes must
-agree twist for twist and column for column, and the verdicts on every
-seeded sequence.
+sequence, and ``is_regular_sequence`` compares Hilbert numerators, after a
+face test over a polynomial ring (m <= n: the f_i with x_(m+1)..x_n set to
+0 of finite colength in k[x_1..x_m]).  The former routes are kept here as
+references: an exterior-algebra builder with its own basis and matrix
+loops, and the first-Koszul-homology test (every syzygy of the sequence
+lies in the Koszul submodule), which shares no code with either
+certificate.  The complexes must agree twist for twist and column for
+column, and the verdicts on every seeded sequence.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import random
 import pytest
 
 from cak import QQ, RingPresentation, parse_poly_list
+from cak import resolve
 from cak.complexes import koszul_complex
 from cak.groebner import ModuleContext, _rank_one, module_membership_engine, module_syzygies
 from cak.resolve import ChainComplex, GradedFreeModule, PolyMatrix, is_regular_sequence
@@ -145,3 +148,106 @@ def test_regular_sequence_verdicts_match_koszul_homology():
     assert cases >= 300
     # both verdicts occur often enough to matter
     assert 0.2 * cases < regular < 0.8 * cases
+
+
+# -- the face certificate over polynomial rings --------------------------------
+
+
+@pytest.fixture
+def branch(monkeypatch):
+    """``decide(ring, elems)``: the verdict and the branch that gave it,
+    told apart by the Hilbert numerators ``is_regular_sequence`` computes:
+    "face" (the face test certified), "not-artinian" (m = n and the face
+    test refused) or "fallback" (the Hilbert series decided)."""
+    calls = []
+    numerator = resolve.hilbert_numerator
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return numerator(*args, **kwargs)
+
+    monkeypatch.setattr(resolve, "hilbert_numerator", counting)
+
+    def decide(ring, elems):
+        calls.clear()
+        got = is_regular_sequence(ring, elems)
+        if calls:
+            return got, "fallback"
+        return got, "face" if got else "not-artinian"
+
+    return decide
+
+
+def face_rings():
+    yield "n4-fp", RingPresentation([f"x{i}" for i in range(4)], [1] * 4)
+    yield "n5-qq", RingPresentation([f"x{i}" for i in range(5)], [1] * 5, QQ)
+    yield "n6-fp", RingPresentation([f"x{i}" for i in range(6)], [1] * 6)
+    yield "w1213-fp", RingPresentation(["x", "y", "z", "w"], [1, 2, 1, 3])
+
+
+def face_sequence(ring, m, rng):
+    """m forms of positive degree: dense (the face test certifies), sparse
+    (it often refuses), in the last variables only (the cut is zero) and
+    multiples of an earlier form (not regular)."""
+    n = len(ring.vars)
+    elems = []
+    while len(elems) < m:
+        kind = rng.random()
+        if elems and kind < 0.15:
+            elems.append(rng.choice(elems) * nonzero_form(ring, 1, rng, 0.5))
+            continue
+        d = rng.randint(1, 2 if n > 4 else 3)
+        if kind < 0.3 and m < n:
+            tail = ring.restrict(ring.vars[m:])
+            elems.append(nonzero_form(tail, d, rng, 0.5).transfer(ring))
+            continue
+        elems.append(nonzero_form(ring, d, rng, 0.9 if kind < 0.65 else 0.2))
+    return elems
+
+
+def test_face_certificate_matches_koszul_homology(branch):
+    seen = {}
+    with deadline(120):
+        for name, ring in face_rings():
+            rng = random.Random(f"face {name}")
+            for m in range(1, len(ring.vars) + 1):
+                for _ in range(5):
+                    elems = face_sequence(ring, m, rng)
+                    got, how = branch(ring, elems)
+                    want = reference_is_regular_sequence(ring, elems)
+                    assert got == want, (name, how, [str(e) for e in elems])
+                    seen[how] = seen.get(how, 0) + 1
+    # every branch decides some of the draws
+    assert set(seen) == {"face", "not-artinian", "fallback"}, seen
+    assert min(seen.values()) >= 10, seen
+
+
+PIN_RINGS = {
+    "plain": ((1, 1, 1), None),
+    "weighted": ((1, 2, 3), None),
+    "qq": ((1, 1, 1), QQ),
+}
+
+
+@pytest.mark.parametrize(
+    "ring_name, gens, verdict, how",
+    [
+        # z, the cut variable, is all that makes them regular
+        ("plain", "z^2; y^2", True, "fallback"),
+        ("plain", "x*y; x*z", False, "fallback"),
+        ("plain", "x^2; y^2; x*y", False, "not-artinian"),
+        ("plain", "x^3 - y*z^2; y^2 - x*z", True, "face"),
+        ("weighted", "x^2 - y; x^3 - z", True, "face"),
+        ("weighted", "y^3 - z^2; x^2*y - x*z", True, "fallback"),
+        ("weighted", "x*y; x*z", False, "fallback"),
+        ("weighted", "x*y; y^2; z^2", False, "not-artinian"),
+        ("qq", "x^2; y^2; z^2 + 2/3*x*y", True, "face"),
+        ("qq", "1/2*x^2 - y*z; x*y", True, "fallback"),
+        ("qq", "1/2*x^2 - y*z; x^3 - 2*x*y*z", False, "fallback"),
+    ],
+)
+def test_regular_sequences_are_pinned_with_their_branch(branch, ring_name, gens, verdict, how):
+    ring = RingPresentation(["x", "y", "z"], *PIN_RINGS[ring_name])
+    elems = parse_poly_list(gens, ring)
+    assert branch(ring, elems) == (verdict, how)
+    assert reference_is_regular_sequence(ring, elems) == verdict

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from cak import (
     parse_poly,
     render_poly,
 )
-from cak.polyring import MAX_EXP
+from cak.polyring import MAX_EXP, _coeff_repr
 from conftest import P
 
 
@@ -112,6 +113,65 @@ def test_monomial_rendering(kxy):
     assert str(P(kxy, "x^2*y - 3")) == "x^2*y - 3"
     assert str(P(kxy, "0")) == "0"
     assert str(-P(kxy, "x")) == "-x"
+
+
+def reference_render(p):
+    """The renderer that built a ``Monomial`` per term and formatted it with
+    ``Monomial.__str__``; ``render_poly`` must give the same bytes."""
+    if p.is_zero():
+        return "0"
+    ring = p.ring
+    parts = []
+    for k in sorted(p.terms, reverse=True):
+        c = _coeff_repr(p.terms[k], ring.field)
+        mono_s = str(Monomial(ring, ring.decode(k)))
+        neg = c < 0
+        c = -c if neg else c
+        if mono_s == "1":
+            body = str(c)
+        elif c == 1:
+            body = mono_s
+        else:
+            body = f"{c}*{mono_s}"
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
+
+
+RENDER_RINGS = {
+    "fp": RingPresentation(["x", "y", "z"], [1, 1, 1]),
+    "gf7": RingPresentation(["a", "b"], [1, 1], GF(7)),
+    "qq": RingPresentation(["x", "y", "z"], [1, 1, 1], QQ),
+    "weighted": RingPresentation(["x", "y", "z"], [2, 3, 5]),
+    # the fields of a, b sit above those of x, y: not in variable order
+    "blocks": RingPresentation(["a", "b", "x", "y"], [1, 2, 1, 1], blocks=((0, 1), (2, 3))),
+    "one-var": RingPresentation(["t"], [1], QQ),
+}
+
+
+@pytest.mark.parametrize("name", list(RENDER_RINGS))
+def test_render_matches_the_monomial_renderer(name):
+    ring = RENDER_RINGS[name]
+    rng = random.Random(f"render {name}")
+    n = len(ring.vars)
+
+    def coeff():
+        c = rng.choice([1, -1, 2, -3, rng.randint(-99, 99) or 5])
+        return Fraction(c, rng.choice([1, 1, 2, 7])) if ring.field.p is None else c
+
+    for _ in range(150):
+        terms = [
+            (tuple(rng.choice([0, 0, 0, 1, 2, 3, 12, MAX_EXP]) for _ in range(n)), coeff())
+            for _ in range(rng.randint(0, 5))
+        ]
+        if rng.random() < 0.3:
+            terms.append(((0,) * n, coeff()))  # a constant term
+        p = ring.from_terms(terms)
+        assert render_poly(p) == reference_render(p)
+    for c in (0, 1, -1, 3, -3):
+        assert render_poly(ring.constant(c)) == reference_render(ring.constant(c)) == str(c)
 
 
 # -- property tests ------------------------------------------------------------

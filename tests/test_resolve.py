@@ -1,10 +1,17 @@
 import math
+import random
 
 import pytest
 
-from cak import RingPresentation
-from cak.errors import NotArtinianError, PreconditionError, ResourceLimitError
-from cak.groebner import Budget, IdealHandle, ModuleContext, module_membership_engine
+from cak import RingPresentation, parse_poly_list
+from cak.errors import CakError, NotArtinianError, PreconditionError, ResourceLimitError
+from cak.groebner import (
+    Budget,
+    IdealHandle,
+    ModuleContext,
+    module_membership_engine,
+    module_syzygies,
+)
 from cak.resolve import (
     ChainComplex,
     GradedFreeModule,
@@ -21,6 +28,7 @@ from cak.resolve import (
     _syzygy_step,
 )
 from conftest import P, PL, R1_RELATIONS, column_lists, deadline
+from test_min_subset import c04_ring, random_column
 
 
 def test_syzygy_koszul_pair(kxy):
@@ -378,3 +386,53 @@ def test_column_degrees_computed_once_per_module(relations, monkeypatch):
     # the minimalized presentation computes its own; the first step reads them
     module.resolution()
     assert len(calls) == 6
+
+
+def lead_degree_ring(name):
+    plain = RingPresentation(["x", "y", "z"], [1, 1, 1])
+    if name == "weighted":
+        return RingPresentation(["x", "y", "z", "w"], [1, 2, 3, 1])
+    return plain.extend_relations(PL(plain, "x*z - y^2")) if name == "cone" else plain
+
+
+@pytest.mark.parametrize("name", ["plain", "weighted", "cone"])
+def test_syzygy_degrees_are_read_off_the_lead_term(name):
+    """Over homogeneous relations every syzygy of homogeneous columns is
+    homogeneous, so the degree of its lead term, which ``_syzygy_step``
+    reads, is the degree that scanning every term gives."""
+    ring = lead_degree_ring(name)
+    rng = random.Random(f"lead degree {name}")
+    checked = 0
+    with deadline(60):
+        for _ in range(10):
+            twists = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
+            degs = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+            cols = [random_column(ring, d, twists, rng) for d in degs]
+            mat = PolyMatrix.from_columns(ring, len(twists), cols)
+            for _step in range(3):
+                ctx = ModuleContext(ring, mat.ncols, twists=degs)
+                for syz in module_syzygies(ring, mat.cols, nrows=mat.nrows):
+                    assert ctx.degree(max(syz)) == ctx.column_degree(syz)
+                    checked += 1
+                mat, degs = _syzygy_step(mat, degs, None)
+                assert degs == [ctx.column_degree(col) for col in mat.cols]
+                if not degs:
+                    break
+    assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ("X; Y; Z", "inconsistent degrees"),
+        ("X^2; Y", "inconsistent degrees"),
+        ("X", "not homogeneous"),
+    ],
+)
+def test_inhomogeneous_relations_keep_the_scan_that_raises(gens, message):
+    """Over the inhomogeneous c04 ring a syzygy of homogeneous columns need
+    not be homogeneous: scanning its terms raises, as before."""
+    ring = c04_ring()
+    module = PresentedModule.cyclic(ring, parse_poly_list(gens, ring))
+    with pytest.raises(CakError, match=message):
+        minimal_free_resolution(module, max_length=3)

@@ -6,6 +6,7 @@ ring), and every S-pair of it reduces to zero under a division written here
 on exponent tuples, with no ``cak`` kernel.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from cak.groebner import (
     buchberger,
 )
 from cak.polyring import QQ, Polynomial
+from test_min_subset import random_form
 
 P = 32003
 
@@ -236,3 +238,60 @@ def test_non_koszul_syzygy_reduces_to_zero_once():
     engine.add_generators([(x * y).terms, (x * z).terms])
     assert engine.zero_reductions == 1
     assert sorted(engine.reduced_basis(), key=max) == sorted([(x * y).terms, (x * z).terms], key=max)
+
+
+def pinned_ideal(name):
+    """(ring, generators) of a seeded ideal: dense quadrics with m <= n and
+    m > n, sparse mixed degrees, weights, QQ and a two-block order."""
+    xs = [f"x{i}" for i in range(6)]
+    ring, degrees, zero_chance = {
+        "dense-5x5": (RingPresentation(xs[:5], [1] * 5), [2] * 5, 0.0),
+        "dense-6x6": (RingPresentation(xs, [1] * 6), [2] * 6, 0.0),
+        "over-4x6": (RingPresentation(xs[:4], [1] * 4), [2] * 6, 0.0),
+        "sparse-6": (RingPresentation(xs, [1] * 6), [2, 2, 3, 3, 2], 0.7),
+        "weighted": (RingPresentation(["x", "y", "z", "w"], [1, 2, 3, 1]), [3, 4, 4, 5], 0.3),
+        "qq": (RingPresentation(["x", "y", "z", "w"], [1] * 4, QQ), [2, 2, 3], 0.3),
+        "blocks": (
+            RingPresentation(["a", "b", "x", "y", "z"], [1] * 5, blocks=((0, 1), (2, 3, 4))),
+            [2, 2, 2, 2],
+            0.5,
+        ),
+    }[name]
+    rng = random.Random(f"sig pins {name}")
+    return ring, [random_form(ring, d, rng, zero_chance) for d in degrees]
+
+
+@pytest.mark.parametrize(
+    "name, units, size, digest, lcms, lcms_before",
+    [
+        ("dense-5x5", 51, 21, "66c7ec3771ac6bc0", 314, 465),
+        ("dense-6x6", 135, 39, "a8a52f9b0d12e875", 1296, 1891),
+        ("over-4x6", 56, 10, "21d93ac27de0427d", 149, 231),
+        ("sparse-6", 126, 32, "8767828f28dfa973", 1025, 1176),
+        ("weighted", 30, 15, "df9142da532ec05f", 105, 136),
+        ("qq", 4, 7, "5da86225c384030e", 15, 21),
+        ("blocks", 310, 21, "bdea9544c92cdb5c", 1531, 1711),
+    ],
+)
+def test_coprime_earlier_leads_are_skipped_before_any_lcm(
+    monkeypatch, name, units, size, digest, lcms, lcms_before
+):
+    """An earlier-basis lead coprime to a new lead gives a principal
+    J-pair, so it is skipped before its lcm is formed.  The budget units
+    and the reduced basis (the sha256 of its rendering) are pinned as they
+    were when every earlier lead was paired and made ``lcms_before`` lcm
+    calls."""
+    ring, gens = pinned_ideal(name)
+    calls = []
+    lcm_key = RingPresentation.lcm_key
+
+    def counting(self, ka, kb):
+        calls.append(1)
+        return lcm_key(self, ka, kb)
+
+    monkeypatch.setattr(RingPresentation, "lcm_key", counting)
+    budget = Budget()
+    basis = IdealHandle(ring, gens).groebner_basis(budget)
+    assert (budget.used, len(basis)) == (units, size)
+    assert hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()[:16] == digest
+    assert len(calls) == lcms < lcms_before

@@ -721,10 +721,9 @@ def minimal_generating_subset(ring: RingPresentation, columns, degrees, twists, 
     engine = GroebnerEngine(ctx, ring.field, _as_budget(budget))
     for terms in relation_multiples(ctx, len(twists)):
         engine.add_raw(terms)
-    graded = all(rel.homogeneous_degree() is not None for rel in ring.relations)
     kept = []
     for idx in sorted(range(len(columns)), key=lambda t: (degrees[t], t)):
-        if engine.add(columns[idx], degrees[idx] if graded else None):
+        if engine.add(columns[idx], degrees[idx] if ring.homogeneous else None):
             kept.append(idx)
     return sorted(kept)
 

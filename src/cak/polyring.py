@@ -149,8 +149,9 @@ class RingPresentation:
     ``blocks`` is the elimination-order structure: a tuple of tuples of
     variable indices, most significant block first.  The default is one
     block, i.e. plain weighted degrevlex.  A presentation never changes
-    after construction, so its caches stay valid: the one handle of its
-    relations (``groebner.relations_ideal``) and R as a module.
+    after construction, so its data stay valid: whether every relation is
+    homogeneous (``homogeneous``), the one handle of its relations
+    (``groebner.relations_ideal``) and R as a module.
     """
 
     def __init__(self, vars, weights, field=None, relations=(), blocks=None):
@@ -210,8 +211,9 @@ class RingPresentation:
             if not q.is_zero():
                 rels.append(q)
         self.relations = tuple(rels)
+        self.homogeneous = all(q.homogeneous_degree() is not None for q in rels)
         self._relations_ideal = None  # set by groebner.relations_ideal
-        self._free_module = None  # R as a module, set by quotient.free_module_presentation
+        self._free_module = None  # R as a module, set by resolve.PresentedModule.free
 
     # -- key arithmetic -------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 Membership and normal forms over R take place in the S-lift: a submodule
 of R^r is computed as the submodule of S^r that contains J*S^r, whose
-generators J*e_i come from ``groebner.relation_multiples``; an
-:class:`ArtinianModule` takes packed columns and reads its standard basis
-off such an engine.  Minimal R-free resolutions over a graded Artinian R
+generators J*e_i come from ``groebner.relation_multiples``.  The
+finite-length view of a module, an `ArtinianModule` (see :mod:`cak.resolve`),
+reads its standard basis off such an engine, or off the handle of J when
+the module is free.  Minimal R-free resolutions over a graded Artinian R
 are linear algebra on the standard monomials of R (see :mod:`cak.resolve`);
 over other quotients they read syzygies in S of the columns together with
 J*e_i.  Ext and Tor are finite-dimensional linear algebra over the
@@ -20,10 +21,11 @@ intersection iff mu(K) = n = ht K, counted on the basis the handle caches.
 
 Each datum has one owner that computes it once, charged to the call that
 does: the ring owns the handle of J (``groebner.relations_ideal``) and R as
-a module (``free_module_presentation``), a handle its basis, standard
-monomials and monomial normal forms (read by the socle and by every Artinian
-resolution step), and a module its resolution (extended on demand by Ext,
-Tor and Tor_0) and its Ext/Tor target `ArtinianModule`.
+a module (``PresentedModule.free``), a handle its basis, standard monomials
+and monomial normal forms (read by the socle and by R's view), and a module
+its resolution (extended on demand by Ext, Tor and Tor_0) and its view
+(``PresentedModule.target``), the Ext/Tor target; R's view is also the one
+that every Artinian resolution step over R reads.
 """
 
 from __future__ import annotations
@@ -38,17 +40,16 @@ from .groebner import (
     _as_budget,
     lead_exponents,
     minimal_generator_count,
-    module_membership_engine,
     relations_ideal,
-    staircase,
     standard_monomials,
 )
 from .polyring import Polynomial, RingPresentation, parse_poly
 from .resolve import (
+    ArtinianModule,
     PolyMatrix,
     PresentedModule,
     hilbert_numerator,
-    lead_module_per_component,
+    module_standard_basis,  # kept under this module's name, as its callers use it
 )
 
 
@@ -194,77 +195,16 @@ def is_free_module(R, module: PresentedModule, budget=None):
     return False, None
 
 
-def module_standard_basis(ctx, engine, budget=None):
-    """Standard monomial basis (component, exponents) of the quotient of
-    the free module by the submodule of a completed module engine (see
-    ``module_membership_engine``); errors when it is not finite-dimensional."""
-    ring = ctx.ring
-    budget = _as_budget(budget)
-    basis = []
-    for comp, leads in enumerate(lead_module_per_component(ctx, engine)):
-        monos, missing = staircase(leads, len(ring.vars), budget)
-        if missing:
-            raise NotArtinianError(
-                f"module component {comp} is not finite-dimensional"
-            )
-        basis.extend((comp, e) for e in monos)
-    basis.sort(key=lambda ce: (ce[0], ring.encode(ce[1])))
-    return basis
-
-
-class ArtinianModule:
-    """Finite-dimensional module over an Artinian quotient: a standard basis
-    plus normal-form machinery giving exact coordinates.  ``columns`` are
-    the relations, packed term dicts of ``ModuleContext(ring, nrows)``."""
-
-    def __init__(self, ring: RingPresentation, columns, nrows: int, budget=None):
-        self.ring = ring
-        self.nrows = nrows
-        budget = _as_budget(budget)
-        self.ctx, self.engine = module_membership_engine(ring, columns, nrows, budget=budget)
-        self.basis = module_standard_basis(self.ctx, self.engine, budget)
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        self._op_cache: dict = {}
-
-    @classmethod
-    def from_presented(cls, module: PresentedModule, budget=None):
-        return cls(module.ring, module.relations.cols, module.ambient.rank, budget)
-
-    def coords(self, terms: dict):
-        """Exact coordinates of a term dict in the standard basis."""
-        nf = self.engine.reduce(terms)
-        vec = [0] * self.dim
-        for k, c in nf.items():
-            comp, mono = self.ctx.decode(k)
-            vec[self.index[(comp, self.ring.decode(mono))]] = c
-        return vec
-
-    def basis_times(self, f: frozenset, b: int):
-        """Coordinates of f * (basis element b), for a polynomial f given
-        as its frozenset of (monomial key, coefficient) pairs."""
-        cache = self._op_cache.setdefault(f, {})
-        got = cache.get(b)
-        if got is None:
-            comp, expo = self.basis[b]
-            mono_key = self.ring.encode(expo)
-            terms = {self.ctx.key(comp, self.ring.mul_keys(k, mono_key)): c for k, c in f}
-            got = cache[b] = self.coords(terms)
-        return got
-
-
 def _homology_dims(R, module, against, start: int, stop: int, budget, *, tensor=False):
     """Yield dim_k H_i of Hom(F, N), or of F (x) N with ``tensor``, for
     i = start .. stop - 1, where F is the module's minimal resolution over
-    R and N is ``against``, whose `ArtinianModule` is built once per module
-    object.  F is extended only as far as the caller consumes."""
+    R and N is ``against``, whose view (``PresentedModule.target``) is built
+    once per module object.  F is extended only as far as the caller consumes."""
     ring = as_presentation(R)
     if module.ring is not ring or against.ring is not ring:
         raise RingMismatchError("modules are not presented over the given ring")
     builder = module.resolution(budget)
-    if against._target is None:
-        against._target = ArtinianModule.from_presented(against, budget)
-    target = against._target
+    target = against.target(budget)
     rank_of = _tensor_rank if tensor else _hom_rank
 
     def induced_rank(i):
@@ -325,12 +265,12 @@ def _assembled_rank(mat: PolyMatrix, n_lines: int, width: int, target, budget, b
     lines: list = [[] for _ in range(n_lines)]
     for (line, pos), terms in entries.items():
         lines[line].append((pos * dim, frozenset(terms)))
-    ech = Echelon(target.ring.field.p, budget)
+    ech = Echelon(target.p, budget)
     for line in lines:
         for b in range(dim):
             row = {}
             for base, f in line:
-                row.update((base + t, v) for t, v in enumerate(target.basis_times(f, b)) if v)
+                row.update((base + t, v) for t, v in target.basis_times(f, b))
             ech.insert(row)
     return ech.rank
 
@@ -342,16 +282,12 @@ def tor_zero_dim(R, module: PresentedModule, against: PresentedModule, budget=No
 
 def free_module_presentation(R, rank: int | None = None, twists=None) -> PresentedModule:
     """R^rank in degrees ``twists`` (all 0 by default); R itself is one
-    module per ring, so its resolution and Ext/Tor target are built once."""
+    module per ring (``PresentedModule.free``), with one resolution and view."""
     ring = as_presentation(R)
     twists = (0,) * (1 if rank is None else rank) if twists is None else tuple(twists)
     if rank is not None and rank != len(twists):
         raise PreconditionError(f"rank {rank} disagrees with {len(twists)} twists")
-    if twists != (0,):
-        return PresentedModule.free(ring, twists)
-    if ring._free_module is None:
-        ring._free_module = PresentedModule.free(ring)
-    return ring._free_module
+    return PresentedModule.free(ring, twists)
 
 
 def residue_field_presentation(R) -> PresentedModule:

@@ -12,11 +12,11 @@ elements; both routes of a step read and write them in that form.  A step
 has two routes, chosen by the ring alone.  Over a graded Artinian
 quotient (every relation homogeneous, finite staircase) F (x) R is a finite
 graded vector space on the standard monomials, so a step is sparse linear
-algebra (`_GradedArtinian`): the kernel of d (x) R degree by degree, then a
-complement of R_+ times that kernel.  Over every other ring a step reads
-syzygies off the pair reductions of one module completion, which processes
-the pairs of the row block only (Schreyer), and picks the minimal subset
-with a module Groebner basis.
+algebra on R's own `ArtinianModule` view: the kernel of d (x) R degree by
+degree, then a complement of R_+ times that kernel.  Over every other ring
+a step reads syzygies off the pair reductions of one module completion,
+which processes the pairs of the row block only (Schreyer), and picks the
+minimal subset with a module Groebner basis.
 
 A third route skips the steps altogether.  Over a graded ring that is not
 Artinian, a cyclic R/(f_1..f_m) with m <= n homogeneous f_i of positive
@@ -27,10 +27,14 @@ entries are the f_i up to sign, so it is minimal.
 A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
 consumer (`minimal_free_resolution`, Ext, Tor, the AR checker) reads it and
-extends it only as far as it needs.  The Artinian steps, `minimalize` and
-`is_regular_sequence` read J through the ring's one handle of it
-(``groebner.relations_ideal``), completed once per ring object, and every
-Artinian step and the socle read one cache of monomial normal forms on it.
+extends it only as far as it needs.  A module also owns its one
+finite-length view, an `ArtinianModule` (`PresentedModule.target`).  R is
+one module per ring (`PresentedModule.free`), so R's view, which the
+Artinian steps of every resolution over R and Ext/Tor into R read, is built
+once per ring.  It reads J through the ring's one handle of it
+(``groebner.relations_ideal``): its standard monomials and its cache of
+monomial normal forms, which the socle reads too.  `minimalize` and
+`is_regular_sequence` read that handle as well.
 
 Regular sequences have one test, `is_regular_sequence` (a face test over a
 polynomial ring, else the Hilbert series), which the Koszul route,
@@ -39,6 +43,8 @@ polynomial ring, else the Hilbert series), which the Koszul route,
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import math
 import operator
@@ -47,17 +53,21 @@ from ._kernel import EXP_MASK, axpy_terms
 from ._linalg import Echelon
 from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
 from .groebner import (
+    GroebnerEngine,
     IdealHandle,
     ModuleContext,
+    RingContext,
     _as_budget,
     lead_exponents,
     minimal_generating_subset,
     minimal_generator_count,
+    module_membership_engine,
     module_syzygies,
     relations_ideal,
+    staircase,
     standard_monomials,
 )
-from .polyring import Polynomial, RingPresentation
+from .polyring import RingPresentation
 
 
 class GradedFreeModule:
@@ -156,7 +166,9 @@ class PolyMatrix:
 class PresentedModule:
     """Cokernel presentation: ambient graded free module and a relation
     matrix whose columns are the relations.  It owns its resolution and its
-    Ext/Tor target (``quotient._homology_dims``), each built once."""
+    finite-length view (``target``, the Ext/Tor target), each built once;
+    R itself is one module per ring (``free``), whose view is also the one
+    the Artinian resolution steps over R read."""
 
     __slots__ = ("ring", "ambient", "relations", "column_degrees", "_resolution", "_target")
 
@@ -178,6 +190,13 @@ class PresentedModule:
             self._resolution = ResolutionBuilder(self, budget)
         return self._resolution
 
+    def target(self, budget=None) -> "ArtinianModule":
+        """This module as an `ArtinianModule` over ring/(relations), created
+        on first use and charged to that call."""
+        if self._target is None:
+            self._target = ArtinianModule(self.ring, self.relations.cols, self.ambient.rank, budget)
+        return self._target
+
     @classmethod
     def cyclic(cls, ring, gens) -> "PresentedModule":
         """R/(gens) as a module over the ring presentation."""
@@ -187,8 +206,14 @@ class PresentedModule:
 
     @classmethod
     def free(cls, ring, twists=(0,)) -> "PresentedModule":
+        """R^r in degrees ``twists``; R itself (twists (0,)) is made once
+        per ring and kept on it."""
         amb = GradedFreeModule(ring, twists)
-        return cls(ring, amb, PolyMatrix(ring, [[] for _ in range(len(twists))]))
+        if amb.twists != (0,):
+            return cls(ring, amb, PolyMatrix(ring, [[] for _ in amb.twists]))
+        if ring._free_module is None:
+            ring._free_module = cls(ring, amb, PolyMatrix(ring, [[]]))
+        return ring._free_module
 
 
 class ChainComplex:
@@ -301,51 +326,69 @@ def _syzygy_step(matrix: PolyMatrix, twists, budget):
     ctx = ModuleContext(ring, len(twists), twists=twists)
     # over homogeneous relations the syzygies of homogeneous columns are
     # homogeneous, so a lead has the degree; else the scan raises on them
-    graded = all(r.homogeneous_degree() is not None for r in ring.relations)
-    degs = [ctx.degree(max(c)) if graded else ctx.column_degree(c) for c in cols]
+    degs = [ctx.degree(max(c)) if ring.homogeneous else ctx.column_degree(c) for c in cols]
     return _minimal_columns(ring, cols, degs, twists, budget)
 
 
-class _GradedArtinian:
-    """Linear algebra over a graded Artinian R = S/J on its standard
-    monomials, for the steps of one resolution.
+def module_standard_basis(ctx, engine, budget=None):
+    """Standard monomial basis (component, exponents) of the quotient of
+    the free module by the submodule of a completed module engine (see
+    ``module_membership_engine``); errors when it is not finite-dimensional."""
+    ring = ctx.ring
+    budget = _as_budget(budget)
+    basis = []
+    for comp, leads in enumerate(lead_module_per_component(ctx, engine)):
+        monos, missing = staircase(leads, len(ring.vars), budget)
+        if missing:
+            raise NotArtinianError(f"module component {comp} is not finite-dimensional")
+        basis.extend((comp, e) for e in monos)
+    basis.sort(key=lambda ce: (ce[0], ring.encode(ce[1])))
+    return basis
 
-    Module elements are packed term dicts in the layout of
-    ``ModuleContext(ring, rank)``; an element of F (x) R is one whose
-    monomials are all standard.  The view groups J's standard monomials by
-    degree; the normal forms of monomials are the handle's, shared by the
-    socle and every resolution over the ring.
+
+class ArtinianModule:
+    """A finite-length module N = R^r/(columns) over an Artinian R = S/J,
+    ``columns`` packed term dicts of ``ModuleContext(ring, nrows)``: its
+    standard basis of (component, exponents) in key order, the basis index
+    of each packed key, and normal forms of a monomial times an element
+    (``times``) and of a polynomial times a basis element (``basis_times``,
+    sparse and cached).  With no nonzero column N is free and reads the
+    handle of J, R's standard monomials in each component and its monomial
+    normal forms, so it runs no completion; it also groups R's standard
+    monomials by degree (``by_degree``, up to ``top``) for the Artinian
+    steps, which read R's own view.  Else a module engine on the columns
+    and J*e_i gives the basis and the normal forms.
     """
 
-    def __init__(self, relations: IdealHandle, std):
-        self.ring = ring = relations.ring
-        self.p = ring.field.p
-        self.one = ring.field.coerce(1)
-        self.relations = relations
-        self.by_degree: dict[int, list[int]] = {}
-        for key in (m.key() for m in std):  # in key order
-            self.by_degree.setdefault(ring.key_degree(key), []).append(key)
-        self.top = max(self.by_degree, default=-1)
-
-    @classmethod
-    def of(cls, ring, budget):
-        """The standard-monomial view of ring/(relations) when every
-        relation is homogeneous and the staircase is finite, else None."""
-        if not ring.relations or any(r.homogeneous_degree() is None for r in ring.relations):
-            return None
-        relh = relations_ideal(ring)
-        try:
-            return cls(relh, standard_monomials(relh, budget))
-        except NotArtinianError:
-            return None
+    def __init__(self, ring: RingPresentation, columns, nrows: int, budget=None):
+        self.ring, self.p = ring, ring.field.p
+        self.ctx = ctx = ModuleContext(ring, nrows)
+        budget = _as_budget(budget)
+        if any(columns):
+            _, self._engine = module_membership_engine(ring, columns, nrows, budget=budget)
+            self.basis = module_standard_basis(ctx, self._engine, budget)
+        else:
+            self._engine, self._relations = None, relations_ideal(ring)
+            std = [m.exponents for m in standard_monomials(self._relations, budget)]
+            self.basis = [(comp, e) for comp in range(nrows) for e in std]
+            self.by_degree: dict[int, list[int]] = {}
+            for key in map(ring.encode, std):  # in key order
+                self.by_degree.setdefault(ring.key_degree(key), []).append(key)
+            self.top = max(self.by_degree, default=-1)
+        self.index = {ctx.key(comp, ring.encode(e)): i for i, (comp, e) in enumerate(self.basis)}
+        self.dim = len(self.basis)
+        self._op_cache: dict = {}
 
     def times(self, s: int, vec: dict) -> dict:
-        """Normal form of the standard monomial ``s`` times ``vec``, an
-        element of F (x) R."""
-        out = {}
+        """Normal form of the monomial ``s`` times ``vec``, a packed element
+        of N, or of R^r for any r on a free view (it reduces componentwise)."""
+        bits, one_key, p = ModuleContext.COMP_BITS, self.ring.one_key, self.p
+        if self._engine is not None:
+            shifted: dict = {}
+            axpy_terms(shifted, vec, 1, (s - one_key) << bits, p, self.ctx.guard)
+            return self._engine.reduce(shifted)
         # the handle's cache is read here, and the handle called on a miss only
-        p, cache, one_key, guard = self.p, self.relations._nf, self.ring.one_key, self.ring.guard
-        bits = ModuleContext.COMP_BITS
+        relations, cache, guard, out = self._relations, self._relations._nf, self.ring.guard, {}
         low_mask = (1 << bits) - 1  # the component of a module key
         for k, c in vec.items():
             prod = (k >> bits) + s - one_key
@@ -353,7 +396,7 @@ class _GradedArtinian:
                 raise DegreeOverflowError("exponent overflow in monomial product")
             nf = cache.get(prod)
             if nf is None:
-                nf = self.relations.monomial_normal_form(prod)
+                nf = relations.monomial_normal_form(prod)
             low = k & low_mask
             for sk, sc in nf:
                 kk = (sk << bits) | low
@@ -366,44 +409,58 @@ class _GradedArtinian:
                     del out[kk]
         return out
 
-    def minimal(self, vecs, degrees, twists, budget):
-        """A minimal generating subset of the elements ``vecs`` of F (x) R of
-        the given degrees, F with basis degrees ``twists``: (matrix of the
-        kept elements, their degrees).  Visited by (degree, index), an
-        element of degree t is kept iff it is not in the span of
-        R_(t - deg c) * c over the kept c of lower degree and the kept
-        elements of degree t (the graded Nakayama rule)."""
-        order = sorted(range(len(vecs)), key=lambda j: (degrees[j], j))
-        kept = []
-        for t, group in itertools.groupby(order, key=degrees.__getitem__):
-            ech = Echelon(self.p, budget)
-            for j in kept:
-                for s in self.by_degree.get(t - degrees[j], ()):
-                    ech.insert(self.times(s, vecs[j]))
-            for j in group:
-                if ech.insert(dict(vecs[j])):
-                    kept.append(j)
-        kept.sort()
-        mat = PolyMatrix.packed(self.ring, len(twists), [vecs[j] for j in kept])
-        return mat, [degrees[j] for j in kept]
+    def basis_times(self, f: frozenset, b: int) -> tuple:
+        """The (basis index, coefficient) pairs of f * (basis element b),
+        for a polynomial f given as its frozenset of (monomial key,
+        coefficient) pairs."""
+        cache = self._op_cache.setdefault(f, {})
+        got = cache.get(b)
+        if got is None:
+            comp, expo = self.basis[b]
+            nf = self.times(self.ring.encode(expo), {self.ctx.key(comp, k): c for k, c in f})
+            got = cache[b] = tuple((self.index[k], c) for k, c in nf.items())
+        return got
 
-    def syzygy_step(self, matrix: PolyMatrix, twists, budget):
-        """Minimal generators of the kernel of d (x) R for the matrix d
-        whose columns have degrees ``twists``, and their degrees.  Degree
-        by degree, the kernel K_t of d on (F (x) R)_t comes from tracked
-        elimination of the images of its standard basis; the minimal
-        subset of the K_t is then a complement of R_+ * K in each K_t."""
-        ctx = ModuleContext(self.ring, matrix.ncols)
-        kernel, degs = [], []
-        for t in range(min(twists), max(twists) + self.top + 1):
-            ech = Echelon(self.p, budget)
-            for j, (tw, col) in enumerate(zip(twists, matrix.cols)):
-                for s in self.by_degree.get(t - tw, ()):
-                    combo = {ctx.key(j, s): self.one}
-                    if not ech.insert(self.times(s, col), combo):
-                        kernel.append(combo)
-                        degs.append(t)
-        return self.minimal(kernel, degs, twists, budget)
+
+def _artinian_minimal(view, vecs, degrees, twists, budget):
+    """A minimal generating subset of the elements ``vecs`` of F (x) R of
+    the given degrees, F with basis degrees ``twists`` and R's view
+    ``view``: (matrix of the kept elements, their degrees).  Visited by
+    (degree, index), an element of degree t is kept iff it is not in the
+    span of R_(t - deg c) * c over the kept c of lower degree and the kept
+    elements of degree t (the graded Nakayama rule)."""
+    order = sorted(range(len(vecs)), key=lambda j: (degrees[j], j))
+    kept = []
+    for t, group in itertools.groupby(order, key=degrees.__getitem__):
+        ech = Echelon(view.p, budget)
+        for j in kept:
+            for s in view.by_degree.get(t - degrees[j], ()):
+                ech.insert(view.times(s, vecs[j]))
+        for j in group:
+            if ech.insert(dict(vecs[j])):
+                kept.append(j)
+    kept.sort()
+    mat = PolyMatrix.packed(view.ring, len(twists), [vecs[j] for j in kept])
+    return mat, [degrees[j] for j in kept]
+
+
+def _artinian_step(view, matrix: PolyMatrix, twists, budget):
+    """Minimal generators of the kernel of d (x) R for the matrix d whose
+    columns have degrees ``twists``, R's view being ``view``, and their
+    degrees.  Degree by degree, the kernel K_t of d on (F (x) R)_t comes
+    from tracked elimination of the images of its standard basis; the
+    minimal subset of the K_t is then a complement of R_+ * K in each K_t."""
+    ctx, one = ModuleContext(view.ring, matrix.ncols), view.ring.field.coerce(1)
+    kernel, degs = [], []
+    for t in range(min(twists), max(twists) + view.top + 1):
+        ech = Echelon(view.p, budget)
+        for j, (tw, col) in enumerate(zip(twists, matrix.cols)):
+            for s in view.by_degree.get(t - tw, ()):
+                combo = {ctx.key(j, s): one}
+                if not ech.insert(view.times(s, col), combo):
+                    kernel.append(combo)
+                    degs.append(t)
+    return _artinian_minimal(view, kernel, degs, twists, budget)
 
 
 class Resolution:
@@ -439,7 +496,7 @@ def _koszul_resolution(module: PresentedModule, budget):
     its ambient twist taken as 0, when ``module`` is R/(f) as in the module
     docstring's third route; else None."""
     ring = module.ring
-    if module.ambient.rank != 1 or any(r.homogeneous_degree() is None for r in ring.relations):
+    if module.ambient.rank != 1 or not ring.homogeneous:
         return None
     f = module.relations.entries[0]
     if not 0 < len(f) <= len(ring.vars) or not all(g.homogeneous_degree() for g in f):
@@ -476,7 +533,10 @@ class ResolutionBuilder:
         twists0 = module.ambient.twists
         self.modules = [GradedFreeModule(ring, twists0)]
         self.maps: list[PolyMatrix] = []
-        self._artinian = _GradedArtinian.of(ring, budget)
+        self._artinian = None  # R's own view when R is graded Artinian
+        if ring.relations and ring.homogeneous:
+            with contextlib.suppress(NotArtinianError):  # an infinite staircase
+                self._artinian = PresentedModule.free(ring).target(budget)
         koszul = None if self._artinian is not None else _koszul_resolution(module, budget)
         if koszul is not None:
             self.maps = koszul.maps
@@ -490,7 +550,7 @@ class ResolutionBuilder:
         # the relations, so over an Artinian ring the columns lie in F (x) R
         cols, degs = module.relations.cols, module.column_degrees
         if self._artinian is not None:
-            self._next = self._artinian.minimal(cols, degs, twists0, budget)
+            self._next = _artinian_minimal(self._artinian, cols, degs, twists0, budget)
         else:
             self._next = _minimal_columns(ring, cols, degs, twists0, budget)
         self.complete = not self._next[1]
@@ -499,7 +559,8 @@ class ResolutionBuilder:
         """Ensure at least ``n_maps`` differentials (or completion)."""
         ring = self.ring
         budget = _as_budget(budget)
-        step = _syzygy_step if self._artinian is None else self._artinian.syzygy_step
+        view = self._artinian
+        step = _syzygy_step if view is None else functools.partial(_artinian_step, view)
         while len(self.maps) < n_maps and not self.complete:
             if self._next is None:
                 self._next = step(self.maps[-1], self.modules[-1].twists, budget)
@@ -745,7 +806,7 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
             return False
     if not elems:
         return True
-    if any(r.homogeneous_degree() is None for r in ring.relations):
+    if not ring.homogeneous:
         raise PreconditionError("regular-sequence test wants homogeneous relations")
     if not ring.relations and len(elems) <= len(ring.vars):
         face = _face_is_artinian(ring, elems, budget)
@@ -763,8 +824,9 @@ def _face_is_artinian(ring, elems, budget) -> bool:
     m = len(elems)
     # a field holds EXP_MASK - exponent, so a term free of x_v fills field v
     full = sum(EXP_MASK << s for s in ring.field_shifts[m:])
-    cut = [Polynomial(ring, {k: c for k, c in f.terms.items() if k & full == full}) for f in elems]
-    leads = lead_exponents(IdealHandle(ring, cut), budget)
+    engine = GroebnerEngine(RingContext(ring), ring.field, budget)
+    engine.add_generators([{k: c for k, c in f.terms.items() if k & full == full} for f in elems])
+    leads = [ring.decode(k) for k in engine.leads]  # they generate the lead ideal
     return all(any(e[i] == sum(e) > 0 for e in leads) for i in range(m))
 
 

@@ -20,7 +20,7 @@ from cak.quotient import (
     tor_zero_dim,
 )
 from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule, minimal_free_resolution
-from conftest import deadline
+from conftest import EngineTarget, deadline
 from test_min_subset import random_form
 
 # the three rings of verify-paper c08, a weighted ring and c08's m_cubed over Q
@@ -130,6 +130,26 @@ def test_shared_normal_forms_do_not_depend_on_who_fills_them(seed, weights, fiel
     fresh = (socle_dim(QuotientRing(make())), socle_and_homology(make(), False)[1])
     assert socle_and_homology(make(), True) == fresh
     assert socle_and_homology(make(), False) == fresh
+
+
+@pytest.mark.parametrize("field", [None, QQ], ids=["fp", "qq"])
+@pytest.mark.parametrize("weights", [(1, 1, 1), (1, 2, 3)])
+@pytest.mark.parametrize("twists", [(0,), (0, 1)])
+def test_free_views_match_a_module_engine_on_the_relations(twists, weights, field):
+    """R^r as a target reads the handle of J: its basis and every product
+    of a polynomial with a basis element are those of a module engine."""
+    rng = random.Random(f"free view {twists} {weights} {field}")
+    for seed in range(3):
+        ring = seeded_ring(seed, weights, field)
+        view = free_module_presentation(ring, twists=twists).target()
+        ref = EngineTarget(ring, [], len(twists))  # the engine on J*e_i
+        assert view.basis == ref.basis and view.dim == ref.dim
+        polys = [random_form(ring, d, rng, zero_chance=0.3) for d in range(5)]
+        polys.append(sum(polys[1:], polys[0]))  # inhomogeneous
+        for f in polys:
+            for b in range(ref.dim):
+                want = {i: c for i, c in enumerate(ref.basis_times(f, b)) if c}
+                assert dict(view.basis_times(frozenset(f.terms.items()), b)) == want
 
 
 def test_zero_ring_outputs_are_pinned():

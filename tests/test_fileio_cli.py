@@ -462,6 +462,19 @@ def test_cli_socle_not_artinian_names_the_variable(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["ext", "tor"])
+def test_cli_ring_target_not_artinian_names_the_variable(tmp_path, capsys, command):
+    # R as a target reads the standard monomials of J, so it fails as the socle does
+    ring = _ring_file(tmp_path, ["x", "y"], ["x^2"])
+    module = tmp_path / "k.json"
+    module.write_text(json.dumps({"ambient_twists": [0], "relations": [["x", "y"]]}))
+    argv = [command, "--ring", ring, "--module", str(module), "--against", "ring", "--bound", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: quotient is not finite-dimensional: no pure power of y in the lead-term ideal\n"
+    )
+
+
 @pytest.mark.parametrize("where, position", [("ring", 0), ("module", 0), ("gens", 4)])
 def test_cli_denominator_divisible_by_the_modulus_exits_2(tmp_path, capsys, where, position):
     ring = _ring_file(tmp_path, ["x", "y"], ["1/32003*x^2"] if where == "ring" else [])

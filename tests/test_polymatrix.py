@@ -4,9 +4,10 @@
 ``ModuleContext(ring, nrows)``.  The references below are the dense
 row-major algorithms that the packed ones replace: the entry-by-entry
 matrix product and the Hom row assembly that walks each dense row of d
-(Tensor as Hom of the transpose).  Both are compared on seeded matrices
-over F_32003, over Q and over an Artinian quotient, zero columns and empty
-shapes included.
+(Tensor as Hom of the transpose), on the dense coordinates of a reference
+target with a module engine of its own (``conftest.EngineTarget``).  Both
+are compared on seeded matrices over F_32003, over Q and over an Artinian
+quotient, zero columns and empty shapes included.
 """
 
 import random
@@ -25,7 +26,7 @@ from cak.quotient import (
     residue_field_presentation,
 )
 from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule, minimal_free_resolution
-from conftest import column_lists
+from conftest import EngineTarget, column_lists
 
 
 def dense_compose(a, b):
@@ -44,14 +45,6 @@ def dense_compose(a, b):
     return out
 
 
-def dense_basis_times(target, f, b):
-    comp, expo = target.basis[b]
-    mono = target.ring.encode(expo)
-    return target.coords(
-        {target.ctx.key(comp, target.ring.mul_keys(k, mono)): c for k, c in f.terms.items()}
-    )
-
-
 def dense_hom_rank(rows, r_lo, r_hi, target, budget):
     """Rank of Hom(d, N) from the dense rows of d: one row per (row j of
     d, basis element b of N) over (column c of d, basis element of N)."""
@@ -64,7 +57,7 @@ def dense_hom_rank(rows, r_lo, r_hi, target, budget):
         for b in range(dim):
             row = {}
             for base, entry in entries:
-                for t, v in enumerate(dense_basis_times(target, entry, b)):
+                for t, v in enumerate(target.basis_times(entry, b)):
                     if v:
                         row[base + t] = v
             ech.insert(row)
@@ -177,8 +170,10 @@ def test_hom_and_tensor_ranks_match_the_dense_assembly(field):
     mats += res.complex.maps + [PolyMatrix.zero(ring, 2, 3)]
     for module in targets(ring):
         packed_budget, dense_budget = Budget(), Budget()
-        packed = ArtinianModule.from_presented(module, packed_budget)
-        dense = ArtinianModule.from_presented(module, dense_budget)
+        cols, rank = module.relations.cols, module.ambient.rank
+        packed = ArtinianModule(ring, cols, rank, packed_budget)
+        dense = EngineTarget(ring, cols, rank)
+        assert packed.basis == dense.basis
         for mat in mats:
             rows, shape = mat.entries, (mat.nrows, mat.ncols)
             before = (packed_budget.used, dense_budget.used)

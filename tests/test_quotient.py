@@ -304,22 +304,36 @@ def test_free_module_presentation_checks_rank_against_twists(square_zero):
 
 
 def test_the_ring_as_a_target_is_built_once_per_ring(square_zero, monkeypatch):
+    """R's one view serves the Artinian steps of every resolution over R
+    and every Ext into R, and reads the handle of J: no module completion."""
+    from cak import groebner
     from cak.ulrich import ar_instance_check
 
-    shapes = []
-    target_init = ArtinianModule.__init__
+    shapes, completions = [], []
+    target_init, engine = ArtinianModule.__init__, groebner.module_membership_engine
 
     def counting_target_init(self, ring, columns, nrows, budget=None):
         shapes.append((nrows, len(columns)))
         target_init(self, ring, columns, nrows, budget)
 
+    def counting_engine(ring, columns, nrows, **kwargs):
+        completions.append(len(columns))
+        return engine(ring, columns, nrows, **kwargs)
+
     monkeypatch.setattr(ArtinianModule, "__init__", counting_target_init)
+    # patch every cak module that holds the function, not only its home
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "cak" and getattr(mod, "module_membership_engine", None) is engine:
+            monkeypatch.setattr(mod, "module_membership_engine", counting_engine)
     ring = square_zero.presentation
-    M = cyclic_presentation(ring, ["X"])
+    M, k = cyclic_presentation(ring, ["X"]), residue_field_presentation(ring)
+    for module in (M, k):
+        minimal_free_resolution(module, max_length=3)
     ar_instance_check(square_zero, M, 3)
-    ar_instance_check(square_zero, residue_field_presentation(ring), 3)
+    ar_instance_check(square_zero, k, 3)
     want = ext_dims(square_zero, M, free_module_presentation(ring), 3)
     assert shapes.count((1, 0)) == 1  # R: rank one, no relations
+    assert completions and 0 not in completions  # none for R
     # the cached target still charges the Hom ranks to each call's budget
     with pytest.raises(ResourceLimitError):
         ext_dims(square_zero, M, free_module_presentation(ring), 3, Budget(0))

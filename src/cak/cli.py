@@ -295,7 +295,8 @@ def _add_common(sp, ring=True):
     sp.add_argument(
         "--budget", type=int, default=None,
         help="one work budget for the whole command: Groebner pairs considered, "
-        "enumerated standard monomials, unit cancellations, vectors "
+        "enumerated standard monomials, unit cancellations, the generators "
+        "of each monomial ideal of the Hilbert-numerator recursion, vectors "
         "inserted into an echelon form, complex basis elements and "
         "determinant memo entries",
     )

@@ -7,7 +7,9 @@ that d o d = 0 and exactness can be checked on the nose.  Basis orderings
 are lexicographic on index tuples throughout, which fixes every sign.  The
 Eagon-Northcott and tensor sign rules make d o d = 0 by construction, so no
 complex is multiplied out when it is built: `ChainComplex.composition_defect`
-and `verify_resolution` check d o d, never the constructor.
+and `verify_resolution` check d o d, never the constructor.  Each map is
+written as packed columns (`PolyMatrix.packed`): a column's entries are
+placed where they land, with no dense grid of polynomials.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import math
 
 from .errors import CakError, PreconditionError
 from .groebner import (
+    ModuleContext,
     _as_budget,
+    _rank_one,
     module_membership_engine,
     module_syzygies,
 )
@@ -164,8 +168,11 @@ def eagon_northcott(matrix: GenericMatrix, budget=None) -> ChainComplex:
 
     Step k >= 1 has basis (J, a) with J an (s+k-1)-subset of columns and a an
     exponent vector over the rows with |a| = k-1, ordered lexicographically;
-    rank binom(t, s+k-1) * binom(s+k-2, k-1).  Each basis element costs one
-    budget unit, and so does each memo entry of the minors of d_1.
+    rank binom(t, s+k-1) * binom(s+k-2, k-1).  For k >= 2, d_k sends (J, a)
+    to the sum of (-1)^l m[i][J_l] (J - J_l, a - e_i); exactly one (l, i)
+    reaches each target, so its entry is written into the packed column as
+    it is.  Each basis element costs one budget unit, and so does each memo
+    entry of the minors of d_1.
     """
     s, t = matrix.nrows, matrix.ncols
     if s > t:
@@ -200,32 +207,26 @@ def eagon_northcott(matrix: GenericMatrix, budget=None) -> ChainComplex:
         ]
         modules.append(GradedFreeModule(ring, twists))
 
-    z = ring.zero()
-    maps = []
     # d_1: (J, ()) -> minor on columns J
-    mat = [[z] * len(bases[1])]
-    for cidx, (J, _a) in enumerate(bases[1]):
-        mat[0][cidx] = determinant(ring, matrix.submatrix(range(s), J), budget)
-    maps.append(PolyMatrix(ring, mat, ncols=len(bases[1])))
+    minors = [determinant(ring, matrix.submatrix(range(s), J), budget) for J, _a in bases[1]]
+    maps = [PolyMatrix.packed(ring, 1, _rank_one(ring, minors))]
+    neg = ring.field.neg
     for k in range(2, t - s + 2):
         src, tgt = bases[k], bases[k - 1]
         pos = {key: idx for idx, key in enumerate(tgt)}
-        mat = [[z] * len(src) for _ in range(len(tgt))]
-        for cidx, (J, a) in enumerate(src):
+        ctx, cols = ModuleContext(ring, len(tgt)), []
+        for J, a in src:
+            col = {}
             for l, jl in enumerate(J):
                 rest = J[:l] + J[l + 1 :]
                 for i in range(s):
-                    if a[i] == 0:
-                        continue
                     m = matrix.entries[i][jl]
-                    if m.is_zero():
-                        continue
-                    a2 = a[:i] + (a[i] - 1,) + a[i + 1 :]
-                    ridx = pos[(rest, a2)]
-                    entry = m if l % 2 == 0 else -m
-                    cur = mat[ridx][cidx]
-                    mat[ridx][cidx] = entry if cur.is_zero() else cur + entry
-        maps.append(PolyMatrix(ring, mat, ncols=len(src)))
+                    if a[i] and m:  # the one (l, i) that reaches this row
+                        ridx = pos[(rest, a[:i] + (a[i] - 1,) + a[i + 1 :])]
+                        for key, c in m.terms.items():
+                            col[ctx.key(ridx, key)] = c if l % 2 == 0 else neg(c)
+            cols.append(col)
+        maps.append(PolyMatrix.packed(ring, len(tgt), cols))
     return ChainComplex(ring, modules, maps)
 
 
@@ -242,7 +243,9 @@ def eagon_northcott_rank(s: int, t: int, k: int) -> int:
 def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
     """Total complex of the double complex C (x) D with the sign convention
     d(a (x) b) = da (x) b + (-1)^|a| a (x) db.  Summands of each total degree
-    are ordered by the C-degree, then C-basis index, then D-basis index."""
+    are ordered by the C-degree, then C-basis index, then D-basis index.
+    Column a (x) b is the packed column a of d^C and the packed column b of
+    (-1)^|a| d^D, each re-keyed to the rows of its summand."""
     if c.ring is not d.ring:
         raise CakError("complexes live over different rings")
     ring = c.ring
@@ -265,36 +268,31 @@ def tensor_complexes(c: ChainComplex, d: ChainComplex) -> ChainComplex:
         offsets.append(offs)
         modules.append(GradedFreeModule(ring, twists))
 
-    z = ring.zero()
     maps = []
     for k in range(1, total + 1):
-        src_off, tgt_off = offsets[k], offsets[k - 1]
-        mat = [[z] * modules[k].rank for _ in range(modules[k - 1].rank)]
+        tgt_off, ctx, cols = offsets[k - 1], ModuleContext(ring, modules[k - 1].rank), []
         for (i, j) in summands(k):
-            base = src_off[(i, j)]
             rc, rd = c.modules[i].rank, d.modules[j].rank
-            dc = c.differential(i).entries if i > 0 and (i - 1, j) in tgt_off else None
-            dd = d.differential(j).entries if j > 0 and (i, j - 1) in tgt_off else None
+            # d^C sends row tr to row (tr, bd) of C_(i-1) (x) D_j, and d^D
+            # sends row tr to row (bc, tr) of C_i (x) D_(j-1), times (-1)^i
+            dc = _triples(c.maps[i - 1]) if (i - 1, j) in tgt_off else [()] * rc
+            dd = _triples(d.maps[j - 1], i % 2) if (i, j - 1) in tgt_off else [()] * rd
+            tc, td = tgt_off.get((i - 1, j)), tgt_off.get((i, j - 1))
+            rd1 = d.modules[j - 1].rank if j else 0
             for bc in range(rc):
                 for bd in range(rd):
-                    col = base + bc * rd + bd
-                    if dc is not None:
-                        tb = tgt_off[(i - 1, j)]
-                        for tr in range(c.modules[i - 1].rank):
-                            e = dc[tr][bc]
-                            if not e.is_zero():
-                                mat[tb + tr * rd + bd][col] = e
-                    if dd is not None:
-                        tb = tgt_off[(i, j - 1)]
-                        sign = -1 if i % 2 else 1
-                        for tr in range(d.modules[j - 1].rank):
-                            e = dd[tr][bd]
-                            if not e.is_zero():
-                                mat[tb + bc * d.modules[j - 1].rank + tr][col] = (
-                                    e if sign == 1 else -e
-                                )
-        maps.append(PolyMatrix(ring, mat, ncols=modules[k].rank))
+                    col = {ctx.key(tc + tr * rd + bd, m): v for tr, m, v in dc[bc]}
+                    col.update((ctx.key(td + bc * rd1 + tr, m), v) for tr, m, v in dd[bd])
+                    cols.append(col)
+        maps.append(PolyMatrix.packed(ring, ctx.ncomp, cols))
     return ChainComplex(ring, modules, maps)
+
+
+def _triples(mat: PolyMatrix, flip=False):
+    """Each column of ``mat`` as its (row, monomial key, coefficient)
+    triples, the coefficients negated when ``flip``."""
+    ctx, neg = ModuleContext(mat.ring, mat.nrows), mat.ring.field.neg
+    return [[(*ctx.decode(k), neg(v) if flip else v) for k, v in col.items()] for col in mat.cols]
 
 
 # -- the closed Betti formula ---------------------------------------------------

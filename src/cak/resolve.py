@@ -8,7 +8,8 @@ library runs the unit-cancellation pass `minimalize` only on the
 presentation a resolution starts from; it builds no mapping cones.
 
 Differentials are `PolyMatrix` objects, whose columns are packed module
-elements; both routes of a step read and write them in that form.  A step
+elements, the one matrix form of the library: both routes of a step, the
+Koszul route and `minimalize` read and write them in that form.  A step
 has two routes, chosen by the ring alone.  Over a graded Artinian
 quotient (every relation homogeneous, finite staircase) F (x) R is a finite
 graded vector space on the standard monomials, so a step is sparse linear
@@ -97,24 +98,21 @@ class GradedFreeModule:
 class PolyMatrix:
     """Matrix of polynomials stored by columns.  Column j is a module
     element: a packed term dict in the layout of ``ModuleContext(ring,
-    nrows)``, the form that the engines, the resolution steps and the
-    Hom/Tensor ranks read as it is (``cols``).  The row-major constructor,
-    ``from_columns`` and ``zero`` pack polynomials, and ``entries`` unpacks
-    them, for the callers that build or read by rows."""
+    nrows)`` (``cols``), the one form in which the library builds, reads
+    and rewrites matrices (``packed``).  Rows of polynomials exist only at
+    the edges: the row-major constructor and ``from_columns`` check and
+    pack matrices given from outside, and ``entries`` unpacks the rows."""
 
     __slots__ = ("ring", "nrows", "ncols", "cols")
 
     def __init__(self, ring: RingPresentation, entries, ncols: int | None = None):
         rows = [tuple(row) for row in entries]
         ncols = len(rows[0]) if rows else (ncols or 0)
-        for row in rows:
-            if len(row) != ncols:
-                raise CakError("ragged matrix")
-            if any(p.ring is not ring for p in row):
-                raise CakError("matrix entry from a different ring")
-        ctx = ModuleContext(ring, len(rows))
+        if any(len(row) != ncols for row in rows):
+            raise CakError("ragged matrix")
+        cols = [[row[j] for row in rows] for j in range(ncols)]
         self.ring, self.nrows, self.ncols = ring, len(rows), ncols
-        self.cols = tuple(ctx.from_column([row[j] for row in rows]) for j in range(ncols))
+        self.cols = PolyMatrix.from_columns(ring, len(rows), cols).cols
 
     @classmethod
     def packed(cls, ring, nrows, cols) -> "PolyMatrix":
@@ -130,8 +128,14 @@ class PolyMatrix:
 
     @classmethod
     def from_columns(cls, ring, nrows, columns):
-        cols = list(columns)
-        return cls(ring, [[col[i] for col in cols] for i in range(nrows)], ncols=len(cols))
+        """The matrix whose columns are the given lists of ``nrows``
+        polynomials of ``ring``."""
+        cols = [tuple(col) for col in columns]
+        if any(len(col) != nrows for col in cols):
+            raise CakError("ragged matrix")
+        if any(p.ring is not ring for col in cols for p in col):
+            raise CakError("matrix entry from a different ring")
+        return cls.packed(ring, nrows, map(ModuleContext(ring, nrows).from_column, cols))
 
     @property
     def entries(self) -> tuple:
@@ -202,7 +206,7 @@ class PresentedModule:
         """R/(gens) as a module over the ring presentation."""
         gens = [g for g in gens if not g.is_zero()]
         amb = GradedFreeModule(ring, (0,))
-        return cls(ring, amb, PolyMatrix(ring, [list(gens)]))
+        return cls(ring, amb, PolyMatrix.from_columns(ring, 1, [[g] for g in gens]))
 
     @classmethod
     def free(cls, ring, twists=(0,)) -> "PresentedModule":
@@ -210,9 +214,9 @@ class PresentedModule:
         per ring and kept on it."""
         amb = GradedFreeModule(ring, twists)
         if amb.twists != (0,):
-            return cls(ring, amb, PolyMatrix(ring, [[] for _ in amb.twists]))
+            return cls(ring, amb, PolyMatrix.zero(ring, amb.rank, 0))
         if ring._free_module is None:
-            ring._free_module = cls(ring, amb, PolyMatrix(ring, [[]]))
+            ring._free_module = cls(ring, amb, PolyMatrix.zero(ring, 1, 0))
         return ring._free_module
 
 
@@ -498,7 +502,8 @@ def _koszul_resolution(module: PresentedModule, budget):
     ring = module.ring
     if module.ambient.rank != 1 or not ring.homogeneous:
         return None
-    f = module.relations.entries[0]
+    ctx = ModuleContext(ring, 1)
+    f = [ctx.to_column(col)[0] for col in module.relations.cols]
     if not 0 < len(f) <= len(ring.vars) or not all(g.homogeneous_degree() for g in f):
         return None
     if not is_regular_sequence(ring, f, budget):
@@ -626,62 +631,54 @@ def minimal_free_resolution(
 def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
     """Homotopy-equivalent complex with every unit (degree-0) differential
     entry cancelled.  Idempotent on already-minimal complexes.  Each
-    cancellation costs one budget unit."""
-    ring = complex.ring
+    cancellation costs one budget unit.
+
+    Each map is worked on as its columns, unpacked into lists of entries
+    reduced modulo the relations, and packed again at the end.  Units are
+    taken in order of map, then row, then column; a cancellation rewrites
+    only the columns with an entry in the pivot row."""
+    ring, one = complex.ring, complex.ring.one_key
     budget = _as_budget(budget)
     relh = relations_ideal(ring) if ring.relations else None
     nf = (lambda p: relh.normal_form(p, budget)) if relh else (lambda p: p)
-    mats = [[list(map(nf, row)) for row in m.entries] for m in complex.maps]
+    mats = [[list(map(nf, ModuleContext(ring, m.nrows).to_column(col))) for col in m.cols]
+            for m in complex.maps]
     twists = [list(m.twists) for m in complex.modules]
 
     def find_unit(start):
         # a cancellation in map idx rewrites only map idx and deletes a row
         # or column of its neighbours, so maps before idx gain no unit
         for idx in range(start, len(mats)):
-            for r, row in enumerate(mats[idx]):
-                for c, p in enumerate(row):
-                    if p.terms and set(p.terms) == {ring.one_key}:
-                        return idx, r, c
+            units = [(r, c) for c, col in enumerate(mats[idx])
+                     for r, p in enumerate(col) if p.terms.keys() == {one}]
+            if units:
+                return (idx, *min(units))
         return None
 
     idx = 0
-    while True:
-        hit = find_unit(idx)
-        if hit is None:
-            break
+    while (hit := find_unit(idx)) is not None:
         budget.spend()
         idx, r, c = hit
-        mat = mats[idx]
-        u_inv = ring.field.inv(mat[r][c].terms[ring.one_key])
-        nrows, ncols = len(mat), len(mat[0])
-        new = []
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = []
-            for j in range(ncols):
-                if j == c:
-                    continue
-                row.append(nf(mat[i][j] - mat[i][c].scale(u_inv) * mat[r][j]))
-            new.append(row)
-        mats[idx] = new
-        if idx + 1 < len(mats):
-            mats[idx + 1] = [row for i, row in enumerate(mats[idx + 1]) if i != c]
-        if idx - 1 >= 0:
-            mats[idx - 1] = [
-                [p for j, p in enumerate(row) if j != r] for row in mats[idx - 1]
-            ]
-        del twists[idx][r]
-        del twists[idx + 1][c]
+        pivot = mats[idx].pop(c)
+        u_inv = ring.field.inv(pivot.pop(r).terms[one])
+        for col in mats[idx]:
+            e = col.pop(r)
+            if e:
+                for i, p in enumerate(pivot):
+                    if p:
+                        col[i] = nf(col[i] - p.scale(u_inv) * e)
+        for col in mats[idx + 1] if idx + 1 < len(mats) else ():
+            del col[c]
+        if idx:
+            del mats[idx - 1][r]
+        del twists[idx][r], twists[idx + 1][c]
 
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
         mats.pop()
-    modules = [GradedFreeModule(ring, t) for t in twists]
-    maps = [
-        PolyMatrix(ring, m, ncols=modules[i + 1].rank) for i, m in enumerate(mats)
-    ]
-    return ChainComplex(ring, modules, maps)
+    maps = [PolyMatrix.packed(ring, len(t), map(ModuleContext(ring, len(t)).from_column, m))
+            for t, m in zip(twists, mats)]
+    return ChainComplex(ring, [GradedFreeModule(ring, t) for t in twists], maps)
 
 
 # -- lengths, Hilbert data, regular sequences ---------------------------------

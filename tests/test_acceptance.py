@@ -1,9 +1,10 @@
 """Acceptance gate: one test per verification criterion, each with a
 wall-clock budget; all numeric comparisons are exact.
 
-One test per criterion, printing a PASS/FAIL line with the timing; the
-twelfth criterion checks that the seed-0 report matches its pinned hash and
-that two runs in one process give byte-identical reports (timing fields
+One test per criterion, printing a PASS/FAIL line with the timing and
+checking the budget units the case spends at seed 0; the twelfth
+criterion checks that the seed-0 report matches its pinned hash and that
+two runs in one process give byte-identical reports (timing fields
 excluded).
 """
 
@@ -12,6 +13,8 @@ import json
 
 import pytest
 
+from cak import verify
+from cak.groebner import Budget
 from cak.verify import CASES, DEFAULT_SEED, run_case, run_suite
 
 CASE_FNS = dict(CASES)
@@ -31,10 +34,34 @@ CRITERIA = {
     11: ("c11_ar_checker", 60.0),
 }
 
+# case id -> budget units the case spends at seed 0: the work of each case,
+# pinned, so a change that does more or less work shows here
+UNITS = {
+    "c01_minimal_resolution": 13,
+    "c02_betti_formula": 420,
+    "c03_toric_kernel": 75,
+    "c04_ulrich_instances": 351,
+    "c05_power_minors": 620,
+    "c06_eagon_northcott": 355,
+    "c07_type_relation": 283,
+    "c08_duality_transfer": 63188,
+    "c09_family_2x3": 441,
+    "c10_det_reduction": 191,
+    "c11_ar_checker": 2106,
+}
+
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
-def test_criterion(number, capsys):
+def test_criterion(number, capsys, monkeypatch):
     case_id, bound = CRITERIA[number]
+    budgets = []
+
+    class RecordedBudget(Budget):
+        def __init__(self, limit=None):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(verify, "Budget", RecordedBudget)
     result = run_case(case_id, CASE_FNS[case_id], DEFAULT_SEED, None)
     status = "PASS" if result.passed else "FAIL"
     with capsys.disabled():
@@ -43,6 +70,7 @@ def test_criterion(number, capsys):
     assert result.elapsed < bound, (
         f"criterion {number} exceeded its {bound}s bound ({result.elapsed:.1f}s)"
     )
+    assert [b.used for b in budgets] == [UNITS[case_id]]
 
 
 # sha256 of the seed-0 report without timing fields: every number the suite

@@ -12,7 +12,15 @@ per-variable bitsets, so that the leads dividing a key are found with one
 bitset per variable instead of a scan over every lead (the divisibility
 masks of Bachmann and Schoenemann, ISSAC 1998).  Normal forms and every
 lead search of the Groebner engine go through it.
+
+A normal form is a heap-ordered division (the heap of Monagan and Pearce,
+J. Symbolic Comput. 46 (2011), over a work dict): the largest live term is
+popped off a heap of keys instead of found by scanning the dict, and each
+reducer multiple is merged inline.  It takes the same terms and reducers in
+the same order as the scan did.
 """
+
+from heapq import heapify, heappop, heappush
 
 from .errors import DegreeOverflowError
 
@@ -22,17 +30,17 @@ CLAMP = 15  # a DivisorIndex stores larger exponents as this one
 
 
 def axpy_terms(dst, src, c, delta, p, guard):
-    """dst += c * x^delta * src, in place, dropping zero entries; guard-checks
-    every new key.  With delta 0 and guard 0 this is dst += c * src on any
-    int-keyed dict."""
+    """dst += c * x^delta * src, in place, dropping zero entries; the new
+    keys are guard-checked together, once the merge is done.  With delta 0
+    and guard 0 this is dst += c * src on any int-keyed dict."""
+    acc = -1
     if p is not None:
         c %= p
         if not c:
             return
         for k, v in src.items():
             nk = k + delta
-            if nk & guard != guard:
-                raise DegreeOverflowError("exponent overflow in term product")
+            acc &= nk
             nv = (dst.get(nk, 0) + c * v) % p
             if nv:
                 dst[nk] = nv
@@ -43,13 +51,14 @@ def axpy_terms(dst, src, c, delta, p, guard):
             return
         for k, v in src.items():
             nk = k + delta
-            if nk & guard != guard:
-                raise DegreeOverflowError("exponent overflow in term product")
+            acc &= nk
             nv = dst.get(nk, 0) + c * v
             if nv:
                 dst[nk] = nv
             else:
                 dst.pop(nk, None)
+    if acc & guard != guard:
+        raise DegreeOverflowError("exponent overflow in term product")
 
 
 def mul_terms(a, b, p, one_key, guard):
@@ -194,26 +203,63 @@ def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1):
     reducer ``i`` may rewrite term ``m`` only when its multiple's signature
     ``m - leads[i] + sigs[i]`` stays below ``sig``; a reducer whose
     ``sigs[i]`` is None has a signature below every other and always may.
+
+    The next term comes off a max-heap of the work dict's keys (held
+    negated), not from ``max(work)``.  A reducer's multiple is merged into
+    the work dict in place and only the keys the merge creates are pushed;
+    they all lie below the popped key, so each key is pushed once and each
+    pop yields the largest live key.  Nothing is deleted: a popped key is
+    touched again only by the lead of its own reducer, and a key whose
+    coefficient has cancelled (over F_p: reduced when popped) is skipped.
+    The new keys of a merge are guard-checked together, once it is done.
     """
     work = dict(f)
+    get = work.get
+    heap = [-k for k in work]
+    heapify(heap)
     out = {}
     leads, gterms, cmask, gmask = index.leads, index.terms, index.cmask, index.gmask
-    candidates = index.candidates
-    while work:
-        m = max(work)
-        c = work[m]
-        bits = candidates(m, mask)
+    comps, compmask, rows = index.comps, index.compmask, index.rows
+    while heap:
+        m = -heappop(heap)
+        c = work[m] if p is None else work[m] % p
+        if not c:
+            continue
+        # index.candidates(m, mask), inline
+        bits = comps.get(m & compmask, 0) & mask
+        if bits:
+            over = 0
+            try:
+                for s, above in rows:
+                    over |= above[EXP_MASK - ((m >> s) & EXP_MASK)]
+            except IndexError:  # an exponent of m above CLAMP
+                for s, above in rows:
+                    over |= above[min(EXP_MASK - ((m >> s) & EXP_MASK), CLAMP)]
+            bits &= ~over
+            low_m = m & cmask
         while bits:
             low = bits & -bits
             i = low.bit_length() - 1
             lk = leads[i]
-            if not ((lk & cmask) - (m & cmask)) & gmask and (
+            if not ((lk & cmask) - low_m) & gmask and (
                 sig is None or sigs[i] is None or m - lk + sigs[i] < sig
             ):
-                axpy_terms(work, gterms[i], -c, m - lk, p, guard)
                 break
             bits ^= low
         else:
             out[m] = c
-            del work[m]
+            continue
+        # work -= c * x^(m - lk) * gterms[i]; the lead lands on m, never popped again
+        c, delta, acc = -c if p is None else p - c, m - lk, -1
+        for k, v in gterms[i].items():
+            nk = k + delta
+            acc &= nk
+            old = get(nk)
+            if old is None:
+                work[nk] = c * v
+                heappush(heap, -nk)
+            else:
+                work[nk] = old + c * v
+        if acc & guard != guard:
+            raise DegreeOverflowError("exponent overflow in term product")
     return out

@@ -54,6 +54,16 @@ class GenericMatrix:
         self.row_degrees = tuple(row_degrees)
         self.col_degrees = tuple(col_degrees)
 
+    @classmethod
+    def _row(cls, ring, elems, degrees) -> "GenericMatrix":
+        """The 1 x m matrix of nonzero forms whose degrees are known: its
+        row has degree 0 and its columns the forms' degrees."""
+        self = object.__new__(cls)
+        self.ring, self.entries = ring, (tuple(elems),)
+        self.nrows, self.ncols = 1, len(self.entries[0])
+        self.row_degrees, self.col_degrees = (0,), tuple(degrees)
+        return self
+
     def _solve_degrees(self):
         """Row and column degrees read off the nonzero entries.  Every row is
         processed once, and each of its nonzero entries is checked against
@@ -147,16 +157,24 @@ def koszul_complex(ring: RingPresentation, elems, budget=None) -> ChainComplex:
     """Exterior-algebra complex on the given homogeneous elements: the
     Eagon-Northcott complex of the 1 x m matrix of the elements."""
     elems = list(elems)
+    degrees = []
     for f in elems:
         if f.ring is not ring:
             raise CakError("element from a different ring")
         if f.is_zero():
             raise PreconditionError("Koszul complex wants nonzero elements")
-        if f.homogeneous_degree() is None:
+        d = f.homogeneous_degree()
+        if d is None:
             raise PreconditionError("Koszul complex wants homogeneous elements")
+        degrees.append(d)
+    return _koszul_forms(ring, elems, degrees, budget)
+
+
+def _koszul_forms(ring, elems, degrees, budget) -> ChainComplex:
+    """``koszul_complex`` on nonzero forms of ``ring`` of the given degrees."""
     if not elems:
         return ChainComplex(ring, [GradedFreeModule(ring, [0])], [])
-    return eagon_northcott(GenericMatrix(ring, [elems]), budget)
+    return eagon_northcott(GenericMatrix._row(ring, elems, degrees), budget)
 
 
 # -- Eagon-Northcott ----------------------------------------------------------

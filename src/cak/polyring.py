@@ -214,6 +214,7 @@ class RingPresentation:
         self.homogeneous = all(q.homogeneous_degree() is not None for q in rels)
         self._relations_ideal = None  # set by groebner.relations_ideal
         self._free_module = None  # R as a module, set by resolve.PresentedModule.free
+        self._mono_texts = {}  # monomial text by exponent bits, filled by render_poly
 
     # -- key arithmetic -------------------------------------------------
 
@@ -559,11 +560,12 @@ def _coeff_repr(c, field: Field):
 
 
 def render_poly(p: Polynomial) -> str:
-    """Text of ``p``, exponents read off its keys' fields (``field_shifts``)."""
+    """Text of ``p``, exponents read off its keys' fields (``field_shifts``).
+    Each monomial's text is made once per ring and kept in its memo."""
     if p.is_zero():
         return "0"
     ring = p.ring
-    names, shifts, full = ring.vars, ring.field_shifts, ring.one_key
+    full, texts = ring.one_key, ring._mono_texts
     parts = []
     for k in sorted(p.terms, reverse=True):
         c = _coeff_repr(p.terms[k], ring.field)
@@ -571,12 +573,14 @@ def render_poly(p: Polynomial) -> str:
         c = -c if neg else c
         exps = (k & full) ^ full  # a field holds EXP_MASK - exponent
         if exps:
-            factors = []
-            for name, s in zip(names, shifts):
-                e = (exps >> s) & EXP_MASK
-                if e:
-                    factors.append(name if e == 1 else f"{name}^{e}")
-            mono_s = "*".join(factors)
+            mono_s = texts.get(exps)
+            if mono_s is None:
+                factors = []
+                for name, s in zip(ring.vars, ring.field_shifts):
+                    e = (exps >> s) & EXP_MASK
+                    if e:
+                        factors.append(name if e == 1 else f"{name}^{e}")
+                mono_s = texts[exps] = "*".join(factors)
             body = mono_s if c == 1 else f"{c}*{mono_s}"
         else:
             body = str(c)

@@ -187,6 +187,15 @@ class PresentedModule:
         self._resolution = None
         self._target = None
 
+    @classmethod
+    def _with_degrees(cls, ring, ambient, relations, degrees) -> "PresentedModule":
+        """The module of ``relations``, whose column degrees are known."""
+        self = object.__new__(cls)
+        self.ring, self.ambient, self.relations = ring, ambient, relations
+        self.column_degrees = tuple(degrees)
+        self._resolution = self._target = None
+        return self
+
     def resolution(self, budget=None) -> "ResolutionBuilder":
         """The minimal free resolution of this module over ring/(relations),
         created on first use and extended on demand by its readers."""
@@ -484,15 +493,22 @@ class Resolution:
 def presentation_minimalize(module: PresentedModule, budget=None):
     """Isomorphic presentation with no unit relation entries and no zero
     relation columns: ``minimalize`` on F_0 <- F_1, zero columns dropped.
-    Returns a new PresentedModule."""
+    Returns a new PresentedModule.  Over a graded ring a surviving column
+    keeps its degree, the twist minimalize carried, so no degree is computed
+    again."""
     ring = module.ring
     # zero columns have no degree; any twist will do, they are dropped below
     col_twists = [0 if d is None else d for d in module.column_degrees]
     cx = ChainComplex(ring, [module.ambient, GradedFreeModule(ring, col_twists)], [module.relations])
     cx = minimalize(cx, budget)
     amb = cx.modules[0]
-    cols = [col for col in cx.maps[0].cols if col] if cx.maps else []
-    return PresentedModule(ring, amb, PolyMatrix.packed(ring, amb.rank, cols))
+    kept = []
+    if cx.maps:
+        kept = [(col, d) for col, d in zip(cx.maps[0].cols, cx.modules[1].twists) if col]
+    relations = PolyMatrix.packed(ring, amb.rank, [col for col, _ in kept])
+    if not ring.homogeneous:  # reducing modulo J may break a column's degree
+        return PresentedModule(ring, amb, relations)
+    return PresentedModule._with_degrees(ring, amb, relations, [d for _, d in kept])
 
 
 def _koszul_resolution(module: PresentedModule, budget):
@@ -504,13 +520,15 @@ def _koszul_resolution(module: PresentedModule, budget):
         return None
     ctx = ModuleContext(ring, 1)
     f = [ctx.to_column(col)[0] for col in module.relations.cols]
-    if not 0 < len(f) <= len(ring.vars) or not all(g.homogeneous_degree() for g in f):
+    if not 0 < len(f) <= len(ring.vars):
         return None
-    if not is_regular_sequence(ring, f, budget):
+    # each form's degree is read once, here, and passed down
+    degrees = [g.homogeneous_degree() for g in f]
+    if not all(degrees) or not _regular_forms(ring, f, degrees, budget):
         return None
-    from .complexes import koszul_complex  # complexes imports this module
+    from .complexes import _koszul_forms  # complexes imports this module
 
-    return koszul_complex(ring, f, budget)
+    return _koszul_forms(ring, f, degrees, budget)
 
 
 class ResolutionBuilder:
@@ -796,11 +814,19 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
     budget = _as_budget(budget)
     if any(e.is_zero() for e in elems):
         return False
+    degrees = []
     for e in elems:
-        if e.homogeneous_degree() is None:
+        d = e.homogeneous_degree()
+        if d is None:
             raise PreconditionError("regular-sequence test wants homogeneous elements")
-        if e.degree() == 0:
+        if d == 0:
             return False
+        degrees.append(d)
+    return _regular_forms(ring, elems, degrees, budget)
+
+
+def _regular_forms(ring, elems, degrees, budget) -> bool:
+    """``is_regular_sequence`` on nonzero forms of the positive ``degrees``."""
     if not elems:
         return True
     if not ring.homogeneous:
@@ -810,8 +836,8 @@ def is_regular_sequence(ring, elems, budget=None) -> bool:
         if face or len(elems) == len(ring.vars):
             return face
     want = hilbert_numerator(lead_exponents(relations_ideal(ring), budget), ring.weights, budget)
-    for e in elems:
-        want = _add_shifted(dict(want), want, e.degree(), -1)  # times (1 - t^d)
+    for d in degrees:
+        want = _add_shifted(dict(want), want, d, -1)  # times (1 - t^d)
     got = hilbert_numerator(lead_exponents(IdealHandle(ring, elems), budget), ring.weights, budget)
     return got == want
 

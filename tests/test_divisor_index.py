@@ -96,7 +96,9 @@ def scan_normal_form(ring, compmask, f, leads, terms, p, guard, sig=None, sigs=N
 @pytest.fixture
 def scanning(monkeypatch):
     """Make every DivisorIndex find its candidates by the reference scan,
-    for the ring given; the index then returns exactly the divisors."""
+    for the ring given; the index then returns exactly the divisors.  Normal
+    forms compute their candidates inline and keep the index's; they are
+    compared with the scan in ``test_normal_forms_match_the_scan``."""
 
     def use(ring):
         def candidates(index, key, mask=-1):

@@ -19,6 +19,7 @@ from cak import resolve
 from cak.complexes import verify_resolution
 from cak.errors import CakError
 from cak.groebner import Budget
+from cak.polyring import Polynomial
 from cak.resolve import (
     GradedFreeModule,
     PolyMatrix,
@@ -212,6 +213,22 @@ def test_the_route_is_one_resolution_per_module(r1_ambient):
     assert short.complex.ranks() == (1, 3, 3) and not short.complete
     full = minimal_free_resolution(module, budget=Budget(0))
     assert full.complete and full.complex.ranks() == (1, 3, 3, 1)
+
+
+def test_the_route_reads_each_degree_once(r1_ambient, monkeypatch):
+    """The route reads each form's degree once and passes it down to the
+    regular-sequence test and the Koszul complex."""
+    calls = []
+    original = Polynomial.homogeneous_degree
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    module = cyclic(r1_ambient, parse_poly_list("X^2; Y; Z", r1_ambient), 1)
+    monkeypatch.setattr(Polynomial, "homogeneous_degree", counting)
+    assert module.resolution().complete
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("n, m, ranks, units", [(5, 4, (1, 4, 6, 4, 1), 36), (6, 3, (1, 3, 3, 1), 15)])

@@ -383,9 +383,32 @@ def test_column_degrees_computed_once_per_module(relations, monkeypatch):
     rows = [PL(ring, "x; y; z"), PL(ring, "y; z; x")]
     module = PresentedModule(ring, GradedFreeModule(ring, (0, 0)), PolyMatrix(ring, rows))
     assert len(calls) == 3
-    # the minimalized presentation computes its own; the first step reads them
+    # the minimalized presentation keeps the degrees minimalize carried, and
+    # the first step reads them
     module.resolution()
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("relations", [(), ("x^2", "y^2", "z^2"), ("x*z - y^2",)])
+def test_minimalized_presentation_keeps_its_column_degrees(relations):
+    """The degrees presentation_minimalize carries over are the ones a fresh
+    PresentedModule computes on its columns, after units are cancelled, zero
+    columns dropped and entries reduced modulo J."""
+    ring = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=relations)
+    rng = random.Random(f"minimalized degrees:{relations}")
+    twists = (0, 1, 1)
+    amb = GradedFreeModule(ring, twists)
+    shrunk = 0
+    for _ in range(12):
+        cols = [random_column(ring, rng.randint(0, 3), twists, rng)
+                for _ in range(rng.randint(1, 5))]
+        cols.append([ring.zero()] * len(twists))
+        module = PresentedModule(ring, amb, PolyMatrix.from_columns(ring, len(twists), cols))
+        out = presentation_minimalize(module)
+        fresh = PresentedModule(ring, out.ambient, out.relations)
+        assert out.column_degrees == fresh.column_degrees
+        shrunk += out.ambient.rank < amb.rank
+    assert shrunk  # some draws do cancel a unit
 
 
 def lead_degree_ring(name):

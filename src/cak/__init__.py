@@ -32,9 +32,7 @@ from .groebner import (
     IdealHandle,
     RingMap,
     eliminate,
-    groebner_basis,
     ideal_ops,
-    normal_form,
     ring_map_kernel,
     standard_monomials,
 )

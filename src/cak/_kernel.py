@@ -13,6 +13,11 @@ bitset per variable instead of a scan over every lead (the divisibility
 masks of Bachmann and Schoenemann, ISSAC 1998).  Normal forms and every
 lead search of the Groebner engine go through it.
 
+Every product, shifted sum and scaling of term dicts goes through one merge
+loop, :func:`axpy_terms`, or one scaling, :func:`scale_terms`.  Two hot
+loops merge inline instead: a normal form pushes each key its merge creates
+onto its heap, and ``ArtinianModule.times`` merges cached normal forms.
+
 A normal form is a heap-ordered division (the heap of Monagan and Pearce,
 J. Symbolic Comput. 46 (2011), over a work dict): the largest live term is
 popped off a heap of keys instead of found by scanning the dict, and each
@@ -31,8 +36,8 @@ CLAMP = 15  # a DivisorIndex stores larger exponents as this one
 
 def axpy_terms(dst, src, c, delta, p, guard):
     """dst += c * x^delta * src, in place, dropping zero entries; the new
-    keys are guard-checked together, once the merge is done.  With delta 0
-    and guard 0 this is dst += c * src on any int-keyed dict."""
+    keys are guard-checked together, once the merge is done.  With guard 0
+    it serves any int-keyed dicts, integer polynomials in t by degree too."""
     acc = -1
     if p is not None:
         c %= p
@@ -61,35 +66,20 @@ def axpy_terms(dst, src, c, delta, p, guard):
         raise DegreeOverflowError("exponent overflow in term product")
 
 
+def scale_terms(terms, c, p):
+    """c * terms as a new dict, for c nonzero (mod p when ``p`` is given)."""
+    if p is None:
+        return {k: v * c for k, v in terms.items()}
+    return {k: v * c % p for k, v in terms.items()}
+
+
 def mul_terms(a, b, p, one_key, guard):
-    """Product of two polynomial term dicts."""
+    """Product of two polynomial term dicts, one merge per term of the shorter."""
     out = {}
     if len(a) > len(b):
         a, b = b, a
-    if p is not None:
-        for ka, va in a.items():
-            base = ka - one_key
-            for kb, vb in b.items():
-                nk = base + kb
-                if nk & guard != guard:
-                    raise DegreeOverflowError("exponent overflow in term product")
-                nv = (out.get(nk, 0) + va * vb) % p
-                if nv:
-                    out[nk] = nv
-                else:
-                    out.pop(nk, None)
-    else:
-        for ka, va in a.items():
-            base = ka - one_key
-            for kb, vb in b.items():
-                nk = base + kb
-                if nk & guard != guard:
-                    raise DegreeOverflowError("exponent overflow in term product")
-                nv = out.get(nk, 0) + va * vb
-                if nv:
-                    out[nk] = nv
-                else:
-                    out.pop(nk, None)
+    for ka, va in a.items():
+        axpy_terms(out, b, va, ka - one_key, p, guard)
     return out
 
 

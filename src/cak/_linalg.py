@@ -7,7 +7,7 @@ Tor, the socle and the embedding dimension.
 
 from fractions import Fraction
 
-from ._kernel import axpy_terms
+from ._kernel import axpy_terms, scale_terms
 
 
 class Echelon:
@@ -47,16 +47,10 @@ class Echelon:
             if hit is None:
                 c = vec[m]
                 if c != 1:
-                    if p is None:
-                        inv = Fraction(1) / c
-                        vec = {k: v * inv for k, v in vec.items()}
-                        if combo is not None:
-                            combo = {k: v * inv for k, v in combo.items()}
-                    else:
-                        inv = pow(c, -1, p)
-                        vec = {k: v * inv % p for k, v in vec.items()}
-                        if combo is not None:
-                            combo = {k: v * inv % p for k, v in combo.items()}
+                    inv = Fraction(1) / c if p is None else pow(c, -1, p)
+                    vec = scale_terms(vec, inv, p)
+                    if combo is not None:
+                        combo = scale_terms(combo, inv, p)
                 rows[m] = (vec, combo)
                 return True
             c = -vec[m]

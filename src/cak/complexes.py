@@ -68,47 +68,32 @@ class GenericMatrix:
         """Row and column degrees read off the nonzero entries.  Every row is
         processed once, and each of its nonzero entries is checked against
         the degrees there, so a solution fits every entry."""
-        rows = [None] * self.nrows
-        cols = [None] * self.ncols
-        # propagate degree constraints across the nonzero-entry graph
+        degs = {"r": [None] * self.nrows, "c": [None] * self.ncols}
+        lines = {"r": self.entries, "c": tuple(zip(*self.entries))}
+        # propagate degree constraints across the nonzero-entry graph: a row
+        # node reaches the columns of its entries, a column node the rows
         for start in range(self.nrows):
-            if rows[start] is not None:
+            if degs["r"][start] is not None:
                 continue
-            rows[start] = 0
+            degs["r"][start] = 0
             queue = [("r", start)]
             while queue:
                 kind, idx = queue.pop()
-                if kind == "r":
-                    for j in range(self.ncols):
-                        p = self.entries[idx][j]
-                        if p.is_zero():
-                            continue
-                        d = p.homogeneous_degree()
-                        if d is None:
-                            raise CakError(f"entry ({idx}, {j}) is not homogeneous")
-                        want = rows[idx] + d
-                        if cols[j] is None:
-                            cols[j] = want
-                            queue.append(("c", j))
-                        elif cols[j] != want:
-                            raise CakError("inconsistent row/column degrees")
-                else:
-                    for i in range(self.nrows):
-                        p = self.entries[i][idx]
-                        if p.is_zero():
-                            continue
-                        d = p.homogeneous_degree()
-                        if d is None:
-                            raise CakError(f"entry ({i}, {idx}) is not homogeneous")
-                        want = cols[idx] - d
-                        if rows[i] is None:
-                            rows[i] = want
-                            queue.append(("r", i))
-                        elif rows[i] != want:
-                            raise CakError("inconsistent row/column degrees")
-        return [r if r is not None else 0 for r in rows], [
-            c if c is not None else 0 for c in cols
-        ]
+                far = "c" if kind == "r" else "r"
+                for k, p in enumerate(lines[kind][idx]):
+                    if p.is_zero():
+                        continue
+                    d = p.homogeneous_degree()
+                    if d is None:
+                        i, j = (idx, k) if kind == "r" else (k, idx)
+                        raise CakError(f"entry ({i}, {j}) is not homogeneous")
+                    want = degs[kind][idx] + (d if kind == "r" else -d)
+                    if degs[far][k] is None:
+                        degs[far][k] = want
+                        queue.append((far, k))
+                    elif degs[far][k] != want:
+                        raise CakError("inconsistent row/column degrees")
+        return [[0 if d is None else d for d in degs[kind]] for kind in "rc"]
 
     def submatrix(self, row_idx, col_idx):
         return [[self.entries[i][j] for j in col_idx] for i in row_idx]

@@ -12,7 +12,9 @@ Every search for a lead that divides a key goes through a
 normal form, the chain criterion, the principal-syzygy, rewriter,
 regular-reducibility and singular-lead tests of the signature completion,
 the minimal leads of a reduced basis and the cached reducers of an
-:class:`IdealHandle`.  No search scans the lead list.
+:class:`IdealHandle`.  No search on keys scans the lead list; two walks on
+exponent tuples still do, :func:`staircase` and the Hilbert recursion of
+:mod:`cak.resolve` (through its monomial minimalization).
 
 Rank-one input (every ideal basis, elimination and ring-map kernel) is
 completed by a signature-based algorithm, which never reduces a Koszul
@@ -41,7 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from ._kernel import DivisorIndex, axpy_terms, normal_form_terms
+from ._kernel import DivisorIndex, axpy_terms, normal_form_terms, scale_terms
 from .errors import CakError, PreconditionError, NotArtinianError, ResourceLimitError
 from .polyring import Field, Monomial, Polynomial, RingPresentation, parse_poly
 
@@ -223,14 +225,7 @@ def relation_multiples(ctx, rank: int) -> list[dict]:
 
 def _monic(terms: dict, field: Field) -> dict:
     lc = terms[max(terms)]
-    one = field.coerce(1)
-    if lc == one:
-        return terms
-    inv = field.inv(lc)
-    p = field.p
-    if p is None:
-        return {k: v * inv for k, v in terms.items()}
-    return {k: v * inv % p for k, v in terms.items()}
+    return terms if lc == field.coerce(1) else scale_terms(terms, field.inv(lc), field.p)
 
 
 class GroebnerEngine:
@@ -624,14 +619,6 @@ def ideal_ops(op: str, left: IdealHandle, right=None, budget=None):
     if op == "contains":
         return left.contains(right, budget)
     raise CakError(f"unknown ideal op {op!r}")
-
-
-def groebner_basis(ideal: IdealHandle, budget=None) -> list[Polynomial]:
-    return ideal.groebner_basis(budget)
-
-
-def normal_form(p: Polynomial, ideal: IdealHandle, budget=None) -> Polynomial:
-    return ideal.normal_form(p, budget)
 
 
 # -- syzygies ----------------------------------------------------------------

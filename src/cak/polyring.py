@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._kernel import EXP_BITS, EXP_MASK, axpy_terms, mul_terms
+from ._kernel import EXP_BITS, EXP_MASK, axpy_terms, mul_terms, scale_terms
 from .errors import (
     CakError,
     DegreeOverflowError,
@@ -449,8 +449,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, {k: neg(c) for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -473,10 +472,7 @@ class Polynomial:
         c = self.ring.field.coerce(c)
         if not c:
             return self.ring.zero()
-        p = self.ring.field.p
-        if p is None:
-            return Polynomial(self.ring, {k: v * c for k, v in self.terms.items()})
-        return Polynomial(self.ring, {k: v * c % p for k, v in self.terms.items()})
+        return Polynomial(self.ring, scale_terms(self.terms, c, self.ring.field.p))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

@@ -98,9 +98,6 @@ class QuotientRing:
         """Standard monomials of the defining ideal (Artinian case)."""
         return _standard_basis(self.defining_ideal, budget)
 
-    def length(self, budget=None) -> int:
-        return len(self.standard_basis(budget))
-
     def __repr__(self):
         return f"QuotientRing({self.presentation!r})"
 

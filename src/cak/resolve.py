@@ -737,22 +737,12 @@ def hilbert_numerator(gens, weights, budget=None) -> dict[int, int]:
         colon = _minimalize_monomials(
             [tuple([a - b if a > b else 0 for a, b in zip(e, pivot)]) for e in rest]
         )
-        out = memo[fs] = _add_shifted(dict(rec(rest)), rec(tuple(sorted(colon))), wdeg(pivot), -1)
+        out = dict(rec(rest))
+        axpy_terms(out, rec(tuple(sorted(colon))), -1, wdeg(pivot), None, 0)
+        memo[fs] = out
         return out
 
     return rec(tuple(sorted(gens)))
-
-
-def _add_shifted(out: dict, poly: dict, shift: int = 0, sign: int = 1) -> dict:
-    """out += sign * t^shift * poly, for integer polynomials as degree ->
-    coefficient dicts with no zero coefficient; returns ``out``."""
-    for d, c in poly.items():
-        v = out.get(d + shift, 0) + sign * c
-        if v:
-            out[d + shift] = v
-        else:
-            del out[d + shift]
-    return out
 
 
 def _minimalize_monomials(gens):
@@ -782,7 +772,7 @@ def lead_module_hilbert_numerator(ctx, engine, twists, budget) -> dict[int, int]
     ``twists`` are the degrees of the basis vectors of ``ctx``."""
     out: dict[int, int] = {}
     for tau, gens in zip(twists, lead_module_per_component(ctx, engine)):
-        _add_shifted(out, hilbert_numerator(gens, ctx.ring.weights, budget), tau)
+        axpy_terms(out, hilbert_numerator(gens, ctx.ring.weights, budget), 1, tau, None, 0)
     return out
 
 
@@ -791,7 +781,7 @@ def alternating_twist_sum(complex: ChainComplex) -> dict[int, int]:
     out: dict[int, int] = {}
     for i, mod in enumerate(complex.modules):
         for t in mod.twists:
-            _add_shifted(out, {t: 1}, 0, -1 if i % 2 else 1)
+            axpy_terms(out, {t: 1}, -1 if i % 2 else 1, 0, None, 0)
     return out
 
 
@@ -837,7 +827,9 @@ def _regular_forms(ring, elems, degrees, budget) -> bool:
             return face
     want = hilbert_numerator(lead_exponents(relations_ideal(ring), budget), ring.weights, budget)
     for d in degrees:
-        want = _add_shifted(dict(want), want, d, -1)  # times (1 - t^d)
+        shifted = dict(want)
+        axpy_terms(shifted, want, -1, d, None, 0)  # times (1 - t^d)
+        want = shifted
     got = hilbert_numerator(lead_exponents(IdealHandle(ring, elems), budget), ring.weights, budget)
     return got == want
 

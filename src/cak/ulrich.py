@@ -12,7 +12,7 @@ no Groebner basis is completed twice and no quotient ring is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import NotArtinianError, PreconditionError
 from .groebner import IdealHandle, _as_budget, standard_monomials
@@ -104,19 +104,7 @@ class UlrichReport:
         return self.I_not_q and self.I2_eq_qI and self.ImodI2_free
 
     def as_dict(self):
-        return {
-            "is_ulrich": self.is_ulrich,
-            "q_is_parameter_reduction": self.q_is_parameter_reduction,
-            "I_not_q": self.I_not_q,
-            "I2_eq_qI": self.I2_eq_qI,
-            "ImodI2_free": self.ImodI2_free,
-            "ImodI2_rank": self.ImodI2_rank,
-            "residue_complete_intersection": self.residue_complete_intersection,
-            "residue_gorenstein": self.residue_gorenstein,
-            "len_R_mod_I": self.len_R_mod_I,
-            "len_I_mod_q": self.len_I_mod_q,
-            "mu_I": self.mu_I,
-        }
+        return {"is_ulrich": self.is_ulrich, **asdict(self)}
 
 
 def is_ulrich(R, I, q, d: int, budget=None) -> UlrichReport:
@@ -179,16 +167,7 @@ class StructureReport:
         )
 
     def as_dict(self):
-        return {
-            "ok": self.ok,
-            "i2_in_q": self.i2_in_q,
-            "q_proper_in_I": self.q_proper_in_I,
-            "ImodQ_free": self.ImodQ_free,
-            "ImodQ_rank": self.ImodQ_rank,
-            "residue_complete_intersection": self.residue_complete_intersection,
-            "len_R_mod_I": self.len_R_mod_I,
-            "len_I_mod_q": self.len_I_mod_q,
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 def check_structure_conditions(R, I, q, d: int, budget=None) -> StructureReport:

@@ -1,10 +1,11 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from cak import QQ, RingPresentation, PreconditionError, ResourceLimitError, resolve
+from cak import QQ, CakError, RingPresentation, PreconditionError, ResourceLimitError, resolve
 from cak.complexes import (
     GenericMatrix,
     betti_rank_formula,
@@ -121,6 +122,85 @@ def test_tensor_convolution_law():
     t = tensor_complexes(c, d)
     assert t.ranks() == convolve_ranks(c.ranks(), d.ranks())
     assert t.composition_defect() is None
+
+
+def reference_solve_degrees(m):
+    """GenericMatrix._solve_degrees as it was, with a row branch and a
+    column branch."""
+    rows = [None] * m.nrows
+    cols = [None] * m.ncols
+    for start in range(m.nrows):
+        if rows[start] is not None:
+            continue
+        rows[start] = 0
+        queue = [("r", start)]
+        while queue:
+            kind, idx = queue.pop()
+            if kind == "r":
+                for j in range(m.ncols):
+                    p = m.entries[idx][j]
+                    if p.is_zero():
+                        continue
+                    d = p.homogeneous_degree()
+                    if d is None:
+                        raise CakError(f"entry ({idx}, {j}) is not homogeneous")
+                    want = rows[idx] + d
+                    if cols[j] is None:
+                        cols[j] = want
+                        queue.append(("c", j))
+                    elif cols[j] != want:
+                        raise CakError("inconsistent row/column degrees")
+            else:
+                for i in range(m.nrows):
+                    p = m.entries[i][idx]
+                    if p.is_zero():
+                        continue
+                    d = p.homogeneous_degree()
+                    if d is None:
+                        raise CakError(f"entry ({i}, {idx}) is not homogeneous")
+                    want = cols[idx] - d
+                    if rows[i] is None:
+                        rows[i] = want
+                        queue.append(("r", i))
+                    elif rows[i] != want:
+                        raise CakError("inconsistent row/column degrees")
+    return [r if r is not None else 0 for r in rows], [c if c is not None else 0 for c in cols]
+
+
+def test_solved_degrees_match_the_two_branch_solver():
+    """Seeded matrices of forms, many entries zero (so the nonzero-entry
+    graph often falls apart), some with one entry made inhomogeneous or of
+    the wrong degree: the degrees, or the first error, are the old solver's."""
+    ring = RingPresentation(["x", "y", "z"], [1, 2, 1])
+    rng = random.Random("solve degrees")
+    seen = Counter()
+    for _ in range(600):
+        s, t = rng.randint(1, 4), rng.randint(0, 4)
+        rdeg = [rng.randint(-1, 2) for _ in range(s)]
+        cdeg = [rng.randint(0, 4) for _ in range(t)]
+        rows = [
+            [random_form(ring, c - r, rng) if rng.random() < 0.5 else ring.zero() for c in cdeg]
+            for r in rdeg
+        ]
+        if t and rng.random() < 0.5:
+            i, j = rng.randrange(s), rng.randrange(t)
+            mono = P(ring, rng.choice(["x", "y", "x*z^2", "1"]))
+            rows[i][j] = mono if rng.random() < 0.5 else rows[i][j] + mono
+        shell = object.__new__(GenericMatrix)
+        shell.entries, shell.nrows, shell.ncols = tuple(map(tuple, rows)), s, t
+        try:
+            want = list(reference_solve_degrees(shell))
+        except CakError as e:
+            want = str(e)
+        try:
+            m = GenericMatrix(ring, rows)
+            got = [list(m.row_degrees), list(m.col_degrees)]
+        except CakError as e:
+            got = str(e)
+        assert got == want
+        seen["solved" if isinstance(want, list) else want.split()[-1]] += 1
+    assert set(seen) == {"solved", "homogeneous", "degrees"}, seen
+    assert min(seen.values()) > 20, seen
 
 
 # -- d o d = 0 by construction ------------------------------------------------------

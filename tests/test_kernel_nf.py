@@ -7,6 +7,13 @@ a per-term guard check.  The two must agree dict for dict, insertion order
 included, over F_7 (where sums cancel often), F_32003 and Q, on rank-one
 keys and module keys with the block bit, with masks and in signature mode,
 and must raise the same overflow error.
+
+Products, shifted sums and scalings of term dicts go through the one merge
+loop ``axpy_terms`` and the one scaling ``scale_terms``.  The loops they
+replaced are kept below as references too: the double-loop ``mul_terms``,
+the Hilbert bookkeeping's ``_add_shifted`` and the scaling comprehensions
+of ``Polynomial.scale``, negation, ``groebner._monic`` and ``Echelon``.
+Results must agree dict for dict, key order included.
 """
 
 import random
@@ -15,10 +22,11 @@ from fractions import Fraction
 import pytest
 
 from cak import _kernel
-from cak._kernel import CLAMP, axpy_terms, normal_form_terms
+from cak._kernel import CLAMP, axpy_terms, mul_terms, normal_form_terms, scale_terms
 from cak.errors import DegreeOverflowError
-from cak.groebner import ModuleContext, RingContext
-from cak.polyring import GF, MAX_EXP, QQ, RingPresentation
+from cak.groebner import ModuleContext, RingContext, _monic
+from cak._linalg import Echelon
+from cak.polyring import GF, MAX_EXP, QQ, Polynomial, RingPresentation
 
 FIELDS = {"GF(7)": GF(7), "GF(32003)": GF(32003), "QQ": QQ}
 
@@ -210,3 +218,146 @@ def test_a_normal_form_merges_inline(monkeypatch):
         want = reference_normal_form(f, index, field.p, ctx.guard)
         assert list(normal_form_terms(f, index, field.p, ctx.guard).items()) == list(want.items())
     assert calls == []
+
+
+# -- products, shifted sums and scalings -------------------------------------------
+
+
+def reference_mul(a, b, p, one_key, guard):
+    """The double loop ``mul_terms`` was, with a guard test per term."""
+    out = {}
+    if len(a) > len(b):
+        a, b = b, a
+    for ka, va in a.items():
+        base = ka - one_key
+        for kb, vb in b.items():
+            nk = base + kb
+            if nk & guard != guard:
+                raise DegreeOverflowError("exponent overflow in term product")
+            nv = out.get(nk, 0) + va * vb
+            if p is not None:
+                nv %= p
+            if nv:
+                out[nk] = nv
+            else:
+                out.pop(nk, None)
+    return out
+
+
+def reference_add_shifted(out, poly, shift=0, sign=1):
+    """out += sign * t^shift * poly on integer polynomials keyed by degree."""
+    for d, c in poly.items():
+        v = out.get(d + shift, 0) + sign * c
+        if v:
+            out[d + shift] = v
+        else:
+            del out[d + shift]
+    return out
+
+
+def reference_scale(terms, c, p):
+    if p is None:
+        return {k: v * c for k, v in terms.items()}
+    return {k: v * c % p for k, v in terms.items()}
+
+
+def signed_terms(draw, field, count, top):
+    """Terms with coefficients of both signs (fractions over Q), so that
+    products and sums cancel."""
+    rng = draw.rng
+    out = {}
+    for _ in range(count):
+        c = field.coerce(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        if c:
+            out[draw.key(top)] = c
+    return out
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+@pytest.mark.parametrize("rname", list(RINGS))
+def test_products_match_the_double_loop(fname, rname):
+    field = FIELDS[fname]
+    ring = RINGS[rname](field)
+    p, one_key, guard = field.p, ring.one_key, ring.guard
+    rng = random.Random(f"kernel mul:{fname}:{rname}")
+    draw = Draw(RingContext(ring), rng)
+    cancelled = 0
+    for _ in range(150):
+        a = signed_terms(draw, field, rng.choice([0, 1, 1, 2, 3, 5, 8]), 2)
+        b = signed_terms(draw, field, rng.choice([0, 1, 2, 4, 6, 10]), 2)
+        if rng.random() < 0.2:  # (a + v)(a - v): the cross terms cancel
+            v = signed_terms(draw, field, 2, 2)
+            a, b = dict(a), dict(a)
+            axpy_terms(a, v, 1, 0, p, 0)
+            axpy_terms(b, v, -1, 0, p, 0)
+        for x, y in ((a, b), (b, a)):
+            got = list(mul_terms(x, y, p, one_key, guard).items())
+            assert got == list(reference_mul(x, y, p, one_key, guard).items())
+            cancelled += len(got) < len({kx + ky for kx in x for ky in y})
+    assert cancelled > 10
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_an_overflowing_product_raises(fname):
+    """z^MAX_EXP * (x + z): only the second term's product overflows."""
+    field = FIELDS[fname]
+    ring = RINGS["plain"](field)
+    one = field.coerce(1)
+    a = {ring.encode((0, 0, MAX_EXP)): one}
+    b = {ring.encode((1, 0, 0)): one, ring.encode((0, 0, 1)): one}
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(DegreeOverflowError):
+            reference_mul(x, y, field.p, ring.one_key, ring.guard)
+        with pytest.raises(DegreeOverflowError):
+            mul_terms(x, y, field.p, ring.one_key, ring.guard)
+
+
+def test_shifted_sums_match_add_shifted():
+    """Integer polynomials in t, negative degrees and shifts included, as the
+    Hilbert bookkeeping of ``cak.resolve`` adds them."""
+    rng = random.Random("kernel shifted sums")
+    cancelled = 0
+    for _ in range(400):
+        out = {d: rng.choice([-2, -1, 1, 3]) for d in rng.sample(range(-4, 9), rng.randint(0, 6))}
+        poly = {d: rng.choice([-3, -1, 1, 2]) for d in rng.sample(range(-3, 7), rng.randint(0, 5))}
+        shift, sign = rng.randint(-5, 5), rng.choice([1, -1])
+        if rng.random() < 0.2:  # out - t^0 * out: everything cancels
+            poly, shift, sign = dict(out), 0, -1
+        want = reference_add_shifted(dict(out), poly, shift, sign)
+        got = dict(out)
+        axpy_terms(got, poly, sign, shift, None, 0)
+        assert list(got.items()) == list(want.items())
+        cancelled += len(got) < len(set(out) | {d + shift for d in poly})
+    assert cancelled > 40
+
+
+@pytest.mark.parametrize("fname", list(FIELDS))
+def test_scalings_match_the_comprehensions(fname):
+    field = FIELDS[fname]
+    ring = RINGS["weighted"](field)
+    p = field.p
+    rng = random.Random(f"kernel scale:{fname}")
+    draws = Draw(RingContext(ring), rng), Draw(ModuleContext(ring, 3), rng)
+    for _ in range(300):
+        terms = signed_terms(rng.choice(draws), field, rng.choice([0, 1, 2, 5, 9]), 3)
+        c = field.coerce(Fraction(rng.choice([-5, -1, 2, 3, 4, 6]), rng.randint(1, 4)))
+        if not c:
+            continue
+        want = list(reference_scale(terms, c, p).items())
+        assert list(scale_terms(terms, c, p).items()) == want
+        f = Polynomial(ring, terms)
+        assert list(f.scale(c).terms.items()) == want
+        assert list((-f).terms.items()) == [(k, field.neg(v)) for k, v in terms.items()]
+        if not terms:
+            continue
+        lc = terms[max(terms)]
+        unit, inv = lc == field.coerce(1), field.inv(lc)
+        want = terms if unit else reference_scale(terms, inv, p)
+        assert list(_monic(terms, field).items()) == list(want.items())
+        # an Echelon stores a new pivot row, and its combination, scaled by 1/lc
+        ech, combo = Echelon(p), {0: c}
+        assert ech.insert(dict(terms), dict(combo))
+        row, row_combo = ech.rows[max(terms)]
+        assert list(row.items()) == list(want.items())
+        want_combo = combo if unit else reference_scale(combo, inv, p)
+        assert list(row_combo.items()) == list(want_combo.items())

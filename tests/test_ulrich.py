@@ -213,10 +213,10 @@ def test_model_ring_examples():
     R, I = ulrich_model_ring(1, 1)
     assert [str(r) for r in R.presentation.relations] == ["X1^2"]
     R, I = ulrich_model_ring(2, 2)
-    assert R.length() == 3  # k[X1,X2]/(X1,X2)^2
+    assert len(R.standard_basis()) == 3  # k[X1,X2]/(X1,X2)^2
     R, I = ulrich_model_ring(2, 3)
     len_RI = module_length(I)
-    len_R = R.length()
+    len_R = len(R.standard_basis())
     assert (len_R - len_RI) == 2 * len_RI  # len(I) = r * len(R/I)
 
 
@@ -226,7 +226,7 @@ def test_model_ring_invariants(r, v):
     # the v - r linear generators are eliminated from a minimal presentation
     assert embedding_dim(R.presentation) == r
     len_RI = module_length(I)
-    assert R.length() - len_RI == r * len_RI  # len(I) = r * len(R/I)
+    assert len(R.standard_basis()) - len_RI == r * len_RI  # len(I) = r * len(R/I)
     assert socle_dim(R) == r
     rep = is_ulrich(R, I, IdealHandle(R.presentation, []), 0)
     assert rep.is_ulrich

@@ -20,7 +20,6 @@ from .polyring import (
     QQ,
     DEFAULT_PRIME,
     Field,
-    Monomial,
     Polynomial,
     RingPresentation,
     parse_poly,
@@ -79,7 +78,6 @@ from .semigroup import (
     semigroup_ring,
 )
 from .detring import (
-    MinorSpec,
     det_reduction_sequence,
     minors_ideal,
     power_parameter_matrix,

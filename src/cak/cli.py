@@ -21,7 +21,7 @@ from .complexes import (
     eagon_northcott,
     koszul_complex,
 )
-from .detring import MinorSpec, det_reduction_sequence, minors_ideal
+from .detring import det_reduction_sequence, minors_ideal
 from .errors import CakError, PreconditionError, ResourceLimitError
 from .fileio import load_module, load_ring, ring_to_dict, save_ring
 from .groebner import Budget, IdealHandle, RingMap, ideal_ops, ring_map_kernel
@@ -259,7 +259,7 @@ def cmd_family_2x3(args, budget):
 def cmd_minors(args, budget):
     ring = load_ring(args.ring)
     matrix = _matrix_from_text(args.matrix, ring)
-    handle = minors_ideal(MinorSpec(matrix, args.size), budget=budget)
+    handle = minors_ideal(matrix, args.size, budget=budget)
     gens = [str(g) for g in handle.gens]
     _emit(args, gens, gens)
     return EXIT_OK

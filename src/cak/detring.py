@@ -13,32 +13,19 @@ from .groebner import IdealHandle, _as_budget
 from .polyring import RingPresentation
 
 
-@dataclass(frozen=True)
-class MinorSpec:
-    """A matrix together with the minor size to take."""
-
-    matrix: GenericMatrix
-    size: int
-
-    def __post_init__(self):
-        if not 1 <= self.size <= min(self.matrix.nrows, self.matrix.ncols):
-            raise PreconditionError("minor size exceeds the matrix shape")
-
-
-def minors_ideal(spec, size: int | None = None, budget=None) -> IdealHandle:
+def minors_ideal(matrix: GenericMatrix, size: int, budget=None) -> IdealHandle:
     """Ideal generated by all size x size minors, enumerated in
     colexicographic order on the row and column index sets; every memo
     entry of every minor costs one budget unit."""
-    if not isinstance(spec, MinorSpec):
-        spec = MinorSpec(spec, size)
-    m, s = spec.matrix, spec.size
-    ring = m.ring
+    if not 1 <= size <= min(matrix.nrows, matrix.ncols):
+        raise PreconditionError("minor size exceeds the matrix shape")
+    ring = matrix.ring
     budget = _as_budget(budget)
     gens = []
     colex = lambda idx: tuple(reversed(idx))
-    for rows in sorted(itertools.combinations(range(m.nrows), s), key=colex):
-        for cols in sorted(itertools.combinations(range(m.ncols), s), key=colex):
-            d = determinant(ring, m.submatrix(rows, cols), budget)
+    for rows in sorted(itertools.combinations(range(matrix.nrows), size), key=colex):
+        for cols in sorted(itertools.combinations(range(matrix.ncols), size), key=colex):
+            d = determinant(ring, matrix.submatrix(rows, cols), budget)
             if not d.is_zero():
                 gens.append(d)
     return IdealHandle(ring, gens)
@@ -121,7 +108,7 @@ def det_reduction_sequence(s: int, t: int, budget=None):
                 forms.append(ring.var(f"x{i}{j}"))
 
     q = IdealHandle(ring, forms)
-    minors = minors_ideal(MinorSpec(matrix, s), budget=budget)
+    minors = minors_ideal(matrix, s, budget)
     lhs = IdealHandle(ring, list(minors.gens) + list(q.gens))
     linear = IdealHandle(ring, [ring.var(f"x1{j}") for j in range(1, t - s + 2)])
     rhs = IdealHandle(ring, list(linear.power(s).gens) + list(q.gens))

@@ -11,10 +11,12 @@ Every search for a lead that divides a key goes through a
 :class:`~cak._kernel.DivisorIndex` built by the context: the reducers of a
 normal form, the chain criterion, the principal-syzygy, rewriter,
 regular-reducibility and singular-lead tests of the signature completion,
-the minimal leads of a reduced basis and the cached reducers of an
-:class:`IdealHandle`.  No search on keys scans the lead list; two walks on
-exponent tuples still do, :func:`staircase` and the Hilbert recursion of
-:mod:`cak.resolve` (through its monomial minimalization).
+the minimal leads of a reduced basis, the cached reducers of an
+:class:`IdealHandle` and the walk of :func:`staircase`, which visits keys.
+No search on keys scans the lead list.  The Hilbert recursion of
+:mod:`cak.resolve` is the one walk left on exponent tuples, scanning its
+generators: its pivot order (weighted degree, then tuple) fixes its budget
+units.
 
 Rank-one input (every ideal basis, elimination and ring-map kernel) is
 completed by a signature-based algorithm, which never reduces a Koszul
@@ -45,7 +47,7 @@ import itertools
 
 from ._kernel import DivisorIndex, axpy_terms, normal_form_terms, scale_terms
 from .errors import CakError, PreconditionError, NotArtinianError, ResourceLimitError
-from .polyring import Field, Monomial, Polynomial, RingPresentation, parse_poly
+from .polyring import Field, Polynomial, RingPresentation, parse_poly
 
 DEFAULT_BUDGET = 10**6
 
@@ -451,9 +453,9 @@ def buchberger(gens, ctx, field: Field, budget=None) -> list[dict]:
 class IdealHandle:
     """Generator list within a ring presentation with a cached reduced
     Groebner basis of the full preimage (generators + ring relations), the
-    divisor index of that basis that its normal forms reduce by, the
-    staircase of its lead ideal that ``standard_monomials`` walks, and the
-    normal forms of monomials (``monomial_normal_form``).
+    divisor index of that basis (``divisor_index``), which its normal forms
+    reduce by and ``standard_monomials`` walks, the keys of its standard
+    monomials, and the normal forms of monomials (``monomial_normal_form``).
 
     The caches are write-once, and the basis and the staircase are charged
     to the call that computes them; concurrent duplicate computation is
@@ -474,8 +476,8 @@ class IdealHandle:
                 parsed.append(g)
         self.gens = tuple(parsed)
         self._gb = None
-        self._index = None  # a DivisorIndex over _gb, built on first normal form
-        self._std = None  # (standard monomials, variables with no pure power)
+        self._index = None  # a DivisorIndex over _gb, built on first use
+        self._std = None  # (standard monomial keys, variables with no pure power)
         self._nf: dict[int, tuple] = {}  # monomial key -> (key, coeff) pairs of its normal form
 
     def groebner_basis(self, budget=None) -> list[Polynomial]:
@@ -488,13 +490,18 @@ class IdealHandle:
             self._gb = tuple(Polynomial(self.ring, d) for d in gb)
         return list(self._gb)
 
-    def normal_form(self, p: Polynomial, budget=None) -> Polynomial:
-        if p.ring is not self.ring:
-            raise CakError("polynomial from a different ring")
+    def divisor_index(self, budget=None) -> DivisorIndex:
+        """The divisor index over the reduced basis, built once: its normal
+        forms reduce by it and its staircase walks it."""
         if self._index is None:
             gb = self.groebner_basis(budget)
             self._index = RingContext(self.ring).index((g.lead_key(), g.terms) for g in gb)
-        nf = normal_form_terms(p.terms, self._index, self.ring.field.p, self.ring.guard)
+        return self._index
+
+    def normal_form(self, p: Polynomial, budget=None) -> Polynomial:
+        if p.ring is not self.ring:
+            raise CakError("polynomial from a different ring")
+        nf = normal_form_terms(p.terms, self.divisor_index(budget), self.ring.field.p, self.ring.guard)
         return Polynomial(self.ring, nf)
 
     def monomial_normal_form(self, key: int, budget=None) -> tuple:
@@ -814,38 +821,45 @@ def lead_exponents(ideal: IdealHandle, budget=None):
     return [ring.decode(g.lead_key()) for g in ideal.groebner_basis(budget)]
 
 
-def staircase(leads, nvars: int, budget: Budget):
-    """Exponent vectors outside the monomial ideal generated by ``leads``.
+def staircase(index: DivisorIndex, start: int, deltas, budget: Budget):
+    """Keys outside the monomial (sub)module generated by the leads of
+    ``index``, in the component of ``start``, the key of 1 there; adding
+    ``deltas[i]`` to a key raises variable i.
 
-    Returns (monomials, missing): ``missing`` lists the variables with no
-    pure power among the leads, in which case the order ideal is infinite
-    and ``monomials`` is empty.  A unit lead gives the empty order ideal.
-    The walk is depth first and raises only the last-raised variable or a
-    later one, so each standard monomial is visited, and charged to the
-    budget, exactly once.
+    Returns (keys, missing): ``missing`` lists the variables with no pure
+    power among the component's leads, in which case the order ideal is
+    infinite and ``keys`` is empty.  A unit lead gives the empty order
+    ideal.  The walk is depth first and raises only the last-raised
+    variable or a later one, so each standard monomial is visited, and
+    charged to the budget, exactly once.
     """
-    if any(not any(e) for e in leads):
+    bits = index.comps.get(start & index.compmask, 0)
+    seen = multi = 0  # the leads with some variable, with two or more
+    for _, above in index.rows:
+        multi |= seen & above[0]
+        seen |= above[0]
+    if bits & ~seen:
         return [], []
-    pure = {i for e in leads for i in range(nvars) if e[i] == sum(e)}
-    missing = [i for i in range(nvars) if i not in pure]
+    missing = [i for i, (_, above) in enumerate(index.rows) if not above[0] & bits & ~multi]
     if missing:
         return [], missing
     out = []
-    stack = [((0,) * nvars, 0)]
+    stack = [(start, 0)]
     while stack:
-        expo, low = stack.pop()
+        key, low = stack.pop()
         budget.spend()
-        out.append(expo)
-        for i in range(low, nvars):
-            up = expo[:i] + (expo[i] + 1,) + expo[i + 1 :]
-            if not any(all(a >= b for a, b in zip(up, e)) for e in leads):
+        out.append(key)
+        for i in range(low, len(deltas)):
+            up = key + deltas[i]
+            if not index.has_divisor(up):
                 stack.append((up, i))
     return out, []
 
 
-def standard_monomials(ideal: IdealHandle, budget=None) -> list[Monomial]:
-    """Monomials outside the lead-term ideal of (gens + relations), sorted
-    by key; the handle walks its staircase once and keeps the result.
+def standard_monomials(ideal: IdealHandle, budget=None) -> list[int]:
+    """Keys of the monomials outside the lead-term ideal of (gens +
+    relations), sorted; the handle walks its staircase once, on its divisor
+    index, and keeps the result.
 
     Errors when some variable has no pure power among the lead terms, in
     which case the quotient is not a finite-dimensional vector space.
@@ -853,9 +867,9 @@ def standard_monomials(ideal: IdealHandle, budget=None) -> list[Monomial]:
     ring = ideal.ring
     if ideal._std is None:
         budget = _as_budget(budget)
-        out, missing = staircase(lead_exponents(ideal, budget), len(ring.vars), budget)
-        out.sort(key=ring.encode)
-        ideal._std = [Monomial(ring, e) for e in out], missing
+        deltas = [ring.var_key(i) - ring.one_key for i in range(len(ring.vars))]
+        out, missing = staircase(ideal.divisor_index(budget), ring.one_key, deltas, budget)
+        ideal._std = sorted(out), missing
     out, missing = ideal._std
     if missing:
         raise NotArtinianError(

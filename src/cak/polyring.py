@@ -317,8 +317,6 @@ class RingPresentation:
         """Build a polynomial from (exponent-tuple, coefficient) pairs."""
         d = {}
         for expo, c in terms:
-            if isinstance(expo, Monomial):
-                expo = expo.exponents
             k = self.encode(expo)
             c = self.field.coerce(c)
             cur = d.get(k)
@@ -354,40 +352,6 @@ class RingPresentation:
     def __repr__(self):
         rel = f" / ({len(self.relations)} relations)" if self.relations else ""
         return f"{self.field}[{', '.join(self.vars)}; weights {self.weights}]{rel}"
-
-
-class Monomial:
-    """A monomial of a specific ring: an exponent vector with its weight."""
-
-    __slots__ = ("ring", "exponents")
-
-    def __init__(self, ring: RingPresentation, exponents):
-        self.ring = ring
-        self.exponents = tuple(exponents)
-        if len(self.exponents) != len(ring.vars):
-            raise CakError("exponent vector has wrong length")
-        if any(e < 0 for e in self.exponents):
-            raise CakError("negative exponent")
-
-    def key(self) -> int:
-        return self.ring.encode(self.exponents)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.ring is other.ring
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __str__(self):
-        parts = [v if e == 1 else f"{v}^{e}" for v, e in zip(self.ring.vars, self.exponents) if e]
-        return "*".join(parts) if parts else "1"
-
-    def __repr__(self):
-        return f"Monomial({self})"
 
 
 class Polynomial:

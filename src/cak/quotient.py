@@ -95,7 +95,8 @@ class QuotientRing:
         return self._dim
 
     def standard_basis(self, budget=None):
-        """Standard monomials of the defining ideal (Artinian case)."""
+        """Keys of the standard monomials of the defining ideal, sorted
+        (Artinian case)."""
         return _standard_basis(self.defining_ideal, budget)
 
     def __repr__(self):
@@ -103,8 +104,8 @@ class QuotientRing:
 
 
 def _standard_basis(ideal: IdealHandle, budget) -> tuple:
-    """Standard monomials of ring/(ideal + relations), which must be
-    Artinian and nonzero."""
+    """Keys of the standard monomials of ring/(ideal + relations), which
+    must be Artinian and nonzero."""
     if ideal.is_unit(budget):
         raise CakError("relations generate the unit ideal")
     return tuple(standard_monomials(ideal, budget))
@@ -140,11 +141,11 @@ def socle_dim(R, budget=None) -> int:
 
 
 def _socle(ideal: IdealHandle, basis, budget) -> int:
-    """Socle dimension of ring/(ideal + relations), whose standard monomials
-    are ``basis``: the normal forms of the standard monomials times every
+    """Socle dimension of ring/(ideal + relations), whose standard monomial
+    keys are ``basis``: the normal forms of the standard monomials times every
     variable, one row per monomial, have rank dim - socle."""
     ring = ideal.ring
-    index = {m.key(): i for i, m in enumerate(basis)}
+    index = {k: i for i, k in enumerate(basis)}
     ech = Echelon(ring.field.p, budget)
     for k in index:
         row = {}

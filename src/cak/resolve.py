@@ -344,26 +344,28 @@ def _syzygy_step(matrix: PolyMatrix, twists, budget):
 
 
 def module_standard_basis(ctx, engine, budget=None):
-    """Standard monomial basis (component, exponents) of the quotient of
-    the free module by the submodule of a completed module engine (see
-    ``module_membership_engine``); errors when it is not finite-dimensional."""
+    """Standard basis of the quotient of the free module by the submodule
+    of a completed module engine (see ``module_membership_engine``): module
+    keys in (component, monomial) order, each component's staircase walked
+    on the engine's divisor index.  Errors when it is not
+    finite-dimensional."""
     ring = ctx.ring
     budget = _as_budget(budget)
+    deltas = [(ring.var_key(i) - ring.one_key) << ctx.COMP_BITS for i in range(len(ring.vars))]
     basis = []
-    for comp, leads in enumerate(lead_module_per_component(ctx, engine)):
-        monos, missing = staircase(leads, len(ring.vars), budget)
+    for comp in range(ctx.ncomp):
+        keys, missing = staircase(engine.index, ctx.key(comp, ring.one_key), deltas, budget)
         if missing:
             raise NotArtinianError(f"module component {comp} is not finite-dimensional")
-        basis.extend((comp, e) for e in monos)
-    basis.sort(key=lambda ce: (ce[0], ring.encode(ce[1])))
+        basis.extend(sorted(keys))
     return basis
 
 
 class ArtinianModule:
     """A finite-length module N = R^r/(columns) over an Artinian R = S/J,
     ``columns`` packed term dicts of ``ModuleContext(ring, nrows)``: its
-    standard basis of (component, exponents) in key order, the basis index
-    of each packed key, and normal forms of a monomial times an element
+    standard basis of module keys in (component, monomial) order, the basis
+    index of each key, and normal forms of a monomial times an element
     (``times``) and of a polynomial times a basis element (``basis_times``,
     sparse and cached).  With no nonzero column N is free and reads the
     handle of J, R's standard monomials in each component and its monomial
@@ -382,13 +384,13 @@ class ArtinianModule:
             self.basis = module_standard_basis(ctx, self._engine, budget)
         else:
             self._engine, self._relations = None, relations_ideal(ring)
-            std = [m.exponents for m in standard_monomials(self._relations, budget)]
-            self.basis = [(comp, e) for comp in range(nrows) for e in std]
+            std = standard_monomials(self._relations, budget)
+            self.basis = [ctx.key(comp, key) for comp in range(nrows) for key in std]
             self.by_degree: dict[int, list[int]] = {}
-            for key in map(ring.encode, std):  # in key order
+            for key in std:  # in key order
                 self.by_degree.setdefault(ring.key_degree(key), []).append(key)
             self.top = max(self.by_degree, default=-1)
-        self.index = {ctx.key(comp, ring.encode(e)): i for i, (comp, e) in enumerate(self.basis)}
+        self.index = {key: i for i, key in enumerate(self.basis)}
         self.dim = len(self.basis)
         self._op_cache: dict = {}
 
@@ -429,8 +431,8 @@ class ArtinianModule:
         cache = self._op_cache.setdefault(f, {})
         got = cache.get(b)
         if got is None:
-            comp, expo = self.basis[b]
-            nf = self.times(self.ring.encode(expo), {self.ctx.key(comp, k): c for k, c in f})
+            comp, mono = self.ctx.decode(self.basis[b])
+            nf = self.times(mono, {self.ctx.key(comp, k): c for k, c in f})
             got = cache[b] = tuple((self.index[k], c) for k, c in nf.items())
         return got
 
@@ -755,23 +757,17 @@ def _minimalize_monomials(gens):
     return tuple(out)
 
 
-def lead_module_per_component(ctx, engine):
-    """Minimal monomial generators of the lead-term module of a completed
-    module engine, per component.  A completed engine's leads generate the
-    lead-term module, so minimalized they are the reduced basis's leads."""
+def lead_module_hilbert_numerator(ctx, engine, twists, budget) -> dict[int, int]:
+    """K-polynomial of the cokernel of the submodule of a completed module
+    engine over the polynomial ambient, read off its lead-term module, which
+    the engine's leads generate component by component; ``twists`` are the
+    degrees of the basis vectors of ``ctx``."""
     per = [[] for _ in range(ctx.ncomp)]
     for key in engine.leads:
         comp, mono = ctx.decode(key)
         per[comp].append(ctx.ring.decode(mono))
-    return [_minimalize_monomials(g) for g in per]
-
-
-def lead_module_hilbert_numerator(ctx, engine, twists, budget) -> dict[int, int]:
-    """K-polynomial of the cokernel of the submodule of a completed module
-    engine over the polynomial ambient, read off its lead-term module;
-    ``twists`` are the degrees of the basis vectors of ``ctx``."""
     out: dict[int, int] = {}
-    for tau, gens in zip(twists, lead_module_per_component(ctx, engine)):
+    for tau, gens in zip(twists, per):
         axpy_terms(out, hilbert_numerator(gens, ctx.ring.weights, budget), 1, tau, None, 0)
     return out
 

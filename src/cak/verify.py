@@ -23,7 +23,6 @@ from .complexes import (
     verify_resolution,
 )
 from .detring import (
-    MinorSpec,
     det_reduction_sequence,
     generic_matrix,
     minors_ideal,
@@ -244,7 +243,7 @@ def case_05_power_minors(check: Check, seed, budget):
         Q = IdealHandle(ring, ring.gens())
         mat = power_parameter_matrix(l, n, ring)
         check.expect(
-            minors_ideal(MinorSpec(mat, l), budget=budget).equal(Q.power(l), budget),
+            minors_ideal(mat, l, budget=budget).equal(Q.power(l), budget),
             f"minors != Q^{l} for (l,n)=({l},{n})",
         )
     ranks = {}
@@ -268,7 +267,7 @@ def case_06_eagon_northcott(check: Check, seed, budget):
         cx = eagon_northcott(gm, budget)
         want = tuple([1] + [k * math.comb(q, k + 1) for k in range(1, q)])
         check.equal(cx.ranks(), want, f"EN ranks 2x{q}")
-        target = PresentedModule.cyclic(ring, minors_ideal(MinorSpec(gm, 2), budget=budget).gens)
+        target = PresentedModule.cyclic(ring, minors_ideal(gm, 2, budget=budget).gens)
         rep = verify_resolution(cx, target, budget)
         check.expect(rep.ok, f"EN 2x{q} verification: {rep.messages}")
     for n in (1, 2, 3):

@@ -47,9 +47,10 @@ def column_lists(mat):
 
 class EngineTarget:
     """Reference for a finite-length module R^rank/(columns): a module
-    engine of its own on the columns and J*e_i, the standard basis by brute
-    force over a box outside the engine's lead module, and dense
-    coordinates read off the engine's normal forms."""
+    engine of its own on the columns and J*e_i, the standard basis as module
+    keys in (component, monomial) order, found by brute force over a box
+    outside the engine's lead module, and dense coordinates read off the
+    engine's normal forms."""
 
     def __init__(self, ring, columns, rank):
         self.ring = ring
@@ -57,27 +58,23 @@ class EngineTarget:
         leads = [self.ctx.decode(k) for k in self.engine.leads]
         leads = [(comp, ring.decode(mono)) for comp, mono in leads]
         box = range(max(max(e) for _, e in leads) + 1)
-        self.basis = sorted(
-            (
-                (comp, e)
-                for comp in range(rank)
-                for e in itertools.product(box, repeat=len(ring.vars))
-                if not any(c == comp and all(map(int.__ge__, e, d)) for c, d in leads)
-            ),
-            key=lambda ce: (ce[0], ring.encode(ce[1])),
-        )
+        box = sorted(itertools.product(box, repeat=len(ring.vars)), key=ring.encode)
+        self.basis = [
+            self.ctx.key(comp, ring.encode(e))
+            for comp in range(rank)
+            for e in box
+            if not any(c == comp and all(map(int.__ge__, e, d)) for c, d in leads)
+        ]
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.dim = len(self.basis)
 
     def basis_times(self, f, b):
         """Dense coordinates of f * (basis element b), f a polynomial."""
-        comp, expo = self.basis[b]
-        mono = self.ring.encode(expo)
+        comp, mono = self.ctx.decode(self.basis[b])
         terms = {self.ctx.key(comp, self.ring.mul_keys(k, mono)): c for k, c in f.terms.items()}
         vec = [0] * self.dim
         for k, c in self.engine.reduce(terms).items():
-            comp, mono = self.ctx.decode(k)
-            vec[self.index[(comp, self.ring.decode(mono))]] = c
+            vec[self.index[k]] = c
         return vec
 
 

@@ -16,7 +16,7 @@ from cak.complexes import (
     tensor_complexes,
     verify_resolution,
 )
-from cak.detring import generic_matrix, minors_ideal, MinorSpec, power_parameter_matrix
+from cak.detring import generic_matrix, minors_ideal, power_parameter_matrix
 from cak.groebner import Budget, IdealHandle, module_membership_engine
 from cak.resolve import ChainComplex, GradedFreeModule, PresentedModule, minimal_free_resolution
 from conftest import P, PL, deadline
@@ -77,7 +77,7 @@ def test_en_generic_2x3():
     ring, gm = generic_matrix(2, 3)
     cx = eagon_northcott(gm)
     assert cx.ranks() == (1, 3, 2)
-    assert verify_resolution(cx, PresentedModule.cyclic(ring, minors_ideal(MinorSpec(gm, 2)).gens)).ok
+    assert verify_resolution(cx, PresentedModule.cyclic(ring, minors_ideal(gm, 2).gens)).ok
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

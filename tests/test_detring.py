@@ -3,7 +3,6 @@ import pytest
 from cak import PreconditionError, RingPresentation
 from cak.complexes import GenericMatrix
 from cak.detring import (
-    MinorSpec,
     det_reduction_sequence,
     generic_matrix,
     minors_ideal,
@@ -15,21 +14,21 @@ from conftest import P, PL
 
 def test_minors_size_one_are_entries(kxy):
     gm = GenericMatrix(kxy, [PL(kxy, "x; y")])
-    handle = minors_ideal(MinorSpec(gm, 1))
+    handle = minors_ideal(gm, 1)
     assert {str(g) for g in handle.gens} == {"x", "y"}
 
 
 def test_minors_banded_2x3():
     ring = RingPresentation(["x1", "x2"], [1, 1])
     gm = power_parameter_matrix(2, 2, ring)
-    handle = minors_ideal(MinorSpec(gm, 2))
+    handle = minors_ideal(gm, 2)
     assert {str(g) for g in handle.gens} == {"x1^2", "x1*x2", "x2^2"}
 
 
 def test_minors_weighted_curve_matrix():
     ring = RingPresentation(["X", "Y", "Z"], [10, 14, 16])
     gm = GenericMatrix(ring, [PL(ring, "X; Y^2; Z"), PL(ring, "Y; Z^2; X^2")])
-    handle = minors_ideal(MinorSpec(gm, 2))
+    handle = minors_ideal(gm, 2)
     expected = IdealHandle(ring, PL(ring, "X*Z^2 - Y^3; X^3 - Y*Z; X^2*Y^2 - Z^3"))
     assert handle.equal(expected)
 
@@ -56,7 +55,7 @@ def test_minors_equal_power(ell, n):
     ring = RingPresentation([f"x{i}" for i in range(1, n + 1)], [1] * n)
     gm = power_parameter_matrix(ell, n, ring)
     Q = IdealHandle(ring, ring.gens())
-    assert minors_ideal(MinorSpec(gm, ell)).equal(Q.power(ell))
+    assert minors_ideal(gm, ell).equal(Q.power(ell))
 
 
 def test_det_reduction_2x3_exact_forms():

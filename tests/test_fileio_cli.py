@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 
@@ -452,6 +453,28 @@ def test_cli_matrix_degree_errors_exit_2(plain_file, capsys, command, matrix, me
         argv += ["--size", "2"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_minors_above_the_matrix_shape_exit_2(plain_file, capsys):
+    argv = ["minors", "--ring", plain_file, "--matrix", "x1,x2,0; 0,x1,x2", "--size", "3"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: minor size exceeds the matrix shape\n")
+
+
+def test_python_m_cak_exits_and_prints_as_main(plain_file, capsys, monkeypatch):
+    """``python -m cak``, run as the main module in this process and in a
+    subprocess, gives ``cli.main``'s exit code and output."""
+    argv = ["minors", "--ring", plain_file, "--matrix", "x1,x2,0; 0,x1,x2", "--size", "2"]
+    want = (main(argv), capsys.readouterr().out)
+    monkeypatch.setattr(sys, "argv", ["cak", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cak", run_name="__main__")
+    assert (exc.value.code, capsys.readouterr().out) == want
+    src = os.path.dirname(os.path.dirname(cak.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cak", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == want
 
 
 def test_cli_socle_not_artinian_names_the_variable(tmp_path, capsys):

@@ -312,6 +312,13 @@ def test_an_overflowing_product_raises(fname):
             mul_terms(x, y, field.p, ring.one_key, ring.guard)
 
 
+@pytest.mark.parametrize("p", [7, 32003])
+def test_a_multiple_of_p_adds_nothing(p):
+    dst = {5: 1, 3: p - 1}
+    axpy_terms(dst, {5: 2, 9: 1}, 3 * p, 1, p, 0)
+    assert dst == {5: 1, 3: p - 1}
+
+
 def test_shifted_sums_match_add_shifted():
     """Integer polynomials in t, negative degrees and shifts included, as the
     Hilbert bookkeeping of ``cak.resolve`` adds them."""

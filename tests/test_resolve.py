@@ -240,6 +240,12 @@ def test_is_regular_sequence(kxy, kxyz):
     )
 
 
+def test_is_regular_sequence_rejects_constants_and_wants_homogeneous_elements(kxy):
+    assert not is_regular_sequence(kxy, PL(kxy, "x; 3"))  # a unit is never regular here
+    with pytest.raises(PreconditionError, match="wants homogeneous elements"):
+        is_regular_sequence(kxy, PL(kxy, "x + y^2"))
+
+
 def test_is_regular_sequence_wants_homogeneous_relations(kxy):
     # an inhomogeneous relation leaves R ungraded: no Hilbert series to compare
     ring = kxy.extend_relations(PL(kxy, "x^2 - y"))

@@ -1,6 +1,7 @@
-"""The staircase enumerator behind ``standard_monomials`` and
-``module_standard_basis``, checked against a brute-force bounding-box
-enumeration and, for the count, against the Hilbert numerator."""
+"""The staircase walk behind ``standard_monomials`` and
+``module_standard_basis``, driven through a divisor index of the leads and
+checked against a brute-force bounding-box enumeration and, for the count,
+against the Hilbert numerator."""
 
 import itertools
 import random
@@ -13,6 +14,7 @@ from cak.groebner import (
     Budget,
     IdealHandle,
     ModuleContext,
+    RingContext,
     lead_exponents,
     module_membership_engine,
     staircase,
@@ -79,14 +81,21 @@ def weighted_degree_counts(monos, weights):
     return Counter(sum(a * w for a, w in zip(e, weights)) for e in monos)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_staircase_matches_box_oracle(seed):
-    rng = random.Random(seed)
-    nvars = rng.randint(1, 3)
-    leads = random_leads(rng, nvars, finite=seed % 4 != 3)
-    want = box_oracle(leads, nvars)
+def walk(ring, leads):
+    """The staircase of the monomial ideal generated by the exponent tuples
+    ``leads``, walked on a divisor index of their keys: (exponent tuples in
+    the order visited, missing variables, the budget charged)."""
+    index = RingContext(ring).index((ring.encode(e), None) for e in leads)
+    deltas = [ring.var_key(i) - ring.one_key for i in range(len(ring.vars))]
     budget = Budget()
-    monos, missing = staircase(leads, nvars, budget)
+    keys, missing = staircase(index, ring.one_key, deltas, budget)
+    return [ring.decode(k) for k in keys], missing, budget
+
+
+def check_walk(ring, leads):
+    nvars = len(ring.vars)
+    want = box_oracle(leads, nvars)
+    monos, missing, budget = walk(ring, leads)
     if want is None:
         no_pure_power = [i for i in range(nvars) if not any(e[i] == sum(e) for e in leads)]
         assert (monos, missing) == ([], no_pure_power)
@@ -94,6 +103,36 @@ def test_staircase_matches_box_oracle(seed):
     assert missing == []
     assert sorted(monos) == want
     assert budget.used == len(monos)  # each monomial visited and charged once
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_staircase_matches_box_oracle(seed):
+    rng = random.Random(seed)
+    nvars = rng.randint(1, 3)
+    ring = RingPresentation(["x", "y", "z"][:nvars], [rng.randint(1, 3) for _ in range(nvars)])
+    check_walk(ring, random_leads(rng, nvars, finite=seed % 4 != 3))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_staircase_above_the_index_clamp(seed):
+    """Exponents above the divisor index's clamp of 15, where a lead may be
+    a candidate that does not divide."""
+    rng = random.Random(f"clamp {seed}")
+    nvars = rng.randint(1, 2)
+    ring = RingPresentation(["x", "y"][:nvars], [1] * nvars)
+    leads = [tuple(rng.randint(14, 24) if j == i else 0 for j in range(nvars)) for i in range(nvars)]
+    for _ in range(rng.randint(0, 3)):
+        leads.append(tuple(rng.randint(0, 20) for _ in range(nvars)))
+    check_walk(ring, [e for e in leads if sum(e)])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_staircase_in_a_two_block_ring(seed):
+    """In an elimination order the key fields of a and b sit above those of
+    x and y, not in variable order."""
+    rng = random.Random(f"blocks {seed}")
+    ring = RingPresentation(["a", "b", "x", "y"], [1, 2, 1, 1], blocks=((0, 1), (2, 3)))
+    check_walk(ring, random_leads(rng, 4, finite=seed % 3 != 2))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -107,8 +146,9 @@ def test_standard_monomials_match_oracle_and_hilbert_series(seed):
     gens = ["*".join(f"{v}^{a}" for v, a in zip(names, e) if a) for e in leads]
     budget = Budget()
     ideal = IdealHandle(ring, PL(ring, "; ".join(gens)))
-    got = [m.exponents for m in standard_monomials(ideal, budget)]
-    assert got == sorted(box_oracle(leads, nvars), key=ring.encode)
+    keys = standard_monomials(ideal, budget)
+    assert keys == sorted(map(ring.encode, box_oracle(leads, nvars)))
+    got = [ring.decode(k) for k in keys]
     assert weighted_degree_counts(got, weights) == hilbert_counts(leads, weights)
     assert budget.used >= len(got)  # every enumerated monomial is charged
 
@@ -116,14 +156,14 @@ def test_standard_monomials_match_oracle_and_hilbert_series(seed):
 def test_standard_monomials_count_matches_hilbert_series_non_monomial():
     ring = RingPresentation(["x", "y", "z"], [1, 2, 3])
     ideal = IdealHandle(ring, PL(ring, "x^4 - y^2; y^3 - x^2*y^2 + z^2; z^3; x*z - y^2"))
-    got = [m.exponents for m in standard_monomials(ideal)]
+    got = [ring.decode(k) for k in standard_monomials(ideal)]
     leads = lead_exponents(ideal)
     assert weighted_degree_counts(got, ring.weights) == hilbert_counts(leads, ring.weights)
 
 
 def test_unit_ideal_has_no_standard_monomials():
     ring = RingPresentation(["x", "y"], [1, 2])
-    assert staircase([(0, 0), (3, 0)], 2, Budget()) == ([], [])
+    assert walk(ring, [(0, 0), (3, 0)])[:2] == ([], [])
     assert standard_monomials(IdealHandle(ring, PL(ring, "x^2; x + x^3*y - 1"))) == []
 
 
@@ -138,8 +178,7 @@ def test_module_standard_basis_rank_two_with_dead_component():
     budget = Budget()
     got = module_standard_basis(ctx, engine, budget)
     leads = [(3, 0, 0), (0, 2, 1), (0, 0, 2), (1, 1, 0), (0, 3, 0), (2, 0, 1)]
-    want = sorted(box_oracle(leads, 3), key=ring.encode)
-    assert got == [(1, e) for e in want]
-    degrees = Counter(ring.key_degree(ring.encode(e)) for _, e in got)
+    assert got == [ctx.key(1, k) for k in sorted(map(ring.encode, box_oracle(leads, 3)))]
+    degrees = Counter(ctx.degree(k) for k in got)
     assert degrees == hilbert_counts(leads, ring.weights)
     assert budget.used >= len(got)

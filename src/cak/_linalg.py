@@ -15,7 +15,9 @@ class Echelon:
 
     A vector is a dict int coordinate -> nonzero coefficient.  Every stored
     row is monic at its largest coordinate, its pivot, and no two rows
-    share a pivot.  A ``budget`` is charged one unit per inserted vector.
+    share a pivot.  A ``budget`` is charged one unit per inserted vector;
+    the Artinian steps and the Hom/Tensor ranks charge a zero vector
+    themselves, one unit each, and do not insert it.
     """
 
     __slots__ = ("p", "budget", "rows")

@@ -58,12 +58,12 @@ class Budget:
     signature completion), per standard monomial enumerated, per unit
     cancelled by ``resolve.minimalize``, per generator of each monomial
     ideal met by the ``resolve.hilbert_numerator`` recursion and per vector
-    inserted into a ``_linalg.Echelon`` (the Artinian resolution steps, the
-    Hom/Tensor ranks of Ext/Tor and the socle), per basis element of an
-    Eagon-Northcott or Koszul complex and per memo entry of a
-    ``complexes.determinant``.  A cached datum is charged once, to the call
-    that computes it.  Exceeding the limit is an error, never a wrong
-    answer."""
+    inserted into a ``_linalg.Echelon`` or skipped as zero (the Artinian
+    resolution steps, the Hom/Tensor ranks of Ext/Tor and the socle), per
+    basis element of an Eagon-Northcott or Koszul complex and per memo
+    entry of a ``complexes.determinant``.  A cached datum is charged once,
+    to the call that computes it.  Exceeding the limit is an error, never a
+    wrong answer."""
 
     __slots__ = ("limit", "used")
 

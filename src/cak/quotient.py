@@ -13,11 +13,12 @@ coefficient field on a standard-monomial basis, so R (and the second
 argument) must be Artinian; positive-dimensional inputs are first cut down
 by an explicit parameter sequence, as the certification workflows do.
 Every rank (Hom, Tensor, socle) is taken by the one sparse echelon form of
-:mod:`cak._linalg`, which charges the budget one unit per inserted vector;
-the Hom and Tensor matrices are assembled from the packed columns of the
-differentials.  The socle and the complete-intersection test of S/K read
-the handle of K and build no second quotient ring: S/K is a complete
-intersection iff mu(K) = n = ht K, counted on the basis the handle caches.
+:mod:`cak._linalg`, at one budget unit per vector, a zero vector charged by
+its caller without an insertion; the Hom and Tensor matrices are assembled
+from each differential's entries, decoded once per matrix.  The socle and
+the complete-intersection test of S/K read the handle of K and build no
+second quotient ring: S/K is a complete intersection iff mu(K) = n = ht K,
+counted on the basis the handle caches.
 
 Each datum has one owner that computes it once, charged to the call that
 does: the ring owns the handle of J (``groebner.relations_ideal``) and R as
@@ -36,7 +37,6 @@ from ._linalg import Echelon, matrix_rank
 from .errors import CakError, NotArtinianError, PreconditionError, RingMismatchError
 from .groebner import (
     IdealHandle,
-    ModuleContext,
     _as_budget,
     lead_exponents,
     minimal_generator_count,
@@ -250,26 +250,27 @@ def _assembled_rank(mat: PolyMatrix, n_lines: int, width: int, target, budget, b
     """Rank of the matrix with one sparse row per (line of d, basis element
     b of N), a line being a row of d (``by_rows``) or a column: for every
     entry e of the line, the coordinates of e * b at (position of e in the
-    line, basis element of N).  The entries are gathered from the packed
-    columns once, as the term sets that ``basis_times`` caches on."""
+    line, basis element of N).  The entries are d's own term sets
+    (``PolyMatrix.grid``), on which ``basis_times`` caches; a row that
+    vanishes is charged its unit without an insertion."""
     dim = target.dim
     if n_lines == 0 or width == 0 or dim == 0:
         return 0
-    ctx, entries = ModuleContext(mat.ring, mat.nrows), {}
-    for j, col in enumerate(mat.cols):
-        for k, v in col.items():
-            i, mono = ctx.decode(k)
-            entries.setdefault((i, j) if by_rows else (j, i), []).append((mono, v))
     lines: list = [[] for _ in range(n_lines)]
-    for (line, pos), terms in entries.items():
-        lines[line].append((pos * dim, frozenset(terms)))
-    ech = Echelon(target.p, budget)
+    for (i, j), f in mat.grid().items():
+        line, pos = (i, j) if by_rows else (j, i)
+        lines[line].append((pos * dim, f))
+    ech, zeros, times = Echelon(target.p, budget), 0, target.basis_times
     for line in lines:
         for b in range(dim):
             row = {}
             for base, f in line:
-                row.update((base + t, v) for t, v in target.basis_times(f, b))
-            ech.insert(row)
+                for t, v in times(f, b):
+                    row[base + t] = v
+            zeros += not row
+            if row:
+                ech.insert(row)
+    budget.spend(zeros)
     return ech.rank
 
 

@@ -101,9 +101,11 @@ class PolyMatrix:
     nrows)`` (``cols``), the one form in which the library builds, reads
     and rewrites matrices (``packed``).  Rows of polynomials exist only at
     the edges: the row-major constructor and ``from_columns`` check and
-    pack matrices given from outside, and ``entries`` unpacks the rows."""
+    pack matrices given from outside, and ``entries`` unpacks the rows.
+    The Hom and Tensor ranks read the entries as term sets (``grid``),
+    decoded once per matrix."""
 
-    __slots__ = ("ring", "nrows", "ncols", "cols")
+    __slots__ = ("ring", "nrows", "ncols", "cols", "_grid")
 
     def __init__(self, ring: RingPresentation, entries, ncols: int | None = None):
         rows = [tuple(row) for row in entries]
@@ -112,14 +114,14 @@ class PolyMatrix:
             raise CakError("ragged matrix")
         cols = [[row[j] for row in rows] for j in range(ncols)]
         self.ring, self.nrows, self.ncols = ring, len(rows), ncols
-        self.cols = PolyMatrix.from_columns(ring, len(rows), cols).cols
+        self.cols, self._grid = PolyMatrix.from_columns(ring, len(rows), cols).cols, None
 
     @classmethod
     def packed(cls, ring, nrows, cols) -> "PolyMatrix":
         """The matrix whose columns are the given packed term dicts."""
         self = object.__new__(cls)
         self.ring, self.nrows, self.cols = ring, nrows, tuple(cols)
-        self.ncols = len(self.cols)
+        self.ncols, self._grid = len(self.cols), None
         return self
 
     @classmethod
@@ -143,6 +145,19 @@ class PolyMatrix:
         ctx = ModuleContext(self.ring, self.nrows)
         cols = [ctx.to_column(col) for col in self.cols]
         return tuple(tuple(col[i] for col in cols) for i in range(self.nrows))
+
+    def grid(self) -> dict:
+        """The nonzero entries, (row, column) -> frozenset of (monomial key,
+        coefficient) pairs, in column order; built on first use and the
+        same objects on every call."""
+        if self._grid is None:
+            ctx, grid = ModuleContext(self.ring, self.nrows), {}
+            for j, col in enumerate(self.cols):
+                for k, v in col.items():
+                    i, mono = ctx.decode(k)
+                    grid.setdefault((i, j), []).append((mono, v))
+            self._grid = {pos: frozenset(terms) for pos, terms in grid.items()}
+        return self._grid
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """Matrix product self * other: column j is the sum over the terms
@@ -443,17 +458,22 @@ def _artinian_minimal(view, vecs, degrees, twists, budget):
     ``view``: (matrix of the kept elements, their degrees).  Visited by
     (degree, index), an element of degree t is kept iff it is not in the
     span of R_(t - deg c) * c over the kept c of lower degree and the kept
-    elements of degree t (the graded Nakayama rule)."""
+    elements of degree t (the graded Nakayama rule).  A product that
+    vanishes is charged its unit without an insertion."""
     order = sorted(range(len(vecs)), key=lambda j: (degrees[j], j))
     kept = []
     for t, group in itertools.groupby(order, key=degrees.__getitem__):
-        ech = Echelon(view.p, budget)
+        ech, zeros = Echelon(view.p, budget), 0
         for j in kept:
             for s in view.by_degree.get(t - degrees[j], ()):
-                ech.insert(view.times(s, vecs[j]))
+                vec = view.times(s, vecs[j])
+                zeros += not vec
+                if vec:
+                    ech.insert(vec)
         for j in group:
             if ech.insert(dict(vecs[j])):
                 kept.append(j)
+        budget.spend(zeros)
     kept.sort()
     mat = PolyMatrix.packed(view.ring, len(twists), [vecs[j] for j in kept])
     return mat, [degrees[j] for j in kept]
@@ -464,17 +484,22 @@ def _artinian_step(view, matrix: PolyMatrix, twists, budget):
     columns have degrees ``twists``, R's view being ``view``, and their
     degrees.  Degree by degree, the kernel K_t of d on (F (x) R)_t comes
     from tracked elimination of the images of its standard basis; the
-    minimal subset of the K_t is then a complement of R_+ * K in each K_t."""
+    minimal subset of the K_t is then a complement of R_+ * K in each K_t.
+    A basis element whose image vanishes is a kernel vector as it stands:
+    it is charged its unit without an insertion."""
     ctx, one = ModuleContext(view.ring, matrix.ncols), view.ring.field.coerce(1)
     kernel, degs = [], []
     for t in range(min(twists), max(twists) + view.top + 1):
-        ech = Echelon(view.p, budget)
+        ech, zeros = Echelon(view.p, budget), 0
         for j, (tw, col) in enumerate(zip(twists, matrix.cols)):
             for s in view.by_degree.get(t - tw, ()):
                 combo = {ctx.key(j, s): one}
-                if not ech.insert(view.times(s, col), combo):
+                vec = view.times(s, col)
+                zeros += not vec
+                if not (vec and ech.insert(vec, combo)):
                     kernel.append(combo)
                     degs.append(t)
+        budget.spend(zeros)
     return _artinian_minimal(view, kernel, degs, twists, budget)
 
 

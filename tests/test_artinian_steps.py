@@ -1,5 +1,7 @@
 """Resolutions over graded Artinian quotients, computed by linear algebra on
-the standard-monomial basis, against invariants of an independent route."""
+the standard-monomial basis, against invariants of an independent route.
+Ext and Tor of the residue field over R/Q^2 and R/Q^3, the paper's own
+scale, are pinned with their budget units."""
 
 import json
 import random
@@ -9,7 +11,7 @@ import pytest
 from cak import QQ, RingPresentation, parse_poly_list
 from cak.cli import main
 from cak.errors import ResourceLimitError
-from cak.groebner import Budget, ModuleContext
+from cak.groebner import Budget, IdealHandle, ModuleContext
 from cak.quotient import (
     QuotientRing,
     ext_dims,
@@ -189,3 +191,32 @@ def test_cli_ext_budget_exits_3(tmp_path, capsys):
     with deadline(5):
         assert main(argv + ["--budget", "10000"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+def paper_scale_quotient(power):
+    """R/Q^power for the Gorenstein R = k[x,y,z,w]/(xy - zw) of dimension 3
+    and its parameter ideal Q = (x, y, z - w): the rings of the paper's
+    theorem, which concerns power <= dim R."""
+    S = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1])
+    R = S.extend_relations(parse_poly_list("x*y - z*w", S))
+    Q = IdealHandle(R, parse_poly_list("x; y; z - w", R))
+    return R.extend_relations(Q.power(power).gens)
+
+
+def test_paper_scale_ext_and_tor_of_the_residue_field():
+    ring = paper_scale_quotient(2)  # of dimension 8
+    k, budget = residue_field_presentation(ring), Budget()
+    want = [4, 13, 40, 121, 364, 1093]
+    with deadline(30):
+        assert ext_dims(ring, k, k, 6, budget) == want
+        assert budget.used == 44_266
+        assert tor_dims(ring, k, k, 6, budget) == want
+        assert budget.used == 49_181
+
+
+def test_paper_scale_ext_at_the_third_power():
+    ring = paper_scale_quotient(3)  # of dimension 20
+    k, budget = residue_field_presentation(ring), Budget()
+    with deadline(30):
+        assert ext_dims(ring, k, k, 6, budget) == [4, 17, 63, 244, 917, 3495]
+    assert budget.used == 429_496

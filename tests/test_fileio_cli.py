@@ -110,6 +110,22 @@ def test_cli_resolve_module_column_degree_errors(
     assert capsys.readouterr() == ("", f"error: /relations: {message}\n")
 
 
+@pytest.mark.parametrize("op, lines", [
+    ("sum", ["z", "x", "y^2"]),
+    ("product", ["x*z", "y^2*z", "x^2*y", "x*y^3"]),
+])
+def test_cli_ideal_op_sum_and_product(tmp_path, capsys, op, lines):
+    ring = tmp_path / "kxyz.json"
+    ring.write_text(json.dumps({
+        "field": {"kind": "fp", "p": 32003},
+        "vars": ["x", "y", "z"],
+        "weights": [1, 1, 1],
+    }))
+    argv = ["ideal-op", "--ring", str(ring), "--op", op, "--gens", "x; y^2", "--other", "x*y; z"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
 def test_cli_gb_matches_library(plain_file, capsys):
     code = main(["gb", "--ring", plain_file, "--gens", "x1^2 - x2; x2^2"])
     assert code == 0

@@ -10,7 +10,9 @@ the Eagon-Northcott complex, the tensor product of complexes and the unit
 cancellation `minimalize`, each filling dense grids of polynomials.  They
 are compared on seeded matrices and complexes over F_32003, over Q and
 over an Artinian quotient, unit-laden and all-zero maps, zero columns and
-empty shapes included: entries, twists and budget units.
+empty shapes included: entries, twists and budget units.  The entry grid
+that the Hom and Tensor ranks read is checked against the dense entries,
+and built once per differential across Ext and Tor.
 """
 
 import itertools
@@ -33,8 +35,10 @@ from cak.quotient import (
     _hom_rank,
     _tensor_rank,
     cyclic_presentation,
+    ext_dims,
     free_module_presentation,
     residue_field_presentation,
+    tor_dims,
 )
 from cak.resolve import (
     ChainComplex,
@@ -153,6 +157,31 @@ def test_views_round_trip(ring):
         zero = PolyMatrix.zero(ring, nrows, ncols)
         assert zero.is_zero() and (zero.nrows, zero.ncols) == (nrows, ncols)
         assert terms_of(zero.entries) == [[{}] * ncols for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("ring", list(rings()))
+def test_grid_holds_the_nonzero_entries_once(ring):
+    rng = random.Random(23)
+    for nrows, ncols in SHAPES:
+        for mat in (PolyMatrix(ring, random_rows(ring, rng, nrows, ncols), ncols=ncols),
+                    PolyMatrix.zero(ring, nrows, ncols)):
+            grid = mat.grid()
+            want = {(i, j): frozenset(p.terms.items())
+                    for i, row in enumerate(mat.entries) for j, p in enumerate(row) if p}
+            assert grid == want
+            assert mat.grid() is grid
+
+
+def test_ext_then_tor_build_each_grid_once():
+    ring = artinian()
+    k = residue_field_presentation(ring)
+    M = cyclic_presentation(ring, ["X^2", "Y"])
+    ext_dims(ring, M, k, 3)  # reads d_1 .. d_4
+    maps = M.resolution().maps
+    grids = [mat._grid for mat in maps]
+    assert len(maps) == 4 and all(g is not None for g in grids)
+    tor_dims(ring, M, k, 3)
+    assert all(mat._grid is g for mat, g in zip(maps, grids))
 
 
 @pytest.mark.parametrize("ring", list(rings()))

@@ -7,12 +7,13 @@ from cak.quotient import (
     QuotientRing,
     cm_type,
     embedding_dim,
+    ext_dims,
     free_module_presentation,
     quotient_of,
     residue_field_presentation,
     socle_dim,
 )
-from cak.resolve import module_length
+from cak.resolve import GradedFreeModule, PolyMatrix, PresentedModule, module_length
 from cak.ulrich import (
     _circulant_quotient,
     ar_instance_check,
@@ -258,6 +259,27 @@ def test_ar_check_free_and_residue():
     verdict = ar_instance_check(R, residue_field_presentation(ring), 10)
     assert verdict.classification == "hypothesis_fails"
     assert verdict.first_nonvanishing == (1, "Ext(M,M)")
+
+
+def test_ar_check_canonical_module_fails_on_ext_into_the_ring():
+    # R = k[X,Y]/(X^2, XY, Y^2) and its canonical module Hom_k(R, k): the
+    # dual of R, generated by the duals of X and Y, is injective, so
+    # Ext(M, M) vanishes, while R is not Gorenstein, so Ext(M, R) does not
+    ring = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "X*Y", "Y^2"])
+    R = QuotientRing(ring)
+
+    def omega():
+        cols = [PL(ring, "Y; 0"), PL(ring, "0; X"), PL(ring, "X; -Y")]
+        return PresentedModule(ring, GradedFreeModule(ring, (0, 0)),
+                               PolyMatrix.from_columns(ring, 2, cols))
+
+    verdict = ar_instance_check(R, omega(), 4)
+    assert verdict.first_nonvanishing == (1, "Ext(M,R)")
+    assert (verdict.ext_self, verdict.ext_ring) == ([0], [4])
+    assert verdict.classification == "hypothesis_fails"
+    M = omega()
+    assert ext_dims(R, M, M, 4) == [0, 0, 0, 0]
+    assert ext_dims(R, M, free_module_presentation(ring), 4) == [4, 9, 18, 36]
 
 
 def test_ar_check_never_free_for_nonfree():

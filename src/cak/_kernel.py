@@ -87,12 +87,15 @@ class DivisorIndex:
     """A reducer list and the bitsets that find the divisors of a key.
 
     ``leads`` and ``terms`` are parallel lists: lead keys and their term
-    dicts (None in an index of signatures).  For each variable, whose
-    exponent field sits at bit ``s`` of a key, ``rows`` holds ``(s, above)``
-    with CLAMP + 1 bitsets: bit i of ``above[e]`` is set iff lead i has
-    exponent greater than e in that variable, so inserting a lead touches
-    only the variables it contains.  ``comps`` maps the component bits of a
-    key (``key & compmask``) to the bitset of the leads of that component.
+    dicts (None in an index of signatures).  ``shifts`` holds the bit of
+    each variable's exponent field.  For each variable that some lead
+    contains, at bit ``s``, ``rows`` holds ``(s, above)`` (and ``fields``
+    maps s to ``above``) with CLAMP + 1 bitsets: bit i of ``above[e]`` is
+    set iff lead i has exponent greater than e in that variable.  A row
+    appears with the first lead that contains its variable, so a query
+    loops only over the variables in use; a missing row is all zeros.
+    ``comps`` maps the component bits of a key (``key & compmask``) to the
+    bitset of the leads of that component.
     A query clears from the component's bitset the leads above the key in
     some variable, one bitset per variable, and what is left are the
     divisors; the lowest set bit is the one of smallest list index.
@@ -105,13 +108,14 @@ class DivisorIndex:
     ``gmask``).
     """
 
-    __slots__ = ("leads", "terms", "rows", "fields", "comps", "compmask", "cmask", "gmask")
+    __slots__ = ("leads", "terms", "shifts", "rows", "fields", "comps", "compmask", "cmask", "gmask")
 
     def __init__(self, shifts, compmask, cmask, gmask):
         self.leads = []
         self.terms = []
-        self.rows = tuple((s, [0] * (CLAMP + 1)) for s in shifts)
-        self.fields = dict(self.rows)
+        self.shifts = shifts
+        self.rows = []
+        self.fields = {}
         self.comps = {}
         self.compmask = compmask
         self.cmask = cmask
@@ -123,7 +127,10 @@ class DivisorIndex:
         exps = (lead & self.cmask) ^ self.cmask
         while exps:
             s = ((exps & -exps).bit_length() - 1) // EXP_BITS * EXP_BITS
-            above = self.fields[s]
+            above = self.fields.get(s)
+            if above is None:
+                above = self.fields[s] = [0] * (CLAMP + 1)
+                self.rows.append((s, above))
             for e in range(min((exps >> s) & EXP_MASK, CLAMP)):
                 above[e] |= bit
             exps &= ~(EXP_MASK << s)
@@ -138,7 +145,9 @@ class DivisorIndex:
         exps = (key & self.cmask) ^ self.cmask
         while exps:
             s = ((exps & -exps).bit_length() - 1) // EXP_BITS * EXP_BITS
-            out |= self.fields[s][0]
+            above = self.fields.get(s)
+            if above is not None:
+                out |= above[0]
             exps &= ~(EXP_MASK << s)
         return out
 

@@ -20,8 +20,9 @@ units.
 
 Rank-one input (every ideal basis, elimination and ring-map kernel) is
 completed by a signature-based algorithm, which never reduces a Koszul
-syzygy and so never reduces to zero on a regular sequence; module input is
-completed by Buchberger's pair loop.  Both end in the same reduced basis.
+syzygy and so never reduces to zero on a regular sequence, and queues each
+J-pair signature once; module input is completed by Buchberger's pair
+loop.  Both end in the same reduced basis.
 The pair loop can stop at a degree: a minimal generating subset over
 homogeneous relations completes its membership basis only through the
 degree of the column it tests, since homogeneous pairs of higher degree
@@ -54,8 +55,9 @@ DEFAULT_BUDGET = 10**6
 
 class Budget:
     """Work counter: one unit per pair taken from a completion's queue (a
-    Buchberger pair of a module completion, a J-pair of a rank-one
-    signature completion), per standard monomial enumerated, per unit
+    Buchberger pair of a module completion, a J-pair signature of a
+    rank-one signature completion, queued once), per standard monomial
+    enumerated, per unit
     cancelled by ``resolve.minimalize``, per generator of each monomial
     ideal met by the ``resolve.hilbert_numerator`` recursion and per vector
     inserted into a ``_linalg.Echelon`` or skipped as zero (the Artinian
@@ -337,22 +339,29 @@ class GroebnerEngine:
         fully reduced by the basis so far.  Within the step of generator
         f_i a signature m*e_i is kept as the key of m; the basis from the
         earlier steps lies in lower positions, so it reduces freely.
-        J-pairs are processed in increasing signature, one per signature.
-        A signature is skipped when it is divisible by a lead of the
-        earlier basis (a principal syzygy) or by a signature that reduced
-        to zero.  Otherwise the multiple of its canonical rewriter, the
+        An element's ratio is its signature minus its lead; a J-pair's
+        signature is the lcm of the leads plus the larger ratio, so a pair
+        of equal ratios is skipped before any lcm.  A signature that is
+        principal (divisible by a lead of the earlier basis) or met before
+        in the step is not queued; both tests read the lcm's exponent
+        fields alone (``lcm_fields``).  The queue holds bare signatures,
+        each once, popped in increasing order: RB reduces a signature once,
+        from its canonical rewriter, so which pair queued it does not
+        matter.  A signature divisible by one that reduced to zero is
+        skipped.  Otherwise the multiple of its canonical rewriter, the
         last-added element whose signature divides it, is reduced, unless
         that multiple's lead is not regular reducible (it would come out
-        singular).  Reducing the rewriter's multiple, not the pair's own,
-        keeps the rewrite criterion sound: the rewriter need not have a
-        J-pair of its own at that signature, for instance when its pair at
-        a divisor of it came out singular.
+        singular).  Reducing the rewriter's multiple keeps the rewrite
+        criterion sound: the rewriter need not have a J-pair of its own at
+        that signature, for instance when its pair at a divisor of it came
+        out singular.
         Reductions are signature-regular only, and a result whose lead is
         reducible at its own signature is dropped.  On a regular sequence
         no reduction gives zero.
         """
         ctx = self.ctx
-        ring, p, guard = ctx.ring, self.field.p, ctx.guard
+        ring, p, guard, cmask = ctx.ring, self.field.p, ctx.guard, ctx.cmask
+        lcm_fields, lcm_key = ring.lcm_fields, ring.lcm_key
         G, leads, index = self.G, self.leads, self.index
         for f in sorted((g for g in gens if g), key=max):
             f = self.reduce(f)
@@ -362,16 +371,20 @@ class GroebnerEngine:
             start = len(G)
             earlier = (1 << start) - 1  # the basis of the earlier steps
             sigs: list = [None] * start
+            ratios: list = [None] * start  # sig - lead: a multiple's lcm + ratio is its signature
             # the signatures of this step, element start + b at position b
             sig_index = ctx.index()
             zero_sigs = ctx.index()
             heap: list = []
+            seen: set = set()  # the exponents of the signatures queued or found principal
 
             def insert(terms, sig):
                 t, lk = len(G), max(terms)
                 index.append(lk, terms)
                 sigs.append(sig)
                 sig_index.append(sig)
+                ratio = sig - lk
+                ratios.append(ratio)
                 # an earlier-basis lead coprime to lk gives jsig = lead * sig,
                 # a principal syzygy: only those sharing a variable are paired
                 peers = (index.sharing(lk) & earlier) | (((1 << t) - 1) ^ earlier)
@@ -379,31 +392,31 @@ class GroebnerEngine:
                     low = peers & -peers
                     peers ^= low
                     j = low.bit_length() - 1
-                    lcm_key = ring.lcm_key(leads[j], lk)
-                    jsig, owner = lcm_key - lk + sig, t
+                    a, b, r = lk, leads[j], ratio  # a: the side of the larger ratio
                     if j >= start:
-                        other = lcm_key - leads[j] + sigs[j]
-                        if other == jsig:
+                        if ratios[j] == ratio:
                             continue
-                        if other > jsig:
-                            jsig, owner = other, j
+                        if ratios[j] > ratio:
+                            a, b, r = b, a, ratios[j]
+                    # the exponent fields of jsig, under the degree of its owner's signature
+                    jsig = lcm_fields(a, b) + r
+                    e = jsig & cmask
+                    if e in seen:
+                        continue
+                    seen.add(e)
                     # a lead of the earlier basis dividing jsig: a principal syzygy
                     if not index.has_divisor(jsig, earlier):
-                        heapq.heappush(heap, (jsig, -owner))
+                        heapq.heappush(heap, lcm_key(a, b) + r)
 
             insert(_monic(f, self.field), ring.one_key)
-            last = None
             while heap:
-                sig, owner = heapq.heappop(heap)
+                sig = heapq.heappop(heap)
                 self.budget.spend()
-                if sig == last:
-                    continue
-                last = sig
                 if zero_sigs.has_divisor(sig):
                     continue
-                # the canonical rewriter; the pair's own element qualifies
-                owner = start + max(sig_index.divisors(sig, -1 << (-owner - start)))
-                m = sig - sigs[owner] + leads[owner]
+                # the canonical rewriter: the last element whose signature divides sig
+                owner = start + max(sig_index.divisors(sig))
+                m = sig - ratios[owner]
                 if not any(
                     sigs[b] is None or m - leads[b] + sigs[b] < sig for b in index.divisors(m)
                 ):
@@ -834,13 +847,15 @@ def staircase(index: DivisorIndex, start: int, deltas, budget: Budget):
     charged to the budget, exactly once.
     """
     bits = index.comps.get(start & index.compmask, 0)
+    # per variable, the leads that contain it; a variable without a row, none
+    firsts = [index.fields[s][0] if s in index.fields else 0 for s in index.shifts]
     seen = multi = 0  # the leads with some variable, with two or more
-    for _, above in index.rows:
-        multi |= seen & above[0]
-        seen |= above[0]
+    for first in firsts:
+        multi |= seen & first
+        seen |= first
     if bits & ~seen:
         return [], []
-    missing = [i for i, (_, above) in enumerate(index.rows) if not above[0] & bits & ~multi]
+    missing = [i for i, first in enumerate(firsts) if not first & bits & ~multi]
     if missing:
         return [], missing
     out = []

@@ -157,6 +157,11 @@ class RingPresentation:
     def __init__(self, vars, weights, field=None, relations=(), blocks=None):
         vars = tuple(vars)
         weights = tuple(int(w) for w in weights)
+        for v in vars:
+            if not _is_identifier(v):
+                raise CakError(
+                    f"variable name {v!r} is not an identifier: a letter or _, then letters, digits or _"
+                )
         if len(vars) != len(set(vars)):
             raise CakError("variable names must be unique")
         if len(vars) != len(weights):
@@ -251,25 +256,30 @@ class RingPresentation:
             raise DegreeOverflowError("exponent overflow in monomial product")
         return k
 
-    def lcm_key(self, ka: int, kb: int) -> int:
-        """Key of the lcm, computed on the packed keys.
+    def lcm_fields(self, ka: int, kb: int) -> int:
+        """The exponent fields of the lcm under ``ka``'s degree fields:
+        :meth:`lcm_key` without its degree update, enough for a divisibility
+        test, which reads no degree field.
 
         Below its guard bit a field holds ``MAX_EXP - exponent``, so the lcm
         takes the fieldwise minimum.  Setting the guard bits of one operand
         before the subtraction keeps every field's difference inside the
         field: a field's guard bit survives exactly where ``kb``'s exponent
-        is at least ``ka``'s, and the low bits there hold the excess.  Each
-        block's weighted degree grows by the weighted sum of its excesses.
+        is at least ``ka``'s.
         """
         low, guard = self._exp_low, self.guard
         x, y = ka & low, kb & low
-        diff = (x | guard) - y
-        ge = diff & guard
+        ge = ((x | guard) - y) & guard
         take_b = (ge << 1) - (ge >> (EXP_BITS - 1))  # whole fields where eb >= ea
-        excess = diff & take_b & low
+        return (ka & self._deg_mask) | (x & ~take_b) | (y & take_b) | guard
+
+    def lcm_key(self, ka: int, kb: int) -> int:
+        """Key of the lcm: :meth:`lcm_fields`, then each block's weighted
+        degree grows by the weighted sum of the fields of ``ka - key``."""
+        key = self.lcm_fields(ka, kb)
+        excess = ka - key
         if not excess:
             return ka
-        key = (ka & self._deg_mask) | (x & ~take_b) | (y & take_b) | guard
         for b in self._layout:
             part = (excess & b.cmask) >> b.shift
             if part:
@@ -552,6 +562,13 @@ def render_poly(p: Polynomial) -> str:
 
 
 # -- parsing ---------------------------------------------------------------
+
+
+def _is_identifier(name) -> bool:
+    """True iff ``name`` is one identifier as :meth:`_Parser.base` reads it."""
+    return isinstance(name, str) and (name[:1].isalpha() or name[:1] == "_") and all(
+        ch.isalnum() or ch == "_" for ch in name
+    )
 
 
 class _Parser:

@@ -39,14 +39,14 @@ CRITERIA = {
 UNITS = {
     "c01_minimal_resolution": 13,
     "c02_betti_formula": 420,
-    "c03_toric_kernel": 75,
-    "c04_ulrich_instances": 351,
-    "c05_power_minors": 620,
+    "c03_toric_kernel": 66,
+    "c04_ulrich_instances": 341,
+    "c05_power_minors": 573,
     "c06_eagon_northcott": 355,
-    "c07_type_relation": 283,
+    "c07_type_relation": 281,
     "c08_duality_transfer": 63188,
-    "c09_family_2x3": 441,
-    "c10_det_reduction": 191,
+    "c09_family_2x3": 396,
+    "c10_det_reduction": 178,
     "c11_ar_checker": 2106,
 }
 

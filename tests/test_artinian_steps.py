@@ -4,6 +4,7 @@ Ext and Tor of the residue field over R/Q^2 and R/Q^3, the paper's own
 scale, are pinned with their budget units."""
 
 import json
+import math
 import random
 
 import pytest
@@ -203,20 +204,58 @@ def paper_scale_quotient(power):
     return R.extend_relations(Q.power(power).gens)
 
 
+# dim Ext^i(k, k) for i = 1..6 over R/Q^power, pinned
+PAPER_SCALE_EXT = {2: [4, 13, 40, 121, 364, 1093], 3: [4, 17, 63, 244, 917, 3495]}
+
+
 def test_paper_scale_ext_and_tor_of_the_residue_field():
     ring = paper_scale_quotient(2)  # of dimension 8
     k, budget = residue_field_presentation(ring), Budget()
-    want = [4, 13, 40, 121, 364, 1093]
+    want = PAPER_SCALE_EXT[2]
     with deadline(30):
         assert ext_dims(ring, k, k, 6, budget) == want
-        assert budget.used == 44_266
+        assert budget.used == 44_263
         assert tor_dims(ring, k, k, 6, budget) == want
-        assert budget.used == 49_181
+        assert budget.used == 49_178
 
 
 def test_paper_scale_ext_at_the_third_power():
     ring = paper_scale_quotient(3)  # of dimension 20
     k, budget = residue_field_presentation(ring), Budget()
     with deadline(30):
-        assert ext_dims(ring, k, k, 6, budget) == [4, 17, 63, 244, 917, 3495]
-    assert budget.used == 429_496
+        assert ext_dims(ring, k, k, 6, budget) == PAPER_SCALE_EXT[3]
+    assert budget.used == 429_463
+
+
+def serre_bound(betti, nvars, length):
+    """The first ``length`` coefficients of (1 + t)^nvars / (1 - sum over
+    i >= 1 of betti[i] t^(i+1)): with c = that series, c = (1 + t)^nvars
+    + c * sum betti[i] t^(i+1), solved degree by degree."""
+    out = []
+    for d in range(length):
+        out.append(math.comb(nvars, d) + sum(
+            b * out[d - i - 1] for i, b in enumerate(betti) if i and d - i - 1 >= 0
+        ))
+    return out
+
+
+@pytest.mark.parametrize("power, betti, bound", [
+    (2, (1, 7, 14, 11, 3), [1, 4, 13, 46, 159, 551, 1912]),
+    (3, (1, 11, 25, 21, 6), [1, 4, 17, 73, 309, 1318, 5605]),
+])
+def test_serre_inequality_bounds_the_paper_scale_ext(power, betti, bound):
+    """Serre's inequality: the Poincare series 1 + sum dim Ext^i(k, k) t^i
+    of R = S/J is at most (1 + t)^n / (1 - sum_{i>=1} beta_i^S(R) t^(i+1))
+    coefficientwise, n the number of variables of S.  The Betti numbers of
+    R over S come from one small resolution, so this is a cheap oracle on
+    the pinned Ext dimensions of the paper-scale rings."""
+    ring = paper_scale_quotient(power)
+    S = ring.polynomial_ambient()
+    with deadline(10):
+        res = minimal_free_resolution(
+            PresentedModule.cyclic(S, [r.transfer(S) for r in ring.relations])
+        )
+    assert res.complete and res.total_ranks() == betti
+    assert serre_bound(betti, len(S.vars), 7) == bound
+    poincare = [1] + PAPER_SCALE_EXT[power]
+    assert all(e <= b for e, b in zip(poincare, bound, strict=True))

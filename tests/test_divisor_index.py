@@ -25,6 +25,7 @@ from cak.groebner import (
     ModuleContext,
     RingContext,
     module_syzygies,
+    staircase,
 )
 from cak.polyring import GF, MAX_EXP, QQ, Polynomial, RingPresentation
 from conftest import deadline
@@ -389,3 +390,58 @@ def test_a_huge_lead_beside_many_small_ones():
         want = scan_normal_form(ring, 0, f, gb_leads, [g.terms for g in gb], ring.field.p, ring.guard)
         assert ideal.normal_form(Polynomial(ring, f)).terms == want
         assert ideal.contains_poly(Polynomial(ring, {ring.encode((30001, 1, 0, 0)): one}))
+
+
+# -- rows only for the variables that leads contain ----------------------------------
+
+
+@pytest.mark.parametrize("cname", ["ring", "module"])
+def test_rows_appear_with_the_first_lead_of_their_variable(cname):
+    """A fresh index has no rows, and a row appears only when a lead that
+    contains its variable arrives.  Leads in x and y alone, some past
+    CLAMP, leave z and w without rows: divisors, sharing and normal forms
+    still agree with the scan on keys in every variable and above CLAMP,
+    and the staircase still names z and w as the variables without a pure
+    power."""
+    ring = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1])
+    ctx = {"ring": RingContext(ring), "module": ModuleContext(ring, 2)}[cname]
+    rng = random.Random(f"lazy rows:{cname}")
+    one = ring.field.coerce(1)
+    index = ctx.index()
+    assert index.rows == [] and index.fields == {}
+    assert index.sharing(draw_key(ctx, rng, (1, 1, 1, 1))) == 0
+    leads = []
+    for expo in [(2, 0, 0, 0), (0, 0, 0, 0), (1, 3, 0, 0), (0, CLAMP + 4, 0, 0)] + [
+        (rng.randint(0, CLAMP + 2), rng.randint(0, 3), 0, 0) for _ in range(30)
+    ]:
+        lead = draw_key(ctx, rng, expo) if any(expo) else with_component_of(
+            ctx, draw_key(ctx, rng), ring.one_key
+        )
+        leads.append(lead)
+        index.append(lead, {lead: one})
+        used = {v for g in leads for v, e in enumerate(parts(ring, ctx.compmask, g)[1]) if e}
+        assert sorted(s for s, _ in index.rows) == sorted(ctx.shifts[v] for v in used)
+        assert index.fields == dict(index.rows)
+    assert sorted(index.fields) == sorted(ctx.shifts[:2])
+    for _ in range(200):
+        key = draw_key(ctx, rng)
+        want = scan_divisors(ring, ctx.compmask, leads, key)
+        assert list(index.divisors(key)) == want
+        assert index.has_divisor(key) == bool(want)
+        assert set(want) <= {i for i in range(len(leads)) if index.candidates(key) >> i & 1}
+        _, expo = parts(ring, ctx.compmask, key)
+        sharing = {
+            i for i, lead in enumerate(leads)
+            if any(a and b for a, b in zip(parts(ring, ctx.compmask, lead)[1], expo))
+        }
+        assert {i for i in range(len(leads)) if index.sharing(key) >> i & 1} == sharing
+    p, guard = ring.field.p, ctx.guard
+    for _ in range(20):
+        f = {draw_key(ctx, rng): rng.randrange(1, p) for _ in range(4)}
+        want = outcome(lambda: scan_normal_form(ring, ctx.compmask, f, leads, index.terms, p, guard))
+        assert outcome(lambda: normal_form_terms(f, index, p, guard)) == want
+    pure = RingContext(ring).index(
+        (lead, None) for lead in (ring.encode((3, 0, 0, 0)), ring.encode((0, 20, 0, 0)))
+    )
+    deltas = [ring.var_key(i) - ring.one_key for i in range(4)]
+    assert staircase(pure, ring.one_key, deltas, Budget()) == ([], [2, 3])

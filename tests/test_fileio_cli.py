@@ -186,6 +186,15 @@ def test_cli_usage_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["x+y", "1x", "x y", "x^2"])
+def test_cli_variable_name_that_is_no_identifier_exits_2(tmp_path, capsys, name):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"field": {"kind": "fp", "p": 32003}, "vars": [name, "z"]}))
+    assert main(["gb", "--ring", str(ring), "--gens", "z"]) == 2
+    err = capsys.readouterr().err
+    assert f"variable name {name!r} is not an identifier" in err
+
+
 def test_cli_resource_limit_exit_code(tmp_path, capsys):
     amb = tmp_path / "amb6.json"
     amb.write_text(json.dumps({

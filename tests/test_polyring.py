@@ -307,3 +307,19 @@ def test_float_coefficients_rejected(kxy):
         kxy.constant(0.5)
     with pytest.raises(CakError, match="floating-point"):
         P(kxy, "x").scale(1.25)
+
+
+@pytest.mark.parametrize("name", ["x+y", "1x", "x y", "x^2", "", "x*", "(x)", "x-1"])
+def test_variable_name_the_grammar_cannot_read_is_refused(name):
+    from cak import CakError
+
+    with pytest.raises(CakError, match="not an identifier"):
+        RingPresentation([name, "z"], [1, 1])
+
+
+def test_identifier_variable_names_load_and_parse_back():
+    """``_t`` (the renames of ``ring_map_kernel``), digits after the first
+    character and non-ASCII letters all read back through the parser."""
+    ring = RingPresentation(["_t", "X1", "y_2", "α", "é1"], [1] * 5)
+    p = parse_poly("_t*X1^2 - y_2*α + é1", ring)
+    assert parse_poly(render_poly(p), ring) == p

@@ -7,14 +7,16 @@ on exponent tuples, with no ``cak`` kernel.
 """
 
 import hashlib
+import heapq
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cak import RingPresentation, parse_poly_list
+from cak import RingPresentation, groebner, parse_poly_list
 from cak.groebner import (
     Budget,
     GroebnerEngine,
@@ -261,8 +263,20 @@ def pinned_ideal(name):
     return ring, [random_form(ring, d, rng, zero_chance) for d in degrees]
 
 
+# the units of each pinned completion: one per J-pair signature queued
+UNITS = {
+    "dense-5x5": 26,
+    "dense-6x6": 56,
+    "over-4x6": 33,
+    "sparse-6": 47,
+    "weighted": 17,
+    "qq": 4,
+    "blocks": 120,
+}
+
+
 @pytest.mark.parametrize(
-    "name, units, size, digest, lcms, lcms_before",
+    "name, units_before, size, digest, lcms_before, lcms_unpaired",
     [
         ("dense-5x5", 51, 21, "66c7ec3771ac6bc0", 314, 465),
         ("dense-6x6", 135, 39, "a8a52f9b0d12e875", 1296, 1891),
@@ -274,24 +288,39 @@ def pinned_ideal(name):
     ],
 )
 def test_coprime_earlier_leads_are_skipped_before_any_lcm(
-    monkeypatch, name, units, size, digest, lcms, lcms_before
+    monkeypatch, name, units_before, size, digest, lcms_before, lcms_unpaired
 ):
     """An earlier-basis lead coprime to a new lead gives a principal
-    J-pair, so it is skipped before its lcm is formed.  The budget units
-    and the reduced basis (the sha256 of its rendering) are pinned as they
-    were when every earlier lead was paired and made ``lcms_before`` lcm
-    calls."""
+    J-pair, so it is skipped before its lcm is formed, and each J-pair
+    signature is queued once: a repeat, or one found principal, is dropped
+    before its lcm is formed.  So the lcm calls, the signatures queued and
+    popped and the budget units are one number, pinned in ``UNITS``.  It
+    lies below the units and lcm calls of the loop that queued every
+    duplicate (``units_before``, ``lcms_before``), whose lcm calls were in
+    turn below those of pairing every earlier lead (``lcms_unpaired``).
+    The reduced basis (the sha256 of its rendering) is pinned as before."""
     ring, gens = pinned_ideal(name)
-    calls = []
+    calls, pushed, popped = [], [], []
     lcm_key = RingPresentation.lcm_key
 
     def counting(self, ka, kb):
         calls.append(1)
         return lcm_key(self, ka, kb)
 
+    def push(heap, item):
+        pushed.append(item)
+        heapq.heappush(heap, item)
+
+    def pop(heap):
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
+
     monkeypatch.setattr(RingPresentation, "lcm_key", counting)
+    monkeypatch.setattr(groebner, "heapq", types.SimpleNamespace(heappush=push, heappop=pop))
     budget = Budget()
     basis = IdealHandle(ring, gens).groebner_basis(budget)
-    assert (budget.used, len(basis)) == (units, size)
     assert hashlib.sha256("\n".join(map(str, basis)).encode()).hexdigest()[:16] == digest
-    assert len(calls) == lcms < lcms_before
+    assert len(basis) == size
+    assert sorted(popped) == sorted(pushed)
+    assert len(calls) == len(pushed) == budget.used == UNITS[name] <= units_before
+    assert UNITS[name] < lcms_before < lcms_unpaired

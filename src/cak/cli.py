@@ -130,22 +130,18 @@ def _module_for(args, ring) -> PresentedModule:
 
 
 def cmd_resolve(args, budget):
+    """``resolve`` prints the Betti table as JSON; ``betti`` prints it as
+    text, or the same JSON with ``--json``."""
     ring = load_ring(args.ring)
     module = _module_for(args, ring)
     res = minimal_free_resolution(module, max_length=args.max_length, budget=budget)
     payload = {"betti": res.betti.as_rows(), "complete": res.complete}
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_OK
-
-
-def cmd_betti(args, budget):
-    ring = load_ring(args.ring)
-    module = _module_for(args, ring)
-    res = minimal_free_resolution(module, max_length=args.max_length, budget=budget)
-    print(res.betti.format_macaulay())
-    if not res.complete:
-        print(f"(truncated at length {res.complex.length})")
+    lines = None
+    if args.command == "betti":
+        lines = [res.betti.format_macaulay()]
+        if not res.complete:
+            lines.append(f"(truncated at length {res.complex.length})")
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -340,13 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--images", required=True, help="';'-separated images in the target")
     sp.set_defaults(fn=cmd_kernel)
 
-    for name, fn in (("resolve", cmd_resolve), ("betti", cmd_betti)):
+    for name in ("resolve", "betti"):
         sp = sub.add_parser(name, help="minimal free resolution / Betti table")
         _add_common(sp)
         sp.add_argument("--gens", default=None, help="cyclic module: ideal generators")
         sp.add_argument("--module", default=None, help="module presentation JSON file")
         sp.add_argument("--max-length", type=int, default=None, dest="max_length")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=cmd_resolve)
 
     sp = sub.add_parser("betti-formula", help="closed-formula Betti ranks (v, r, d)")
     sp.add_argument("v", type=int)
@@ -442,7 +438,3 @@ def main(argv=None) -> int:
     except (CakError, OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -322,8 +322,6 @@ def betti_rank_formula(v: int, r: int, d: int) -> tuple[int, ...]:
     ranks = [1]
     for i in range(1, v - d + 1):
         ranks.append(sum(beta(i - j) * math.comb(e, j) for j in range(e + 1)))
-    while len(ranks) > 1 and ranks[-1] == 0:
-        ranks.pop()
     return tuple(ranks)
 
 

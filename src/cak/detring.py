@@ -68,10 +68,6 @@ class DetReductionReport:
     equality: bool
     substituted: list
 
-    @property
-    def ok(self) -> bool:
-        return self.equality
-
     def as_dict(self):
         return {
             "forms": [str(f) for f in self.forms],

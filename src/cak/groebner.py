@@ -594,13 +594,12 @@ class IdealHandle:
         Each part's coefficients c are reduced modulo J, and the zeros
         dropped, before the parts are intersected."""
         self._check(other)
-        others = [g for g in other.gens if not g.is_zero()]
-        if not others:
+        if not other.gens:
             return IdealHandle(self.ring, [self.ring.one()])
         relations = relations_ideal(self.ring)
         result = None
         ctx = ModuleContext(self.ring, 1 + len(self.gens))
-        for g in others:
+        for g in other.gens:
             cols = _rank_one(self.ring, (g,) + self.gens)
             syz = module_syzygies(self.ring, cols, nrows=1, budget=budget)
             gens = [relations.normal_form(ctx.to_column(s)[0], budget) for s in syz]

@@ -84,13 +84,6 @@ class GradedFreeModule:
     def rank(self) -> int:
         return len(self.twists)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedFreeModule)
-            and self.ring is other.ring
-            and self.twists == other.twists
-        )
-
     def __repr__(self):
         return f"F(rank {self.rank}, twists {self.twists})"
 

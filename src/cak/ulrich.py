@@ -166,9 +166,6 @@ class StructureReport:
             and self.residue_complete_intersection
         )
 
-    def as_dict(self):
-        return {"ok": self.ok, **asdict(self)}
-
 
 def check_structure_conditions(R, I, q, d: int, budget=None) -> StructureReport:
     ring, I, q, budget, basis_I, basis_q = _parameter_pair(R, I, q, d, budget)

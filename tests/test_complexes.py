@@ -406,3 +406,55 @@ def test_formula_matches_resolution_full_grid():
                 assert tuple(res.total_ranks()) == betti_rank_formula(v, r, d), (
                     f"(v, r, d) = ({v}, {r}, {d})"
                 )
+
+
+# -- every error branch, the empty cases and the reprs ----------------------
+
+
+def test_generic_matrix_and_determinant_shapes(kxy):
+    x, y = P(kxy, "x"), P(kxy, "y")
+    with pytest.raises(CakError, match="ragged matrix"):
+        GenericMatrix(kxy, [[x, y], [x]])
+    assert repr(GenericMatrix(kxy, [[x, y]])) == "GenericMatrix(1x2)"
+    assert determinant(kxy, []) == 1  # the empty product
+    with pytest.raises(CakError, match="determinant of a non-square matrix"):
+        determinant(kxy, [[x, y]])
+
+
+def test_koszul_complex_wants_forms_of_its_ring(kxy, kxyz):
+    with pytest.raises(CakError, match="element from a different ring"):
+        koszul_complex(kxy, [P(kxyz, "x")])
+
+
+@pytest.mark.parametrize("elems, message", [
+    ("x; 0", "Koszul complex wants nonzero elements"),
+    ("x + 1", "Koszul complex wants homogeneous elements"),
+])
+def test_cli_koszul_element_errors_exit_2(tmp_path, capsys, elems, message):
+    from cak.cli import main
+    from test_fileio_cli import _ring_file
+
+    ring = _ring_file(tmp_path, ["x", "y"], [])
+    assert main(["koszul", "--ring", ring, "--elems", elems]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_tensor_complexes_wants_one_ring(kxy, kxyz):
+    with pytest.raises(CakError, match="complexes live over different rings"):
+        tensor_complexes(koszul_complex(kxy, PL(kxy, "x")), koszul_complex(kxyz, PL(kxyz, "x")))
+
+
+def test_verify_resolution_against_a_target_of_another_rank(kxy):
+    """A complex whose F_0 has the wrong rank fails H_0 in a report; it
+    does not raise, and the checks after H_0 are not run."""
+    cx = koszul_complex(kxy, PL(kxy, "x; y"))
+    target = PresentedModule(kxy, GradedFreeModule(kxy, (0, 0)), resolve.PolyMatrix.zero(kxy, 2, 0))
+    rep = verify_resolution(cx, target)
+    assert rep.as_dict() == {
+        "ok": False,
+        "checks": {"dd_zero": True, "h0": False},
+        "messages": ["h0: ambient ranks differ"],
+    }
+    assert repr(rep) == "VerificationReport(FAIL: {'dd_zero': True, 'h0': False})"
+    good = verify_resolution(cx, PresentedModule.cyclic(kxy, PL(kxy, "x; y")))
+    assert repr(good).startswith("VerificationReport(pass: {'dd_zero': True, 'h0': True")

@@ -91,3 +91,15 @@ def test_generic_matrix_builder():
     assert len(ring.vars) == 6
     assert gm.row_degrees == (0, 0)
     assert gm.col_degrees == (1, 1, 1)
+
+
+@pytest.mark.parametrize("ell, n", [(0, 2), (2, 0)])
+def test_power_parameter_matrix_wants_positive_sizes(kxy, ell, n):
+    with pytest.raises(PreconditionError, match="need ell >= 1 and n >= 1"):
+        power_parameter_matrix(ell, n, kxy)
+
+
+def test_generic_matrix_names_need_single_digits():
+    assert generic_matrix(1, 9)[0].vars[-1] == "x19"
+    with pytest.raises(PreconditionError, match="generic matrices use single-digit indices"):
+        generic_matrix(1, 10)

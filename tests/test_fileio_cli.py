@@ -575,3 +575,105 @@ def test_python_m_cak_prints_the_text_report():
     lines = proc.stdout.splitlines()
     assert any(line.startswith("PASS  c10_det_reduction") for line in lines)
     assert lines[-1] == "1/1 cases passed (all passed)"
+
+
+# -- fileio and cli: every error branch and every flag ----------------------
+
+
+def test_cli_unknown_field_kind_exits_2(tmp_path, capsys):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"field": {"kind": "gf", "p": 7}, "vars": ["x"]}))
+    assert main(["gb", "--ring", str(ring), "--gens", "x"]) == 2
+    assert capsys.readouterr() == ("", "error: /field/kind: unknown field kind 'gf'\n")
+
+
+def test_zero_relation_is_skipped(tmp_path):
+    ring = load_ring(_ring_file(tmp_path, ["x", "y"], ["0", "x^2", "y - y"]))
+    assert [str(r) for r in ring.relations] == ["x^2"]
+
+
+def test_cli_module_file_with_no_relation_rows_is_free(tmp_path, capsys):
+    ring = _ring_file(tmp_path, ["x", "y"], ["x^2", "y^2"])
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps({"ambient_twists": [0, 1]}))
+    assert main(["resolve", "--ring", ring, "--module", str(free), "--max-length", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"betti": [[0, 0, 1], [0, 1, 1]], "complete": True}
+    assert main(["ar-check", "--ring", ring, "--module", str(free), "--bound", "2", "--json"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["classification"] == "consistent_free"
+    assert verdict["first_nonvanishing"] is None
+
+
+def test_cli_matrix_text_rows(plain_file, capsys):
+    """A trailing ';' ends the last row; text with no row is an error."""
+    assert main(["en", "--ring", plain_file, "--matrix", "x1,x2,0; 0,x1,x2;"]) == 0
+    assert capsys.readouterr().out == "[1, 3, 2]\n"
+    for text in ("", ";", " ; "):
+        assert main(["en", "--ring", plain_file, "--matrix", text]) == 2
+        assert capsys.readouterr() == ("", "error: empty matrix\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ideal-op", "--op", "power", "--gens", "x1"], "power needs --exponent"),
+    (["ideal-op", "--op", "colon", "--gens", "x1", "--exponent", "2"], "colon needs --other"),
+    (["resolve", "--max-length", "2"], "need --gens or --module"),
+    (["betti"], "need --gens or --module"),
+])
+def test_cli_missing_operand_exits_2(plain_file, capsys, argv, message):
+    assert main([argv[0], "--ring", plain_file, *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_kernel_into_a_target_ring_file(tmp_path, capsys):
+    source = _ring_file(tmp_path, ["a", "b", "c"], [])
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"vars": ["s", "t"]}))
+    argv = ["kernel", "--ring", source, "--target", str(target), "--images", "s^2; s*t; t^2"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("b^2 - a*c\n", "")
+
+
+def test_cli_ext_against_a_module_file(tmp_path, capsys):
+    """A module file as the second argument gives what the equal named
+    target gives: k against k.json as against itself, and against the free
+    module of rank one as against R (the dual numbers are Gorenstein)."""
+    ring = _ring_file(tmp_path, ["X"], ["X^2"])
+    k, free = tmp_path / "k.json", tmp_path / "free.json"
+    k.write_text(json.dumps({"ambient_twists": [0], "relations": [["X"]]}))
+    free.write_text(json.dumps({"ambient_twists": [0]}))
+    outs = []
+    for against in (str(k), "self", str(free), "ring"):
+        assert main(["ext", "--ring", ring, "--module", str(k), "--against", against, "--bound", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == ["[1, 1, 1]\n"] * 2 + ["[0, 0, 0]\n"] * 2
+
+
+# the output of cak resolve and cak betti on (x^2, xy, yz) over k[x, y, z]
+RESOLVE_JSON = (
+    '{\n  "betti": [\n    [\n      0,\n      0,\n      1\n    ],\n    [\n      1,\n      2,\n'
+    '      3\n    ],\n    [\n      2,\n      3,\n      2\n    ]\n  ],\n  "complete": true\n}\n'
+)
+BETTI_TABLE = (
+    "           0     1     2\ntotal:     1     3     2\n    0:     1     .     .\n"
+    "    1:     .     3     2\n"
+)
+BETTI_TRUNCATED = (
+    "           0     1\ntotal:     1     3\n    0:     1     .\n    1:     .     3\n"
+    "(truncated at length 1)\n"
+)
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["resolve"], RESOLVE_JSON),
+    (["resolve", "--json"], RESOLVE_JSON),
+    (["betti"], BETTI_TABLE),
+    (["betti", "--json"], RESOLVE_JSON),
+    (["betti", "--max-length", "1"], BETTI_TRUNCATED),
+])
+def test_cli_resolve_and_betti_outputs(tmp_path, capsys, argv, out):
+    """``resolve`` always prints JSON; ``betti`` prints the table, with a
+    last line when the resolution stops short, or with ``--json`` what
+    ``resolve`` prints."""
+    ring = _ring_file(tmp_path, ["x", "y", "z"], [])
+    assert main([argv[0], "--ring", ring, "--gens", "x^2; x*y; y*z", *argv[1:]]) == 0
+    assert capsys.readouterr() == (out, "")

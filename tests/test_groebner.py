@@ -318,3 +318,65 @@ def test_random_syzygies_annihilate(data):
             for coeff, col in zip(s_col, cols):
                 acc = acc + coeff * col[i]
             assert acc.is_zero()
+
+
+# -- every error branch and the degenerate ideals ------------------------------
+
+
+def test_ideal_handle_reads_text_and_refuses_other_rings(kxy, kxyz):
+    from cak import CakError
+
+    assert IdealHandle(kxy, ["x^2", "0", P(kxy, "y")]).gens == (P(kxy, "x^2"), P(kxy, "y"))
+    with pytest.raises(CakError, match="ideal generator from a different ring"):
+        IdealHandle(kxyz, [P(kxy, "x")])
+    I, J = IdealHandle(kxy, ["x"]), IdealHandle(kxyz, ["x"])
+    with pytest.raises(CakError, match="polynomial from a different ring"):
+        I.normal_form(P(kxyz, "x"))
+    for op in ("sum", "product", "intersection", "colon", "equal", "contains"):
+        with pytest.raises(CakError, match="ideals live in different rings"):
+            ideal_ops(op, I, J)
+
+
+def test_ideal_ops_argument_errors(kxy):
+    from cak import CakError, PreconditionError
+
+    I = IdealHandle(kxy, ["x", "y"])
+    with pytest.raises(PreconditionError, match="ideal power wants an exponent >= 1"):
+        I.power(0)
+    with pytest.raises(CakError, match="unknown ideal op 'xor'"):
+        ideal_ops("xor", I, I)
+
+
+@pytest.mark.parametrize("relations", [[], ["x^2 - y^2"]])
+def test_intersection_with_and_colon_by_the_zero_ideal(relations):
+    """I cap (0) is the zero ideal of R, J itself; I : (0) is the unit
+    ideal, whether (0) is given by no generator or by the zero polynomial."""
+    ring = RingPresentation(["x", "y"], [1, 1], relations=relations)
+    I = IdealHandle(ring, ["x*y"])
+    for zero in (IdealHandle(ring, []), IdealHandle(ring, ["0"])):
+        assert [g.terms for g in I.intersection(zero).groebner_basis()] == [
+            r.terms for r in ring.relations
+        ]
+        assert ideal_ops("colon", I, zero).groebner_basis() == [ring.one()]
+
+
+def test_module_syzygies_of_no_columns(kxy):
+    assert module_syzygies(kxy, [], nrows=2) == []
+
+
+def test_eliminate_and_ring_map_errors(kxy, kxyz):
+    from cak import CakError, QQ
+
+    with pytest.raises(CakError, match=r"cannot drop unknown variables \['q', 't'\]"):
+        eliminate(IdealHandle(kxy, ["x"]), ["t", "x", "q"])
+    with pytest.raises(CakError, match="one image per source variable required"):
+        RingMap(kxy, kxyz, ["x"])
+    rational = RingPresentation(["t"], [1], QQ)
+    with pytest.raises(CakError, match="source and target must share the coefficient field"):
+        RingMap(kxy, rational, ["t", "t"])
+    with pytest.raises(CakError, match="image from a different ring"):
+        RingMap(kxy, kxyz, [P(kxy, "x"), P(kxy, "y")])
+    rmap = RingMap(kxy, kxyz, ["x*z", "y"])
+    assert rmap.apply(P(kxy, "x^2 - y")) == P(kxyz, "x^2*z^2 - y")
+    with pytest.raises(CakError, match="polynomial from a different ring"):
+        rmap.apply(P(kxyz, "x"))

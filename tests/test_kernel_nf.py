@@ -368,3 +368,11 @@ def test_scalings_match_the_comprehensions(fname):
         assert list(row.items()) == list(want.items())
         want_combo = combo if unit else reference_scale(combo, inv, p)
         assert list(row_combo.items()) == list(want_combo.items())
+
+
+@pytest.mark.parametrize("field", list(FIELDS.values()), ids=list(FIELDS))
+def test_axpy_by_zero_leaves_the_target(field):
+    dst, src = {3: 1, 5: 2}, {3: 4, 7: 1}
+    axpy_terms(dst, src, 0, 0, field.p, 0)
+    axpy_terms(dst, src, Fraction(0) if field.p is None else field.p, 0, field.p, 0)
+    assert dst == {3: 1, 5: 2}

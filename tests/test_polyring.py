@@ -323,3 +323,112 @@ def test_identifier_variable_names_load_and_parse_back():
     ring = RingPresentation(["_t", "X1", "y_2", "α", "é1"], [1] * 5)
     p = parse_poly("_t*X1^2 - y_2*α + é1", ring)
     assert parse_poly(render_poly(p), ring) == p
+
+
+# -- every error branch and the number protocol --------------------------------
+
+
+@pytest.mark.parametrize("n, prime", [(1, False), (4, False), (1763, False), (65537, True)])
+def test_primality_past_trial_division(n, prime):
+    """1763 = 41 * 43 has no factor among the trial primes, so only a
+    Miller-Rabin witness rejects it; 65537 - 1 = 2^16 runs the squaring
+    loop until it meets n - 1."""
+    from cak.polyring import is_prime
+
+    assert is_prime(n) is prime
+
+
+@pytest.mark.parametrize("args, message", [
+    (("gf", 7), "unknown field kind 'gf'"),
+    (("fp", 1763), "modulus 1763 is not prime"),
+    (("fp",), "modulus None is not prime"),
+    (("q", 7), "rational field takes no modulus"),
+])
+def test_field_errors(args, message):
+    from cak import CakError
+    from cak.polyring import Field
+
+    with pytest.raises(CakError) as exc:
+        Field(*args)
+    assert str(exc.value) == message
+
+
+def test_fields_hash_by_value():
+    from cak.polyring import Field
+
+    assert len({GF(65537), Field("fp", 65537), QQ, Field("q")}) == 2
+
+
+def test_fp_coefficient_with_the_modulus_in_its_denominator(kxy):
+    with pytest.raises(ZeroDivisionError, match="denominator divisible by modulus"):
+        kxy.constant(Fraction(1, 32003))
+
+
+@pytest.mark.parametrize("names, weights, blocks, message", [
+    (["x", "x"], [1, 1], None, "variable names must be unique"),
+    (["x", "y"], [1], None, "one weight per variable required"),
+    ([f"x{i}" for i in range(65)], [1] * 65, None, "at most 64 variables supported"),
+    (["x", "y"], [1, 0], None, "weights must be positive"),
+    (["x", "y"], [1, 2**32 + 1], None, "weight too large"),
+    (["x", "y"], [1, 1], [(0,)], "order blocks must partition the variables"),
+    (["x", "y"], [1, 1], [(0, 1), (1,)], "order blocks must partition the variables"),
+])
+def test_ring_presentation_errors(names, weights, blocks, message):
+    from cak import CakError
+
+    with pytest.raises(CakError) as exc:
+        RingPresentation(names, weights, blocks=blocks)
+    assert str(exc.value) == message
+
+
+def test_the_largest_weight_is_two_to_the_32():
+    assert RingPresentation(["x"], [2**32]).weights == (2**32,)
+
+
+def test_key_arithmetic_errors(kxy):
+    from cak import CakError
+
+    with pytest.raises(CakError, match="exponent vector has wrong length"):
+        kxy.encode((1,))
+    with pytest.raises(CakError, match="negative exponent"):
+        kxy.encode((0, -1))
+    with pytest.raises(DegreeOverflowError, match="exponent overflow in monomial product"):
+        kxy.mul_keys(kxy.encode((MAX_EXP, 0)), kxy.var_key(0))
+    assert kxy.mul_keys(kxy.encode((MAX_EXP - 1, 0)), kxy.var_key(0)) == kxy.encode((MAX_EXP, 0))
+
+
+def test_polynomial_queries_outside_the_ring(kxy):
+    from cak import CakError
+
+    with pytest.raises(CakError, match="unknown variable 'q'"):
+        kxy.var("q")
+    with pytest.raises(PreconditionError, match="zero polynomial has no lead term"):
+        kxy.zero().lead_key()
+    with pytest.raises(CakError, match="variable 'y' missing from target ring"):
+        P(kxy, "x*y").reencode(RingPresentation(["x"], [1]))
+
+
+def test_polynomials_with_numbers(kxy):
+    """Numbers act as constants on either side of +, - and *, and compare
+    equal to constant polynomials."""
+    p = P(kxy, "x - 1")
+    assert 2 * p == p * 2 == P(kxy, "2*x - 2")
+    assert 2 - p == P(kxy, "3 - x")
+    assert p + 3 == P(kxy, "x + 2")
+    assert p - 3 == P(kxy, "x - 4")
+    assert p - p == 0 and p != 0
+    assert P(kxy, "3") == 3 and p != 3
+    assert repr(p) == "Polynomial(x - 1)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x)", "unexpected character ')' (at position 1)"),
+    ("x^y", "expected a non-negative integer exponent (at position 2)"),
+    ("2/x", "expected an integer (at position 2)"),
+    ("1/0", "zero denominator (at position 3)"),
+    ("x +", "unexpected end of input (at position 3)"),
+])
+def test_parse_errors(kxy, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, kxy)
+    assert str(exc.value) == message

@@ -535,3 +535,29 @@ def test_socle_dim_builds_one_basis_and_one_staircase(monkeypatch):
     assert socle_dim(R) == 3
     assert len(R.standard_basis()) == 19
     assert sorted(calls) == ["buchberger", "staircase"]
+
+
+# -- every error branch and the repr -------------------------------------------
+
+
+def test_quotient_ring_repr():
+    ring = RingPresentation(["x", "y"], [1, 2], relations=["x^2", "y^3"])
+    assert repr(QuotientRing(ring)) == "QuotientRing(F_32003[x, y; weights (1, 2)] / (2 relations))"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["type", "--params", "x; 0"], "parameters must be nonzero homogeneous"),
+    (["type", "--params", "x + y^2"], "parameters must be nonzero homogeneous"),
+    (["ext", "--module", "{k}", "--bound", "0"], "bound must be >= 1"),
+    (["tor", "--module", "{k}", "--bound", "0"], "bound must be >= 1"),
+])
+def test_cli_quotient_argument_errors_exit_2(tmp_path, capsys, argv, message):
+    from cak.cli import main
+    from test_fileio_cli import _ring_file
+
+    ring = _ring_file(tmp_path, ["x", "y"], ["x^2", "y^2"])
+    k = tmp_path / "k.json"
+    k.write_text('{"ambient_twists": [0], "relations": [["x", "y"]]}')
+    argv = [argv[0], "--ring", ring] + [a.format(k=k) for a in argv[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

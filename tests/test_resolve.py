@@ -465,3 +465,100 @@ def test_inhomogeneous_relations_keep_the_scan_that_raises(gens, message):
     module = PresentedModule.cyclic(ring, parse_poly_list(gens, ring))
     with pytest.raises(CakError, match=message):
         minimal_free_resolution(module, max_length=3)
+
+
+# -- every error branch, the empty cases and the reprs ----------------------
+
+
+def test_matrix_module_and_complex_shape_errors(kxy, kxyz):
+    x, y = P(kxy, "x"), P(kxy, "y")
+    with pytest.raises(CakError, match="ragged matrix"):
+        PolyMatrix(kxy, [[x, y], [x]])
+    with pytest.raises(CakError, match="ragged matrix"):
+        PolyMatrix.from_columns(kxy, 2, [[x]])
+    with pytest.raises(CakError, match="matrix entry from a different ring"):
+        PolyMatrix.from_columns(kxy, 1, [[P(kxyz, "x")]])
+    row = PolyMatrix(kxy, [[x, y]])
+    with pytest.raises(CakError, match="matrix shapes do not compose"):
+        row.compose(row)
+    with pytest.raises(CakError, match="one row per ambient basis element"):
+        PresentedModule(kxy, GradedFreeModule(kxy, (0, 0)), row)
+    F0, F1 = GradedFreeModule(kxy, (0,)), GradedFreeModule(kxy, (1, 1))
+    with pytest.raises(CakError, match="complex needs one map between consecutive modules"):
+        ChainComplex(kxy, [F0, F1], [])
+    with pytest.raises(CakError, match="map 1 has the wrong shape"):
+        ChainComplex(kxy, [F1, F0], [row])
+
+
+def test_reprs_of_free_modules_matrices_and_betti_tables(kxy):
+    res = minimal_free_resolution(PresentedModule.cyclic(kxy, PL(kxy, "x; y")))
+    assert repr(res.complex.modules[1]) == "F(rank 2, twists (1, 1))"
+    assert repr(res.complex.maps[0]) == "PolyMatrix(1x2)"
+    assert repr(res.betti) == "BettiTable((1, 2, 1))"
+
+
+def test_the_zero_module_has_an_empty_betti_table(kxy):
+    """R/(1) = 0: no free module, no rank, and an empty table."""
+    res = minimal_free_resolution(PresentedModule.cyclic(kxy, PL(kxy, "x; 1")))
+    assert res.betti.total_ranks() == () and res.betti.as_rows() == []
+    assert res.betti.format_macaulay() == "(empty)"
+
+
+def test_the_empty_sequence_is_regular(kxy):
+    assert is_regular_sequence(kxy, [])
+
+
+@pytest.mark.parametrize("relations, gens, i, message", [
+    (["x1^2"], "x1", 1, "graded_rank_check works over the polynomial ring"),
+    ([], "", 1, "need a nonempty ideal and i >= 1"),
+    ([], "x1", 0, "need a nonempty ideal and i >= 1"),
+    ([], "x1 + x2^2", 1, "parameter ideal generators must be homogeneous"),
+])
+def test_graded_rank_check_preconditions(relations, gens, i, message):
+    ring = RingPresentation(["x1", "x2"], [1, 1], relations=relations)
+    with pytest.raises(PreconditionError) as exc:
+        graded_rank_check(ring, IdealHandle(ring, PL(ring, gens)), i)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name, wrong, message", [
+    ("minimal_generator_count", lambda n: n + 1, "rank of Q^1/Q^2 is 3, expected 2"),
+    ("module_length", lambda n: 2 * n, "layer length does not match a free S/Q-module of that rank"),
+])
+def test_graded_rank_check_reports_a_count_off_the_theorem(monkeypatch, name, wrong, message):
+    """For a regular sequence both counts follow from the theorem, so no
+    input reaches these errors: a wrong count from the layer below stands
+    in for one."""
+    import cak.resolve
+
+    real = getattr(cak.resolve, name)
+    monkeypatch.setattr(cak.resolve, name, lambda *args: wrong(real(*args)))
+    ring = RingPresentation(["x1", "x2"], [1, 1])
+    with pytest.raises(CakError) as exc:
+        graded_rank_check(ring, IdealHandle(ring, ring.gens()), 1)
+    assert str(exc.value) == message
+
+
+def test_module_standard_basis_of_infinite_length(tmp_path, capsys):
+    """Ext into a module of infinite length: its view has no finite basis."""
+    from cak.cli import main
+    from test_fileio_cli import _ring_file
+
+    ring = _ring_file(tmp_path, ["x", "y"], ["x^2"])
+    module = tmp_path / "m.json"
+    module.write_text('{"ambient_twists": [0], "relations": [["x"]]}')
+    assert main(["ext", "--ring", ring, "--module", str(module), "--bound", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: module component 0 is not finite-dimensional\n")
+
+
+def test_free_view_times_overflow():
+    from cak.errors import DegreeOverflowError
+    from cak.polyring import MAX_EXP
+    from cak.resolve import ArtinianModule
+
+    ring = RingPresentation(["x", "y"], [1, 1], relations=["x^2", "y^2"])
+    view = ArtinianModule(ring, [], 1)
+    x = {view.ctx.key(0, ring.var_key(0)): 1}
+    assert view.times(ring.var_key(1), x) == {view.ctx.key(0, ring.encode((1, 1))): 1}
+    with pytest.raises(DegreeOverflowError, match="exponent overflow in monomial product"):
+        view.times(ring.encode((MAX_EXP, 0)), x)

@@ -8,6 +8,7 @@ from cak.semigroup import (
     family_2x3_semigroup,
     monomial_curve_ring,
     semigroup_ring,
+    semigroup_var_names,
 )
 from conftest import PL, R1_RELATIONS
 
@@ -114,3 +115,11 @@ def test_lengths_match_apery_oracle(r1_ring):
     assert sorted(w) == sorted({0, 11, 16, 26, 27, 37})
     ring = r1_ring
     assert module_length(IdealHandle(ring, PL(ring, "X"))) == 6
+
+
+def test_five_generators_take_numbered_names():
+    """Up to four generators are named X, Y, Z, W; from five on X1, X2, ..."""
+    assert semigroup_var_names(4) == ["X", "Y", "Z", "W"]
+    ring = monomial_curve_ring([5, 6, 7, 8, 9])
+    assert ring.vars == ("X1", "X2", "X3", "X4", "X5")
+    assert all(r.homogeneous_degree() for r in ring.relations)

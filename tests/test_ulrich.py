@@ -304,3 +304,32 @@ def test_ar_check_bound_validation():
     ring = RingPresentation(["X"], [1], relations=["X^2"])
     with pytest.raises(PreconditionError):
         ar_instance_check(QuotientRing(ring), free_module_presentation(ring), 0)
+
+
+# -- every precondition -------------------------------------------------------
+
+
+def test_is_parameter_ideal_with_a_quotient_of_infinite_length(kxy):
+    # one form of positive degree in k[x, y], but k[x, y]/(x) is k[y]
+    assert not is_parameter_ideal(QuotientRing(kxy), IdealHandle(kxy, PL(kxy, "x")), 1)
+
+
+@pytest.mark.parametrize("names, relations, I, q, d, message", [
+    # x^2 lies in m*(x): q is no minimal generator of I
+    (["x"], [], "x", "x^2", 1, "q generators are not part of a minimal generating set of I"),
+    # (x, y)^2 holds y^2, which (x) does not
+    (["x", "y"], ["y^3"], "x; y", "x", 1, "I^2 is not contained in q"),
+    # I = (x^2) in k[x]/(x^3) squares to zero, yet I has length 1, not 1 * len R/I = 2
+    (["x"], ["x^3"], "x^2", "", 0, "I/q is not free over R/I (length mismatch)"),
+])
+def test_type_relation_check_preconditions(names, relations, I, q, d, message):
+    ring = RingPresentation(names, [1] * len(names), relations=relations)
+    with pytest.raises(PreconditionError) as exc:
+        type_relation_check(QuotientRing(ring), PL(ring, I), PL(ring, q), d)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("r, v", [(0, 2), (3, 2)])
+def test_model_ring_wants_r_between_1_and_v(r, v):
+    with pytest.raises(PreconditionError, match="need 1 <= r <= v"):
+        ulrich_model_ring(r, v)

@@ -189,7 +189,7 @@ class DivisorIndex:
         return False
 
 
-def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1):
+def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1, steps=None):
     """Full normal form of term dict ``f`` against the reducers of ``index``
     (a :class:`DivisorIndex` of monic term dicts, lead included) within the
     bitset ``mask``.
@@ -211,6 +211,10 @@ def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1):
     touched again only by the lead of its own reducer, and a key whose
     coefficient has cancelled (over F_p: reduced when popped) is skipped.
     The new keys of a merge are guard-checked together, once it is done.
+
+    With a list ``steps``, each reduction appends its (popped key, reducer
+    index, coefficient): f is the sum of the coefficient times the
+    reducer's multiple over the steps, plus the normal form.
     """
     work = dict(f)
     get = work.get
@@ -248,6 +252,8 @@ def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1):
         else:
             out[m] = c
             continue
+        if steps is not None:
+            steps.append((m, i, c))
         # work -= c * x^(m - lk) * gterms[i]; the lead lands on m, never popped again
         c, delta, acc = -c if p is None else p - c, m - lk, -1
         for k, v in gterms[i].items():

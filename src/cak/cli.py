@@ -146,7 +146,7 @@ def cmd_resolve(args, budget):
 
 
 def cmd_betti_formula(args, budget):
-    ranks = betti_rank_formula(args.v, args.r, args.d)
+    ranks = betti_rank_formula(args.v, args.r, args.d, budget)
     _emit(args, list(ranks), [json.dumps(list(ranks))])
     return EXIT_OK
 

@@ -301,27 +301,31 @@ def _triples(mat: PolyMatrix, flip=False):
 # -- the closed Betti formula ---------------------------------------------------
 
 
-def betti_rank_formula(v: int, r: int, d: int) -> tuple[int, ...]:
+def betti_rank_formula(v: int, r: int, d: int, budget=None) -> tuple[int, ...]:
     """Total Betti ranks (1, b_1, ..., b_{v-d}) predicted for a ring with
     embedding dimension v, type r and dimension d that carries an Ulrich
     ideal with complete-intersection residue ring: the rank at step i is
-    sum_j beta_{i-j} * binom(v-r-d, j) with beta_k = k*binom(r+1, k+1)."""
+    sum_j beta_{i-j} * binom(v-r-d, j) with beta_0 = 1 and beta_k =
+    k*binom(r+1, k+1) for 1 <= k <= r.  Since beta_k = 0 for k outside
+    0..r, j runs from max(0, i-r) to min(i, v-r-d).  Each rank costs one
+    budget unit."""
     if r < 1 or d < 0:
         raise PreconditionError("need r >= 1 and d >= 0")
     if v < r + d:
         raise PreconditionError("need v >= r + d (mu(I) = d + r <= v)")
+    budget = _as_budget(budget)
     e = v - r - d
-
-    def beta(k):
-        if k == 0:
-            return 1
-        if 1 <= k <= r:
-            return k * math.comb(r + 1, k + 1)
-        return 0
-
-    ranks = [1]
-    for i in range(1, v - d + 1):
-        ranks.append(sum(beta(i - j) * math.comb(e, j) for j in range(e + 1)))
+    beta = [1] + [k * math.comb(r + 1, k + 1) for k in range(1, r + 1)]
+    ranks, low = [], 1  # low = binom(e, max(0, i - r))
+    for i in range(v - d + 1):
+        budget.spend()
+        if i > r:
+            low = low * (e - i + r + 1) // (i - r)
+        rank, c = 0, low
+        for j in range(max(0, i - r), min(i, e) + 1):
+            rank += beta[i - j] * c
+            c = c * (e - j) // (j + 1)
+        ranks.append(rank)
     return tuple(ranks)
 
 

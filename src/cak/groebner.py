@@ -54,18 +54,27 @@ DEFAULT_BUDGET = 10**6
 
 
 class Budget:
-    """Work counter: one unit per pair taken from a completion's queue (a
-    Buchberger pair of a module completion, a J-pair signature of a
-    rank-one signature completion, queued once), per standard monomial
-    enumerated, per unit
-    cancelled by ``resolve.minimalize``, per generator of each monomial
-    ideal met by the ``resolve.hilbert_numerator`` recursion and per vector
-    inserted into a ``_linalg.Echelon`` or skipped as zero (the Artinian
-    resolution steps, the Hom/Tensor ranks of Ext/Tor and the socle), per
-    basis element of an Eagon-Northcott or Koszul complex and per memo
-    entry of a ``complexes.determinant``.  A cached datum is charged once,
-    to the call that computes it.  Exceeding the limit is an error, never a
-    wrong answer."""
+    """Work counter.  One unit is charged:
+
+    - per pair taken from a completion's queue: a Buchberger pair of a
+      module completion, a J-pair signature of a rank-one signature
+      completion (queued once);
+    - per minimal pair reduced by a level of a Schreyer frame
+      (``resolve._schreyer_frame``), and per unit cancelled by
+      ``resolve.minimalize``;
+    - per standard monomial enumerated, and per generator of each monomial
+      ideal met by the ``resolve.hilbert_numerator`` recursion;
+    - per vector inserted into a ``_linalg.Echelon`` or skipped as zero
+      (the Artinian resolution steps, the Hom/Tensor ranks of Ext/Tor and
+      the socle);
+    - per basis element of an Eagon-Northcott or Koszul complex, per memo
+      entry of a ``complexes.determinant`` and per rank of
+      ``complexes.betti_rank_formula``;
+    - per product of two generators formed by ``IdealHandle.product``,
+      ``power`` included.
+
+    A cached datum is charged once, to the call that computes it.
+    Exceeding the limit is an error, never a wrong answer."""
 
     __slots__ = ("limit", "used")
 
@@ -555,18 +564,26 @@ class IdealHandle:
         self._check(other)
         return IdealHandle(self.ring, self.gens + other.gens)
 
-    def product(self, other: "IdealHandle") -> "IdealHandle":
+    def product(self, other: "IdealHandle", budget=None) -> "IdealHandle":
+        """The ideal of the products of the generators, each product charged
+        one budget unit before it is formed."""
         self._check(other)
-        # each product once, in first-occurrence order
-        gens = dict.fromkeys(a * b for a in self.gens for b in other.gens)
+        budget = _as_budget(budget)
+        gens = {}  # each product once, in first-occurrence order
+        for a in self.gens:
+            for b in other.gens:
+                budget.spend()
+                gens[a * b] = None
         return IdealHandle(self.ring, gens)
 
-    def power(self, n: int) -> "IdealHandle":
+    def power(self, n: int, budget=None) -> "IdealHandle":
+        """The n-th power, by n - 1 products with this ideal."""
         if n < 1:
             raise PreconditionError("ideal power wants an exponent >= 1")
+        budget = _as_budget(budget)
         out = self
         for _ in range(n - 1):
-            out = out.product(self)
+            out = out.product(self, budget)
         return out
 
     def intersection(self, other: "IdealHandle", budget=None) -> "IdealHandle":
@@ -626,9 +643,9 @@ def ideal_ops(op: str, left: IdealHandle, right=None, budget=None):
     if op == "sum":
         return left + right
     if op == "product":
-        return left.product(right)
+        return left.product(right, budget)
     if op == "power":
-        return left.power(int(right))
+        return left.power(int(right), budget)
     if op == "intersection":
         return left.intersection(right, budget)
     if op == "colon":

@@ -184,7 +184,7 @@ def cm_type(R, params, budget=None) -> int:
 def is_free_module(R, module: PresentedModule, budget=None):
     """(True, rank) iff the module's minimal resolution has no maps: a
     nonzero normal-form relation column never lies in J*F, so one survives
-    the minimal-subset pass whenever the module is not free."""
+    into d_1 whenever the module is not free."""
     if module.ring is not as_presentation(R):
         raise RingMismatchError("module is not presented over the given ring")
     builder = module.resolution(budget)

@@ -1,29 +1,38 @@
 """Graded free modules, syzygies, minimal free resolutions, Betti tables,
 lengths and Hilbert-series bookkeeping.
 
-Resolutions are computed syzygy-by-syzygy.  Every step keeps a minimal
-generating set (graded Nakayama greedy), so all differentials have entries of
-strictly positive weighted degree and the ranks are Betti numbers.  The
-library runs the unit-cancellation pass `minimalize` only on the
-presentation a resolution starts from; it builds no mapping cones.
-
 Differentials are `PolyMatrix` objects, whose columns are packed module
-elements, the one matrix form of the library: both routes of a step, the
-Koszul route and `minimalize` read and write them in that form.  A step
-has two routes, chosen by the ring alone.  Over a graded Artinian
-quotient (every relation homogeneous, finite staircase) F (x) R is a finite
-graded vector space on the standard monomials, so a step is sparse linear
-algebra on R's own `ArtinianModule` view: the kernel of d (x) R degree by
-degree, then a complement of R_+ times that kernel.  Over every other ring
-a step reads syzygies off the pair reductions of one module completion,
-which processes the pairs of the row block only (Schreyer), and picks the
-minimal subset with a module Groebner basis.
+elements, the one matrix form of the library: every route of a resolution
+and `minimalize` read and write them in that form.  `minimalize` is unit
+cancellation on packed columns; a resolution runs it on the presentation it
+starts from, and over a polynomial ring on the Schreyer frame it resolves
+the module by.  No option selects a route; the ring and the module do.
 
-A third route skips the steps altogether.  Over a graded ring that is not
-Artinian, a cyclic R/(f_1..f_m) with m <= n homogeneous f_i of positive
-degree that form a regular sequence (`is_regular_sequence`) is resolved
-by the Koszul complex on the f_i (Bruns-Herzog, Cor. 1.6.19), whose
-entries are the f_i up to sign, so it is minimal.
+- **Koszul.**  Over a graded ring that is not Artinian, a cyclic
+  R/(f_1..f_m) with m <= n homogeneous f_i of positive degree that form a
+  regular sequence (`is_regular_sequence`) is resolved by the Koszul
+  complex on the f_i (Bruns-Herzog, Cor. 1.6.19), whose entries are the
+  f_i up to sign, so it is minimal.
+- **Schreyer frame.**  Every other module over a polynomial ring is
+  resolved whole from the reduced Groebner basis of its columns: each level
+  of the frame takes one reduction per minimal pair of the level before,
+  and by Schreyer's lemma the frame is no longer than the number of
+  variables.  It is usually not minimal, and one `minimalize` makes it so
+  (La Scala and Stillman, J. Symbolic Comput. 26 (1998); Erocal, Motsak,
+  Schreyer and Steenpass, J. Symbolic Comput. 74 (2016)).
+- **Artinian steps.**  Over a graded Artinian quotient (every relation
+  homogeneous, finite staircase) F (x) R is a finite graded vector space on
+  the standard monomials, so a syzygy step is sparse linear algebra on R's
+  own `ArtinianModule` view: the kernel of d (x) R degree by degree, then a
+  complement of R_+ times that kernel.
+- **Syzygy steps.**  Over a ring whose relations are not Artinian a step
+  reads syzygies off the pair reductions of one module completion, which
+  processes the pairs of the row block only (Schreyer), and picks the
+  minimal subset with a module Groebner basis.
+
+Both kinds of step keep a minimal generating set (graded Nakayama greedy),
+so all differentials have entries of strictly positive weighted degree and
+the ranks are Betti numbers.
 
 A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
@@ -50,15 +59,17 @@ import itertools
 import math
 import operator
 
-from ._kernel import EXP_MASK, axpy_terms
+from ._kernel import EXP_MASK, DivisorIndex, axpy_terms, normal_form_terms
 from ._linalg import Echelon
 from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
 from .groebner import (
     GroebnerEngine,
+    _Layout,
     IdealHandle,
     ModuleContext,
     RingContext,
     _as_budget,
+    buchberger,
     lead_exponents,
     minimal_generating_subset,
     minimal_generator_count,
@@ -68,7 +79,7 @@ from .groebner import (
     staircase,
     standard_monomials,
 )
-from .polyring import RingPresentation
+from .polyring import DEG_BITS, RingPresentation
 
 
 class GradedFreeModule:
@@ -532,9 +543,9 @@ def presentation_minimalize(module: PresentedModule, budget=None):
 
 
 def _koszul_resolution(module: PresentedModule, budget):
-    """The Koszul complex on f, the minimal resolution of ``module`` with
-    its ambient twist taken as 0, when ``module`` is R/(f) as in the module
-    docstring's third route; else None."""
+    """The Koszul complex on f, every twist shifted by the ambient one: the
+    minimal resolution of ``module`` when it is R/(f) as in the module
+    docstring's Koszul route; else None."""
     ring = module.ring
     if module.ambient.rank != 1 or not ring.homogeneous:
         return None
@@ -548,22 +559,147 @@ def _koszul_resolution(module: PresentedModule, budget):
         return None
     from .complexes import _koszul_forms  # complexes imports this module
 
-    return _koszul_forms(ring, f, degrees, budget)
+    cx, twist = _koszul_forms(ring, f, degrees, budget), module.ambient.twists[0]
+    return ChainComplex(ring, [GradedFreeModule(ring, [t + twist for t in m.twists]) for m in cx.modules],
+                        cx.maps)
+
+
+class _FrameLayout(_Layout):
+    """The terms of F_k in a Schreyer frame.  The key of x^a * e_i is the
+    key in F_(k-1) of x^a * lead(g_i), g_i the i-th column of d_k, shifted
+    up by ``ModuleContext.COMP_BITS`` with the code of i below it, so the
+    key order is the induced order with ties broken by index.  F_0's keys
+    are module keys, each component's twist above the lowest added in the
+    top degree field.
+    The exponent fields of F_k lie ``shift`` = COMP_BITS * (k + 1) bits up;
+    a key's bits below them tell its component."""
+
+    __slots__ = ("shift", "shifts", "compmask", "cmask", "gmask", "guard")
+
+    def __init__(self, ring, k):
+        self.shift = shift = ModuleContext.COMP_BITS * (k + 1)
+        self.shifts = tuple(s + shift for s in ring.field_shifts)
+        self.compmask = (1 << shift) - 1
+        self.cmask, self.gmask = (m << shift for m in ring.div_mask)
+        self.guard = ring.guard << shift
+
+
+def _frame_generators(ring, cols, offsets, budget):
+    """The reduced Groebner basis of the columns, in F_0's frame layout,
+    ``offsets`` the key offset of each component code: through the
+    signature engine at rank one, else through the module engine, which
+    the offsets make order by total degree."""
+    bits, low = ModuleContext.COMP_BITS, (1 << ModuleContext.COMP_BITS) - 1
+    if len(offsets) == 1:
+        gens = [{k >> bits: c for k, c in col.items()} for col in cols]
+        basis = buchberger(gens, RingContext(ring), ring.field, budget)
+        return [{k << bits: c for k, c in g.items()} for g in basis]
+    gens = [{k + offsets[k & low]: c for k, c in col.items()} for col in cols]
+    return buchberger(gens, ModuleContext(ring, len(offsets)), ring.field, budget)
+
+
+def _frame_pairs(ring, level, index, layout):
+    """The minimal pairs of a frame level: for each element i, in order,
+    the (i, j, lcm) with j > i in i's lead component whose lcm of the
+    leads is minimal among them (the first j for equal lcms), the lcms
+    read as ring keys and ordered lex-descending."""
+    s, pairs, rctx = layout.shift, [], RingContext(ring)
+    for i, (lead, _) in enumerate(level):
+        later = index.comps[lead & layout.compmask] >> (i + 1) << (i + 1)
+        lcms = []
+        while later:
+            bit = later & -later
+            later ^= bit
+            j = bit.bit_length() - 1
+            # under one degree field a divisor's fields, and so its key, are larger
+            lcms.append((-ring.lcm_fields(lead >> s, level[j][0] >> s), j))
+        lcms.sort()
+        minimal, group = rctx.index(), []
+        for fields, j in lcms:
+            if not minimal.has_divisor(-fields):
+                minimal.append(-fields)
+                group.append((ring.decode(-fields), j))
+        group.sort(reverse=True)
+        pairs.extend((i, j, ring.lcm_key(lead >> s, level[j][0] >> s)) for _, j in group)
+    return pairs
+
+
+def _schreyer_frame(module: PresentedModule, budget) -> ChainComplex:
+    """A free resolution of ``module``, over a polynomial ring, that is
+    usually not minimal: the Schreyer frame of the reduced Groebner basis
+    of its columns (Schreyer's theorem; La Scala and Stillman, J. Symbolic
+    Comput. 26 (1998); Erocal, Motsak, Schreyer and Steenpass, J. Symbolic
+    Comput. 74 (2016)).
+
+    Each level is a Groebner basis of the syzygies of the one before, in
+    the induced order of ``_FrameLayout``, and is sorted within each lead
+    component lex-descending by lead monomial, so by Schreyer's lemma the
+    frame has length at most the number of variables.  A minimal pair
+    (i, j) of ``_frame_pairs`` gives the element with lead m*e_i: the
+    normal form of m*g_i - m'*g_j by the level, one budget unit, whose
+    (popped key, reducer, coefficient) steps are its other terms, each key
+    shifted into the next layout."""
+    ring, twists = module.ring, module.ambient.twists
+    field, p, bits = ring.field, ring.field.p, ModuleContext.COMP_BITS
+    modules, maps = [module.ambient], []
+    if not module.relations.ncols:
+        return ChainComplex(ring, modules, maps)
+    # each component's twist above the lowest, in the top degree field
+    base, low = min(twists), (1 << bits) - 1
+    offsets = [(t - base) << (ring.key_bits - DEG_BITS + bits) for t in reversed(twists)]
+    level = [(max(g), g) for g in _frame_generators(ring, module.relations.cols, offsets, budget)]
+    level.sort(key=lambda e: (e[0] & low, ring.decode(e[0] >> bits)), reverse=True)
+    cols = [{k - offsets[k & low]: c for k, c in g.items()} for _, g in level]
+    k, unit, minus = 1, field.coerce(1), field.neg(field.coerce(1))
+    while level:  # level: the columns of d_k, as (lead, terms) in F_(k-1)'s layout
+        layout = _FrameLayout(ring, k - 1)
+        s, n = layout.shift, len(level)
+        maps.append(PolyMatrix.packed(ring, modules[-1].rank, cols))
+        modules.append(GradedFreeModule(ring, [ring.key_degree(lead >> s) + base for lead, _ in level]))
+        index = layout.index(level)
+        nxt = []
+        for i, j, lcm in _frame_pairs(ring, level, index, layout):
+            (lead_i, g_i), (lead_j, g_j) = level[i], level[j]
+            key = (lcm << s) | (lead_i & layout.compmask)
+            work, steps = {}, []
+            axpy_terms(work, g_i, 1, key - lead_i, p, layout.guard)
+            axpy_terms(work, g_j, -1, key - lead_j, p, layout.guard)
+            budget.spend()
+            normal_form_terms(work, index, p, layout.guard, steps=steps)  # zero: a Groebner basis
+            key <<= bits
+            syz = {key | (n - 1 - i): unit, key | (n - 1 - j): minus}
+            for t, l, c in steps:
+                syz[(t << bits) | (n - 1 - l)] = field.neg(c)
+            nxt.append((key | (n - 1 - i), syz))
+        # the columns of d_(k+1): x^a * e_l has the key of x^a * lead(g_l) above l's code
+        leads = [lead for lead, _ in level]
+        cols = [{((((t >> bits) - leads[n - 1 - (t & low)]) >> s) + ring.one_key) << bits | (t & low): c
+                 for t, c in g.items()} for _, g in nxt]
+        level, k = nxt, k + 1
+    return ChainComplex(ring, modules, maps)
 
 
 class ResolutionBuilder:
-    """Incremental minimal free resolution: one syzygy step at a time.
+    """Minimal free resolution of a module, by one of four routes chosen by
+    the ring and the module alone; no option selects one.
 
-    Each step keeps a minimal generating set, so the produced differentials
-    have positive-degree entries throughout and ranks are Betti numbers.
-    The ring's relations are divided out, by linear algebra over a graded
-    Artinian ring and by lift-to-ambient syzygies over any other; over a
-    proper quotient minimal resolutions are generally infinite.  ``budget``
-    pays for the first step only; each ``extend`` charges its caller's.
+    Every route starts from ``presentation_minimalize``.  Two resolve the
+    module whole at construction:
 
-    A cyclic R/(f), f a homogeneous regular sequence of m <= n elements of
-    positive degree over a graded R that is not Artinian, is resolved whole
-    at construction by the Koszul complex on f (``_koszul_resolution``).
+    - a cyclic R/(f), f a homogeneous regular sequence of m <= n elements
+      of positive degree over a graded R that is not Artinian, by the
+      Koszul complex on f (``_koszul_resolution``);
+    - every other module over a polynomial ring by one Schreyer frame
+      (``_schreyer_frame``), cut down by ``minimalize``.
+
+    The other two go one syzygy step at a time, each step keeping a minimal
+    generating set, so the differentials have positive-degree entries and
+    the ranks are Betti numbers: linear algebra over a graded Artinian ring
+    (``_artinian_step``), and lift-to-ambient syzygies over any other ring
+    with relations (``_syzygy_step``), whose minimal resolutions are
+    generally infinite.  ``budget`` pays for what construction computes,
+    the whole resolution on the first two routes and the first step on the
+    others; each ``extend`` charges its caller's.
     """
 
     def __init__(self, module: PresentedModule, budget=None):
@@ -580,11 +716,11 @@ class ResolutionBuilder:
         if ring.relations and ring.homogeneous:
             with contextlib.suppress(NotArtinianError):  # an infinite staircase
                 self._artinian = PresentedModule.free(ring).target(budget)
-        koszul = None if self._artinian is not None else _koszul_resolution(module, budget)
-        if koszul is not None:
-            self.maps = koszul.maps
-            self.modules = [GradedFreeModule(ring, [t + twists0[0] for t in m.twists])
-                            for m in koszul.modules]
+        whole = None if self._artinian is not None else _koszul_resolution(module, budget)
+        if whole is None and not ring.relations:
+            whole = minimalize(_schreyer_frame(module, budget), budget)
+        if whole is not None:
+            self.maps, self.modules = whole.maps, whole.modules
             self._next, self.complete = None, True
             return
         # the next differential and its column degrees, computed but not
@@ -671,51 +807,100 @@ def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
     entry cancelled.  Idempotent on already-minimal complexes.  Each
     cancellation costs one budget unit.
 
-    Each map is worked on as its columns, unpacked into lists of entries
-    reduced modulo the relations, and packed again at the end.  Units are
-    taken in order of map, then row, then column; a cancellation rewrites
-    only the columns with an entry in the pivot row."""
-    ring, one = complex.ring, complex.ring.one_key
+    The maps are worked on as packed columns, every entry reduced modulo the
+    relations.  Units are taken in order of map, then row, then column; a
+    cancellation at (r, c) adds to each column with an entry e in row r
+    -e/u times the pivot column, one ``axpy_terms`` per term of e, and
+    deletes row r, column c and their neighbours' matching column and row.
+    Rows and columns keep their first numbering until the end, when the
+    surviving ones are renumbered once."""
+    ring, field = complex.ring, complex.ring.field
+    p, bits = field.p, ModuleContext.COMP_BITS
+    low, guard = (1 << bits) - 1, ring.guard << bits
+    bound = (ring.one_key + 1) << bits  # the keys of constant entries lie below it
     budget = _as_budget(budget)
-    relh = relations_ideal(ring) if ring.relations else None
-    nf = (lambda p: relh.normal_form(p, budget)) if relh else (lambda p: p)
-    mats = [[list(map(nf, ModuleContext(ring, m.nrows).to_column(col))) for col in m.cols]
-            for m in complex.maps]
-    twists = [list(m.twists) for m in complex.modules]
+    ranks = [m.rank for m in complex.modules]
+    cols = [dict(enumerate(map(dict, m.cols))) for m in complex.maps]
+    blind = None
+    if ring.relations and any(m.nrows and m.ncols for m in complex.maps):
+        # J's reducers in every component at once: below its exponent fields a
+        # key holds its component, which a multiple of a reducer keeps
+        index = relations_ideal(ring).divisor_index(budget)
+        blind = DivisorIndex(tuple(s + bits for s in index.shifts), 0,
+                             index.cmask << bits, index.gmask << bits)
+        for lead, terms in zip(index.leads, index.terms):
+            blind.append(lead << bits, {k << bits: c for k, c in terms.items()})
+        for mcols in cols:
+            for c, col in mcols.items():
+                mcols[c] = normal_form_terms(col, blind, p, guard)
 
-    def find_unit(start):
+    def track(munits, c, col):
+        # munits[c]: the row codes of column c whose entry is a nonzero
+        # constant and nothing else, when there are any
+        u = ()
+        if col and min(col) < bound:
+            codes = [k & low for k in col]
+            u = [k & low for k in col if k < bound and codes.count(k & low) == 1]
+        if u:
+            munits[c] = u
+        else:
+            munits.pop(c, None)
+
+    units = [{} for _ in cols]
+    for munits, mcols in zip(units, cols):
+        for c, col in mcols.items():
+            track(munits, c, col)
+    alive = [[True] * r for r in ranks]
+    idx = 0
+    while True:
         # a cancellation in map idx rewrites only map idx and deletes a row
         # or column of its neighbours, so maps before idx gain no unit
-        for idx in range(start, len(mats)):
-            units = [(r, c) for c, col in enumerate(mats[idx])
-                     for r, p in enumerate(col) if p.terms.keys() == {one}]
-            if units:
-                return (idx, *min(units))
-        return None
-
-    idx = 0
-    while (hit := find_unit(idx)) is not None:
+        while idx < len(cols) and not units[idx]:
+            idx += 1
+        if idx == len(cols):
+            break
         budget.spend()
-        idx, r, c = hit
-        pivot = mats[idx].pop(c)
-        u_inv = ring.field.inv(pivot.pop(r).terms[one])
-        for col in mats[idx]:
-            e = col.pop(r)
-            if e:
-                for i, p in enumerate(pivot):
-                    if p:
-                        col[i] = nf(col[i] - p.scale(u_inv) * e)
-        for col in mats[idx + 1] if idx + 1 < len(mats) else ():
-            del col[c]
-        if idx:
-            del mats[idx - 1][r]
-        del twists[idx][r], twists[idx + 1][c]
+        r, c = min((ranks[idx] - 1 - max(u), c) for c, u in units[idx].items())
+        code, mcols, munits = ranks[idx] - 1 - r, cols[idx], units[idx]
+        pivot, ukey = mcols.pop(c), (ring.one_key << bits) | code
+        del munits[c]
+        scale = field.neg(field.inv(pivot.pop(ukey)))
+        for cc, col in mcols.items():
+            entry = [(k, v) for k, v in col.items() if k & low == code]
+            if not entry:
+                continue
+            acc = col if blind is None else {}
+            for k, v in entry:
+                del col[k]
+                axpy_terms(acc, pivot, scale * v, k - ukey, p, guard)
+            if blind is not None:
+                axpy_terms(col, normal_form_terms(acc, blind, p, guard), 1, 0, p, guard)
+            track(munits, cc, col)
+        if idx + 1 < len(cols):  # row c of the next map
+            code_c = ranks[idx + 1] - 1 - c
+            for cc, col in cols[idx + 1].items():
+                if drop := [k for k in col if k & low == code_c]:
+                    for k in drop:
+                        del col[k]
+                    track(units[idx + 1], cc, col)
+        if idx:  # column r of the previous map, which holds no unit
+            del cols[idx - 1][r]
+        alive[idx][r] = alive[idx + 1][c] = False
 
+    twists = [[t for t, a in zip(m.twists, keep) if a] for m, keep in zip(complex.modules, alive)]
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
-        mats.pop()
-    maps = [PolyMatrix.packed(ring, len(t), map(ModuleContext(ring, len(t)).from_column, m))
-            for t, m in zip(twists, mats)]
+        cols.pop()
+    maps = []
+    for i, mcols in enumerate(cols):
+        nrows = len(twists[i])
+        if nrows == ranks[i]:
+            out = list(mcols.values())
+        else:
+            rows = [r for r in range(ranks[i]) if alive[i][r]]
+            recode = {ranks[i] - 1 - r: nrows - 1 - n for n, r in enumerate(rows)}
+            out = [{k - (k & low) + recode[k & low]: v for k, v in col.items()} for col in mcols.values()]
+        maps.append(PolyMatrix.packed(ring, nrows, out))
     return ChainComplex(ring, [GradedFreeModule(ring, t) for t in twists], maps)
 
 

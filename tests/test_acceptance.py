@@ -37,8 +37,8 @@ CRITERIA = {
 # case id -> budget units the case spends at seed 0: the work of each case,
 # pinned, so a change that does more or less work shows here
 UNITS = {
-    "c01_minimal_resolution": 13,
-    "c02_betti_formula": 420,
+    "c01_minimal_resolution": 11,
+    "c02_betti_formula": 364,
     "c03_toric_kernel": 66,
     "c04_ulrich_instances": 341,
     "c05_power_minors": 573,

@@ -9,10 +9,9 @@ of text) and calls ``cak.cli.main`` with ``--budget 20000`` inside a
 3: argparse's own usage exit counts as 2, and any other exception escaping
 ``main`` fails the test.
 
-Integers are drawn from -1 to 13.  Two commands charge no budget for work
-that grows fast with an integer argument (``betti-formula`` with v in the
-thousands, ``ideal-op --op power`` with an exponent in the hundreds), so
-larger values would test the machine's patience rather than the CLI.
+Integers are drawn from -1 to 13 and from the hundreds and thousands, so
+that work growing with an integer argument (the ranks of ``betti-formula``,
+the products of ``ideal-op --op power``) meets the budget.
 """
 
 import json
@@ -29,7 +28,7 @@ from test_readme_cli import FIXTURES, readme_commands
 
 WORKLOADS_PY = pathlib.Path(__file__).resolve().parent.parent / "cakbench" / "workloads.py"
 RUNS = 300
-INTEGERS = ["-1", "0", "1", "2", "3", "5", "8", "13"]
+INTEGERS = ["-1", "0", "1", "2", "3", "5", "8", "13", "300", "3000"]
 CHARS = "xyzwXYZWabcdt0123456789+-*^/;,() "
 TEXTS = ["", "0", "1", ";", "x", "X^40000", "1/0", "((", "é"]
 

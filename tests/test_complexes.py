@@ -286,6 +286,24 @@ def test_betti_rank_formula_values(vrd, want):
     assert betti_rank_formula(*vrd) == want
 
 
+def test_betti_rank_formula_matches_the_full_sum():
+    """The sum over j from 0 to v-r-d, with beta_k = 0 outside 0..r, is
+    the reference; each rank costs one unit."""
+
+    def full(v, r, d):
+        e = v - r - d
+        beta = [1] + [k * math.comb(r + 1, k + 1) for k in range(1, r + 1)]
+        return tuple(sum(beta[i - j] * math.comb(e, j) for j in range(e + 1) if 0 <= i - j <= r)
+                     for i in range(v - d + 1))
+
+    for v, r, d in [(4, 2, 1), (6, 3, 1), (30, 3, 2), (300, 2, 1), (40, 30, 5), (9, 1, 0)]:
+        budget = Budget()
+        assert betti_rank_formula(v, r, d, budget) == full(v, r, d)
+        assert budget.used == v - d + 1
+    with pytest.raises(ResourceLimitError):
+        betti_rank_formula(4, 2, 1, Budget(3))
+
+
 def test_betti_rank_formula_mu_equals_v_case():
     # when v - r - d = 0 the ranks are i * binom(r+1, i+1) and end at r
     for r in (1, 2, 3, 4):

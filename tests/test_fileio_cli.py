@@ -153,9 +153,11 @@ def test_cli_betti_formula(capsys):
 
 
 def test_cli_betti_formula_takes_the_global_budget(capsys):
-    # a closed formula spends no work, so even a zero budget suffices
-    assert main(["betti-formula", "4", "2", "1", "--budget", "0"]) == 0
+    # each of the four ranks costs one unit
+    assert main(["betti-formula", "4", "2", "1", "--budget", "4"]) == 0
     assert capsys.readouterr() == ("[1, 4, 5, 2]\n", "")
+    assert main(["betti-formula", "4", "2", "1", "--budget", "3"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_cli_ulrich_exit_codes(r1_file, capsys):

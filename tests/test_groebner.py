@@ -54,6 +54,22 @@ def test_powers_list_each_product_once():
     assert square.equal(m.product(m))
 
 
+def test_products_are_charged_before_they_are_formed():
+    """One unit per product of two generators: 16 for m*m, then 10 * 4
+    more for m^3, whose square lists 10 generators; a budget one short
+    stops the power."""
+    ring = RingPresentation(["x1", "x2", "x3", "x4"], [1] * 4)
+    m = IdealHandle(ring, PL(ring, "x1; x2; x3; x4"))
+    budget = Budget()
+    m.product(m, budget)
+    assert budget.used == 16
+    budget = Budget()
+    assert len(ideal_ops("power", m, 3, budget).gens) == 20
+    assert budget.used == 56
+    with pytest.raises(ResourceLimitError):
+        ideal_ops("power", m, 3, Budget(55))
+
+
 def test_normal_form_examples(kxy):
     ring = RingPresentation(["x1", "x2"], [1, 1])
     Q2 = IdealHandle(ring, PL(ring, "x1; x2")).power(2)

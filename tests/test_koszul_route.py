@@ -6,8 +6,9 @@ resolved by the Koszul complex on f (Bruns-Herzog 1.6.19), with no syzygy
 step.  The oracle is the Groebner syzygy step ``resolve._syzygy_step``,
 iterated from the 1 x m matrix of f with the column degrees carried along.
 Both Betti tables must agree, and ``verify_resolution`` must certify the
-Koszul one.  Inputs outside the route keep the Groebner route, whose tables
-are pinned here too.
+Koszul one.  Inputs outside the route keep the Groebner route, which over a
+polynomial ring minimalizes one Schreyer frame; its tables are pinned here
+too.
 """
 
 import random
@@ -34,17 +35,17 @@ from test_min_subset import random_form
 
 @pytest.fixture
 def groebner_passes(monkeypatch):
-    """Counts the minimal-subset passes of the Groebner route, which opens
-    the first step and closes every syzygy step; the Koszul and Artinian
-    routes take none.  The tests read the count before the oracle runs."""
+    """Counts the Schreyer frames of the Groebner route over a polynomial
+    ring, one per resolution; the Koszul and Artinian routes build none.
+    The tests read the count before the oracle runs."""
     calls = []
-    original = resolve._minimal_columns
+    original = resolve._schreyer_frame
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(resolve, "_minimal_columns", counting)
+    monkeypatch.setattr(resolve, "_schreyer_frame", counting)
     return calls
 
 
@@ -142,7 +143,7 @@ def test_fallbacks_keep_the_groebner_route(kxy, groebner_passes, gens, twist, ro
     module = cyclic(kxy, gens, twist)
     calls.clear()
     res = minimal_free_resolution(module)
-    assert calls  # a Groebner minimal-subset pass was taken
+    assert calls  # a Schreyer frame was built
     assert res.betti.as_rows() == rows
     if rows:  # the zero module is no cokernel of a map to the rank-one ambient
         assert verify_resolution(res.complex, module).ok

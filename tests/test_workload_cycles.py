@@ -21,7 +21,7 @@ WORKLOADS_PY = pathlib.Path(__file__).resolve().parent.parent / "cakbench" / "wo
 
 CYCLES = {  # workload: (hash of the outputs of ops 0-19, summed units)
     "gb-dense": ("c0a84c063caa76da", 595),
-    "resolve-poly": ("89f1c2b151f8595b", 950),
+    "resolve-poly": ("89f1c2b151f8595b", 744),
     "ext-tor-artinian": ("2a19fdb1cd6cc0cf", 28582),
     "cli-small": ("84854063009471a4", 0),
 }

@@ -189,10 +189,9 @@ class DivisorIndex:
         return False
 
 
-def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1, steps=None):
+def normal_form_terms(f, index, p, guard, sig=None, sigs=None, steps=None):
     """Full normal form of term dict ``f`` against the reducers of ``index``
-    (a :class:`DivisorIndex` of monic term dicts, lead included) within the
-    bitset ``mask``.
+    (a :class:`DivisorIndex` of monic term dicts, lead included).
 
     The divisor with the smallest list index is always chosen, so the
     procedure is deterministic for a fixed reducer list even when it is not
@@ -228,8 +227,8 @@ def normal_form_terms(f, index, p, guard, sig=None, sigs=None, mask=-1, steps=No
         c = work[m] if p is None else work[m] % p
         if not c:
             continue
-        # index.candidates(m, mask), inline
-        bits = comps.get(m & compmask, 0) & mask
+        # index.candidates(m), inline
+        bits = comps.get(m & compmask, 0)
         if bits:
             over = 0
             try:

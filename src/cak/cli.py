@@ -146,8 +146,12 @@ def cmd_resolve(args, budget):
 
 
 def cmd_betti_formula(args, budget):
-    ranks = betti_rank_formula(args.v, args.r, args.d, budget)
-    _emit(args, list(ranks), [json.dumps(list(ranks))])
+    ranks = list(betti_rank_formula(args.v, args.r, args.d, budget))
+    try:
+        text = json.dumps(ranks)
+    except ValueError as e:  # a rank past the interpreter's limit on int-to-text conversion
+        raise ResourceLimitError(f"a Betti rank is too long to print: {e}") from None
+    _emit(args, ranks, [text])
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Groebner engine and ideal-level operations.
 
 One engine serves polynomial rings and free modules: a term position is a
-single int key (see :mod:`cak.polyring`), and a "context" object supplies the
-layout constants (component mask, exponent-field shifts and masks, guard
-bits).  Module keys put the component rank in the low 32 bits and, for
+single int key (see :mod:`cak.polyring`), laid out by one class,
+:class:`RingContext`: exponent fields ``shift`` bits up, over component
+bits.  Module keys put the component rank in the low 32 bits and, for
 syzygy elimination, a block bit above the monomial part so that target
 components dominate.
 
@@ -98,13 +98,24 @@ def _as_budget(budget) -> Budget:
     return Budget(budget)
 
 
-class _Layout:
-    """What a term layout tells a :class:`~cak._kernel.DivisorIndex`: the
-    bit offset of each variable's exponent field (``shifts``), the component
-    bits (``compmask``) and the exponent fields with their guard bits
-    (``cmask``, ``gmask``)."""
+class RingContext:
+    """The layout of term keys: exponent fields ``shift`` bits up, over the
+    component bits ``compmask``.  It derives what a
+    :class:`~cak._kernel.DivisorIndex` reads (``shifts``, ``cmask``,
+    ``gmask``) and the guard of a product (``guard``), builds the index and
+    takes lcms.  Polynomial keys lie at shift 0 and module keys
+    (:class:`ModuleContext`) at ``COMP_BITS``; level k of a Schreyer frame
+    lies at COMP_BITS * (k + 1) over every lower bit, and
+    ``resolve.minimalize`` reduces all components by J at ``COMP_BITS``
+    over none."""
 
-    __slots__ = ()
+    __slots__ = ("ring", "shift", "compmask", "shifts", "cmask", "gmask", "guard")
+
+    def __init__(self, ring: RingPresentation, shift: int = 0, compmask: int = 0):
+        self.ring, self.shift, self.compmask = ring, shift, compmask
+        self.shifts = tuple(s + shift for s in ring.field_shifts)
+        self.cmask, self.gmask = (m << shift for m in ring.div_mask)
+        self.guard = ring.guard << shift
 
     def index(self, entries=()) -> DivisorIndex:
         """A divisor index over this layout holding the (lead, terms) pairs
@@ -114,21 +125,17 @@ class _Layout:
             index.append(lead, terms)
         return index
 
-
-class RingContext(_Layout):
-    """Layout facade for polynomial (rank-one) term keys."""
-
-    __slots__ = ("ring", "compmask", "shifts", "cmask", "gmask", "guard")
-
-    def __init__(self, ring: RingPresentation):
-        self.ring = ring
-        self.compmask = 0
-        self.shifts = ring.field_shifts
-        self.cmask, self.gmask = ring.div_mask
-        self.guard = ring.guard
+    def lcm(self, k1: int, k2: int):
+        """The key of the lcm of two keys of one component; None for two
+        components."""
+        s, comp = self.shift, self.compmask
+        if (k1 ^ k2) & comp:
+            return None
+        mono = self.ring.lcm_key((k1 & ~comp) >> s, (k2 & ~comp) >> s)
+        return (mono << s) | (k1 & comp)
 
 
-class ModuleContext(_Layout):
+class ModuleContext(RingContext):
     """Layout for terms of a free module of rank ``ncomp``.
 
     The first ``fhigh`` components form the dominant order block (used to
@@ -140,23 +147,16 @@ class ModuleContext(_Layout):
 
     COMP_BITS = 32
 
-    __slots__ = (
-        "ring", "ncomp", "fhigh", "twists", "blockbit", "compmask", "shifts", "cmask", "gmask",
-        "guard", "_rk_mask",
-    )
+    __slots__ = ("ncomp", "fhigh", "twists", "blockbit", "_rk_mask")
 
     def __init__(self, ring: RingPresentation, ncomp: int, fhigh: int = 0, twists=None):
         if ncomp >= 1 << self.COMP_BITS:
             raise CakError("module rank too large")
-        self.ring = ring
         self.ncomp = ncomp
         self.fhigh = fhigh
         self.twists = (0,) * ncomp if twists is None else tuple(twists)
         self.blockbit = 1 << (self.COMP_BITS + ring.key_bits)
-        self.compmask = ((1 << self.COMP_BITS) - 1) | self.blockbit
-        self.shifts = tuple(s + self.COMP_BITS for s in ring.field_shifts)
-        self.cmask, self.gmask = (m << self.COMP_BITS for m in ring.div_mask)
-        self.guard = ring.guard << self.COMP_BITS
+        super().__init__(ring, self.COMP_BITS, ((1 << self.COMP_BITS) - 1) | self.blockbit)
         self._rk_mask = (1 << ring.key_bits) - 1
 
     def key(self, comp: int, mono_key: int) -> int:
@@ -169,13 +169,6 @@ class ModuleContext(_Layout):
         comp = self.ncomp - 1 - (key & ((1 << self.COMP_BITS) - 1))
         mono = (key >> self.COMP_BITS) & self._rk_mask
         return comp, mono
-
-    def lcm(self, k1: int, k2: int):
-        if (k1 ^ k2) & self.compmask:
-            return None
-        bits, mask = self.COMP_BITS, self._rk_mask
-        mono = self.ring.lcm_key((k1 >> bits) & mask, (k2 >> bits) & mask)
-        return (mono << bits) | (k1 & self.compmask)
 
     def degree(self, key: int) -> int:
         comp, mono = self.decode(key)
@@ -244,7 +237,7 @@ def _monic(terms: dict, field: Field) -> dict:
 class GroebnerEngine:
     """Groebner completion over one term layout.
 
-    Rank-one input (a :class:`RingContext`) goes through
+    Rank-one input (a :class:`RingContext` at shift 0) goes through
     :meth:`add_generators`, a signature-based completion.  Module input
     goes through the incremental Buchberger loop of :meth:`add_raw`,
     :meth:`add` and :meth:`complete`: normal pair strategy (minimal lcm
@@ -450,22 +443,23 @@ class GroebnerEngine:
             lk = self.leads[t]
             if not survivors.has_divisor(lk):
                 survivors.append(lk, self.G[t])
-        p, guard = self.field.p, self.ctx.guard
-        return [
-            _monic(normal_form_terms(terms, survivors, p, guard, mask=~(1 << q)), self.field)
-            for q, terms in enumerate(survivors.terms)
-        ]
+        # a survivor is monic, and a lead divides no smaller key: only tails reduce
+        p, guard, out = self.field.p, self.ctx.guard, []
+        for lead, terms in zip(survivors.leads, survivors.terms):
+            tail = dict(terms)
+            out.append({lead: tail.pop(lead), **normal_form_terms(tail, survivors, p, guard)})
+        return out
 
 
 def buchberger(gens, ctx, field: Field, budget=None) -> list[dict]:
     """Reduced Groebner basis of the given term dicts."""
     engine = GroebnerEngine(ctx, field, _as_budget(budget))
-    if isinstance(ctx, RingContext):
-        engine.add_generators(gens)
-    else:
+    if isinstance(ctx, ModuleContext):
         for g in gens:
             engine.add_raw(g)
         engine.complete()
+    else:
+        engine.add_generators(gens)
     return engine.reduced_basis()
 
 

@@ -59,12 +59,11 @@ import itertools
 import math
 import operator
 
-from ._kernel import EXP_MASK, DivisorIndex, axpy_terms, normal_form_terms
+from ._kernel import EXP_MASK, axpy_terms, normal_form_terms
 from ._linalg import Echelon
 from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
 from .groebner import (
     GroebnerEngine,
-    _Layout,
     IdealHandle,
     ModuleContext,
     RingContext,
@@ -564,26 +563,6 @@ def _koszul_resolution(module: PresentedModule, budget):
                         cx.maps)
 
 
-class _FrameLayout(_Layout):
-    """The terms of F_k in a Schreyer frame.  The key of x^a * e_i is the
-    key in F_(k-1) of x^a * lead(g_i), g_i the i-th column of d_k, shifted
-    up by ``ModuleContext.COMP_BITS`` with the code of i below it, so the
-    key order is the induced order with ties broken by index.  F_0's keys
-    are module keys, each component's twist above the lowest added in the
-    top degree field.
-    The exponent fields of F_k lie ``shift`` = COMP_BITS * (k + 1) bits up;
-    a key's bits below them tell its component."""
-
-    __slots__ = ("shift", "shifts", "compmask", "cmask", "gmask", "guard")
-
-    def __init__(self, ring, k):
-        self.shift = shift = ModuleContext.COMP_BITS * (k + 1)
-        self.shifts = tuple(s + shift for s in ring.field_shifts)
-        self.compmask = (1 << shift) - 1
-        self.cmask, self.gmask = (m << shift for m in ring.div_mask)
-        self.guard = ring.guard << shift
-
-
 def _frame_generators(ring, cols, offsets, budget):
     """The reduced Groebner basis of the columns, in F_0's frame layout,
     ``offsets`` the key offset of each component code: through the
@@ -601,8 +580,9 @@ def _frame_generators(ring, cols, offsets, budget):
 def _frame_pairs(ring, level, index, layout):
     """The minimal pairs of a frame level: for each element i, in order,
     the (i, j, lcm) with j > i in i's lead component whose lcm of the
-    leads is minimal among them (the first j for equal lcms), the lcms
-    read as ring keys and ordered lex-descending."""
+    leads is minimal among them (the first j for equal lcms), ordered
+    lex-descending by lcm monomial; ``lcm`` is the key of the lcm in the
+    level's layout."""
     s, pairs, rctx = layout.shift, [], RingContext(ring)
     for i, (lead, _) in enumerate(level):
         later = index.comps[lead & layout.compmask] >> (i + 1) << (i + 1)
@@ -620,7 +600,7 @@ def _frame_pairs(ring, level, index, layout):
                 minimal.append(-fields)
                 group.append((ring.decode(-fields), j))
         group.sort(reverse=True)
-        pairs.extend((i, j, ring.lcm_key(lead >> s, level[j][0] >> s)) for _, j in group)
+        pairs.extend((i, j, layout.lcm(lead, level[j][0])) for _, j in group)
     return pairs
 
 
@@ -631,14 +611,19 @@ def _schreyer_frame(module: PresentedModule, budget) -> ChainComplex:
     Comput. 26 (1998); Erocal, Motsak, Schreyer and Steenpass, J. Symbolic
     Comput. 74 (2016)).
 
-    Each level is a Groebner basis of the syzygies of the one before, in
-    the induced order of ``_FrameLayout``, and is sorted within each lead
-    component lex-descending by lead monomial, so by Schreyer's lemma the
-    frame has length at most the number of variables.  A minimal pair
-    (i, j) of ``_frame_pairs`` gives the element with lead m*e_i: the
-    normal form of m*g_i - m'*g_j by the level, one budget unit, whose
-    (popped key, reducer, coefficient) steps are its other terms, each key
-    shifted into the next layout."""
+    F_k's layout is ``RingContext(ring, s, (1 << s) - 1)``, s = COMP_BITS *
+    (k + 1): the key of x^a * e_i is the key in F_(k-1) of x^a * lead(g_i),
+    g_i the i-th column of d_k, shifted up over the code of i, so the key
+    order is the induced order with ties broken by index.  F_0's keys are
+    module keys, each component's twist above the lowest added in the top
+    degree field.  Each level is a Groebner basis of the syzygies of the one
+    before, in the induced order, and is sorted within each lead component
+    lex-descending by lead monomial, so by Schreyer's lemma the frame has
+    length at most the number of variables.  A minimal pair (i, j) of
+    ``_frame_pairs`` gives the element with lead m*e_i: the normal form of
+    m*g_i - m'*g_j by the level, one budget unit, whose (popped key,
+    reducer, coefficient) steps are its other terms, each key shifted into
+    the next layout."""
     ring, twists = module.ring, module.ambient.twists
     field, p, bits = ring.field, ring.field.p, ModuleContext.COMP_BITS
     modules, maps = [module.ambient], []
@@ -652,15 +637,14 @@ def _schreyer_frame(module: PresentedModule, budget) -> ChainComplex:
     cols = [{k - offsets[k & low]: c for k, c in g.items()} for _, g in level]
     k, unit, minus = 1, field.coerce(1), field.neg(field.coerce(1))
     while level:  # level: the columns of d_k, as (lead, terms) in F_(k-1)'s layout
-        layout = _FrameLayout(ring, k - 1)
-        s, n = layout.shift, len(level)
+        s, n = bits * k, len(level)
+        layout = RingContext(ring, s, (1 << s) - 1)
         maps.append(PolyMatrix.packed(ring, modules[-1].rank, cols))
         modules.append(GradedFreeModule(ring, [ring.key_degree(lead >> s) + base for lead, _ in level]))
         index = layout.index(level)
         nxt = []
-        for i, j, lcm in _frame_pairs(ring, level, index, layout):
+        for i, j, key in _frame_pairs(ring, level, index, layout):
             (lead_i, g_i), (lead_j, g_j) = level[i], level[j]
-            key = (lcm << s) | (lead_i & layout.compmask)
             work, steps = {}, []
             axpy_terms(work, g_i, 1, key - lead_i, p, layout.guard)
             axpy_terms(work, g_j, -1, key - lead_j, p, layout.guard)
@@ -816,20 +800,21 @@ def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
     surviving ones are renumbered once."""
     ring, field = complex.ring, complex.ring.field
     p, bits = field.p, ModuleContext.COMP_BITS
-    low, guard = (1 << bits) - 1, ring.guard << bits
+    # below its exponent fields a key holds its component, which a multiple
+    # of a reducer keeps: this layout reduces every component at once
+    layout = RingContext(ring, bits)
+    low, guard = (1 << bits) - 1, layout.guard
     bound = (ring.one_key + 1) << bits  # the keys of constant entries lie below it
     budget = _as_budget(budget)
     ranks = [m.rank for m in complex.modules]
     cols = [dict(enumerate(map(dict, m.cols))) for m in complex.maps]
     blind = None
     if ring.relations and any(m.nrows and m.ncols for m in complex.maps):
-        # J's reducers in every component at once: below its exponent fields a
-        # key holds its component, which a multiple of a reducer keeps
         index = relations_ideal(ring).divisor_index(budget)
-        blind = DivisorIndex(tuple(s + bits for s in index.shifts), 0,
-                             index.cmask << bits, index.gmask << bits)
-        for lead, terms in zip(index.leads, index.terms):
-            blind.append(lead << bits, {k << bits: c for k, c in terms.items()})
+        blind = layout.index(
+            (lead << bits, {k << bits: c for k, c in terms.items()})
+            for lead, terms in zip(index.leads, index.terms)
+        )
         for mcols in cols:
             for c, col in mcols.items():
                 mcols[c] = normal_form_terms(col, blind, p, guard)

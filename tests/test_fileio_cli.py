@@ -160,6 +160,24 @@ def test_cli_betti_formula_takes_the_global_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-text limit before 3.10.7")
+def test_cli_betti_formula_past_the_int_to_text_limit_exits_3(capsys):
+    """At v = 14,400 a rank has more than 4,300 digits, Python's default
+    limit on int-to-text conversion: a CLI error and exit 3, not a
+    traceback.  v = 1,000 still prints."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["betti-formula", "14400", "2", "1", "--budget", "20000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: a Betti rank is too long to print")
+        assert main(["betti-formula", "1000", "2", "1"]) == 0
+    finally:
+        sys.set_int_max_str_digits(old)
+    ranks = json.loads(capsys.readouterr().out)
+    assert len(ranks) == 1000 and ranks[:3] == [1, 1000, 499499] and ranks[-1] == 2
+
+
 def test_cli_ulrich_exit_codes(r1_file, capsys):
     assert main([
         "ulrich", "--ring", r1_file, "--ideal", "X; Z; W",

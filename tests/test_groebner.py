@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cak import Polynomial, RingPresentation, parse_poly
-from cak.errors import NotArtinianError, ResourceLimitError
+from cak.errors import CakError, NotArtinianError, ResourceLimitError
 from cak.groebner import (
     Budget,
     IdealHandle,
@@ -202,6 +202,14 @@ def test_module_lcm_keeps_the_component():
     for comp in range(3):
         assert ctx.lcm(ctx.key(comp, a), ctx.key(comp, b)) == ctx.key(comp, want)
     assert ctx.lcm(ctx.key(0, a), ctx.key(1, b)) is None
+
+
+def test_a_module_rank_past_the_component_bits_is_refused():
+    """The guard runs before anything is built, so no 2^32 components are
+    needed to reach it."""
+    ring = RingPresentation(["x"], [1])
+    with pytest.raises(CakError, match="module rank too large"):
+        ModuleContext(ring, 1 << ModuleContext.COMP_BITS)
 
 
 def test_buchberger_criterion_on_output(kxyz):

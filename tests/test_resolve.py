@@ -283,6 +283,17 @@ def test_resolution_over_quotient_requires_bound(r1_ring):
         minimal_free_resolution(M)
 
 
+def test_a_finite_resolution_over_a_quotient_ends_in_extend():
+    """R^2/(x e_1, x e_2) over the domain k[x,y,z]/(xz - y^2) takes the
+    syzygy steps: x is a nonzerodivisor, so the step after d_1 finds no
+    kernel and the resolution ends there, complete inside its bound."""
+    ring = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=["x*z - y^2"])
+    mat = PolyMatrix(ring, [PL(ring, "x; 0"), PL(ring, "0; x")])
+    res = minimal_free_resolution(PresentedModule(ring, GradedFreeModule(ring, (0, 0)), mat), max_length=3)
+    assert res.complete and res.total_ranks() == (2, 2)
+    assert res.betti.as_rows() == [[0, 0, 2], [1, 1, 2]]
+
+
 def test_resolution_of_rank_two_module(kxy):
     # coker of [[x, y^2], [y, 0]]: a non-cyclic graded module
     amb = GradedFreeModule(kxy, (0, 0))

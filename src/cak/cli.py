@@ -140,7 +140,7 @@ def cmd_resolve(args, budget):
     if args.command == "betti":
         lines = [res.betti.format_macaulay()]
         if not res.complete:
-            lines.append(f"(truncated at length {res.complex.length})")
+            lines.append(f"(truncated at length {len(res.total_ranks()) - 1})")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -61,7 +61,8 @@ class Budget:
       completion (queued once);
     - per minimal pair reduced by a level of a Schreyer frame
       (``resolve._schreyer_frame``), and per unit cancelled by
-      ``resolve.minimalize``;
+      ``resolve.minimalize``, which the frame route charges when it reads
+      the frame's constant ranks, before it minimalizes;
     - per standard monomial enumerated, and per generator of each monomial
       ideal met by the ``resolve.hilbert_numerator`` recursion;
     - per vector inserted into a ``_linalg.Echelon`` or skipped as zero
@@ -141,8 +142,10 @@ class ModuleContext(RingContext):
     The first ``fhigh`` components form the dominant order block (used to
     read syzygies off an elimination Groebner basis); with ``fhigh=0`` the
     order is plain term-over-position with earlier components breaking ties.
-    ``twists`` are the degrees of the basis vectors (zeros by default), so
-    ``degree`` is the internal degree of a term of a graded free module.
+    ``twists`` are the degrees of the basis vectors, so ``degree`` is the
+    internal degree of a term of a graded free module; by default they are
+    all zero and stored as ``()``, so a context takes the same memory at
+    every rank.
     """
 
     COMP_BITS = 32
@@ -154,7 +157,7 @@ class ModuleContext(RingContext):
             raise CakError("module rank too large")
         self.ncomp = ncomp
         self.fhigh = fhigh
-        self.twists = (0,) * ncomp if twists is None else tuple(twists)
+        self.twists = () if twists is None else tuple(twists)
         self.blockbit = 1 << (self.COMP_BITS + ring.key_bits)
         super().__init__(ring, self.COMP_BITS, ((1 << self.COMP_BITS) - 1) | self.blockbit)
         self._rk_mask = (1 << ring.key_bits) - 1
@@ -172,7 +175,7 @@ class ModuleContext(RingContext):
 
     def degree(self, key: int) -> int:
         comp, mono = self.decode(key)
-        return self.ring.key_degree(mono) + self.twists[comp]
+        return self.ring.key_degree(mono) + (self.twists[comp] if self.twists else 0)
 
     # -- element conversion ------------------------------------------------
 
@@ -209,7 +212,8 @@ class ModuleContext(RingContext):
             d = per[comp]
             if d is None:
                 raise CakError("matrix column is not homogeneous")
-            d += self.twists[comp]
+            if self.twists:
+                d += self.twists[comp]
             if deg is None:
                 deg = d
             elif deg != d:

@@ -188,7 +188,7 @@ def is_free_module(R, module: PresentedModule, budget=None):
     if module.ring is not as_presentation(R):
         raise RingMismatchError("module is not presented over the given ring")
     builder = module.resolution(budget)
-    if builder.complete and not builder.maps:
+    if builder.complete and len(builder.modules) == 1:
         return True, builder.rank(0)
     return False, None
 

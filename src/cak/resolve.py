@@ -20,6 +20,7 @@ the module by.  No option selects a route; the ring and the module do.
   variables.  It is usually not minimal, and one `minimalize` makes it so
   (La Scala and Stillman, J. Symbolic Comput. 26 (1998); Erocal, Motsak,
   Schreyer and Steenpass, J. Symbolic Comput. 74 (2016)).
+
 - **Artinian steps.**  Over a graded Artinian quotient (every relation
   homogeneous, finite staircase) F (x) R is a finite graded vector space on
   the standard monomials, so a syzygy step is sparse linear algebra on R's
@@ -33,6 +34,13 @@ the module by.  No option selects a route; the ring and the module do.
 Both kinds of step keep a minimal generating set (graded Nakayama greedy),
 so all differentials have entries of strictly positive weighted degree and
 the ranks are Betti numbers.
+
+On the Koszul and frame routes the Betti table is known before any
+differential is: the Koszul twists are the subset sums of the forms'
+degrees, and the frame's minimal twists are its own less the ranks of the
+constant blocks of its maps (``_constant_ranks``), since F (x) k computes
+Tor(M, k).  The differentials are built, and the frame minimalized, on
+first read.
 
 A module's resolution is computed once per `PresentedModule` object: the
 module owns one `ResolutionBuilder` (`PresentedModule.resolution`), and every
@@ -53,6 +61,7 @@ polynomial ring, else the Hilbert series), which the Koszul route,
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import itertools
@@ -63,6 +72,7 @@ from ._kernel import EXP_MASK, axpy_terms, normal_form_terms
 from ._linalg import Echelon
 from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
 from .groebner import (
+    Budget,
     GroebnerEngine,
     IdealHandle,
     ModuleContext,
@@ -283,11 +293,15 @@ class ChainComplex:
         return None
 
     def betti_table(self) -> "BettiTable":
-        entries = {}
-        for i, mod in enumerate(self.modules):
-            for t in mod.twists:
-                entries[(i, t)] = entries.get((i, t), 0) + 1
-        return BettiTable(entries)
+        return _betti_table(self.modules)
+
+
+def _betti_table(modules) -> "BettiTable":
+    entries = {}
+    for i, mod in enumerate(modules):
+        for t in mod.twists:
+            entries[(i, t)] = entries.get((i, t), 0) + 1
+    return BettiTable(entries)
 
 
 class BettiTable:
@@ -507,17 +521,29 @@ def _artinian_step(view, matrix: PolyMatrix, twists, budget):
 
 
 class Resolution:
-    """A computed free resolution with its Betti table."""
+    """The first ``n_maps`` differentials of a module's resolution
+    (``builder``).  The Betti table and the ranks are read off the builder's
+    modules; the complex is built on first read, and with it any
+    differential the builder has not built yet."""
 
-    __slots__ = ("complex", "betti", "complete")
+    __slots__ = ("betti", "complete", "_ranks", "_builder", "_n_maps", "_complex")
 
-    def __init__(self, complex: ChainComplex, complete: bool):
-        self.complex = complex
-        self.betti = complex.betti_table()
-        self.complete = complete
+    def __init__(self, builder: "ResolutionBuilder", n_maps: int, complete: bool):
+        modules = builder.modules[: n_maps + 1]
+        self.betti, self.complete = _betti_table(modules), complete
+        self._ranks = tuple(m.rank for m in modules)
+        self._builder, self._n_maps, self._complex = builder, n_maps, None
+
+    @property
+    def complex(self) -> ChainComplex:
+        if self._complex is None:
+            b, n = self._builder, self._n_maps
+            maps = b.maps[:n]  # first: a whole route's first read replaces its modules
+            self._complex = ChainComplex(b.ring, b.modules[: n + 1], maps)
+        return self._complex
 
     def total_ranks(self) -> tuple[int, ...]:
-        return self.complex.ranks()
+        return self._ranks
 
 
 def presentation_minimalize(module: PresentedModule, budget=None):
@@ -542,9 +568,13 @@ def presentation_minimalize(module: PresentedModule, budget=None):
 
 
 def _koszul_resolution(module: PresentedModule, budget):
-    """The Koszul complex on f, every twist shifted by the ambient one: the
-    minimal resolution of ``module`` when it is R/(f) as in the module
-    docstring's Koszul route; else None."""
+    """The Koszul complex on f, every twist shifted by the ambient one, as
+    (its modules, a function that builds it): the minimal resolution of
+    ``module`` when it is R/(f) as in the module docstring's Koszul route;
+    else None.  F_k has one basis element per k-subset of the forms, in
+    ``itertools.combinations`` order, which is Eagon-Northcott's; the units
+    ``_koszul_forms`` will charge, 2^m for its basis and m for the minors of
+    d_1, are charged here."""
     ring = module.ring
     if module.ambient.rank != 1 or not ring.homogeneous:
         return None
@@ -558,9 +588,61 @@ def _koszul_resolution(module: PresentedModule, budget):
         return None
     from .complexes import _koszul_forms  # complexes imports this module
 
-    cx, twist = _koszul_forms(ring, f, degrees, budget), module.ambient.twists[0]
-    return ChainComplex(ring, [GradedFreeModule(ring, [t + twist for t in m.twists]) for m in cx.modules],
-                        cx.maps)
+    m, twist = len(f), module.ambient.twists[0]
+    units = 2 ** m + m
+    _as_budget(budget).spend(units)
+    modules = [GradedFreeModule(ring, [twist + sum(degrees[j] for j in subset)
+                                       for subset in itertools.combinations(range(m), k)])
+               for k in range(m + 1)]
+    return modules, lambda: ChainComplex(ring, modules, _koszul_forms(ring, f, degrees, Budget(units)).maps)
+
+
+def _constant_ranks(complex: ChainComplex) -> list[dict]:
+    """For each map d_i of a graded complex over a polynomial ring, the
+    rank over k of its block of constant entries in each degree j, as
+    {j: rank}: the rank of d_i (x) k on F_i's degree-j part.  A constant
+    entry joins a column and a row of one degree, so each column degree
+    has its own echelon form."""
+    p, bits = complex.ring.field.p, ModuleContext.COMP_BITS
+    bound, low = (complex.ring.one_key + 1) << bits, (1 << bits) - 1
+    out = []
+    for mat, mod in zip(complex.maps, complex.modules[1:]):
+        blocks: dict = {}
+        for t, col in zip(mod.twists, mat.cols):
+            if col and min(col) < bound:  # the keys of constant entries lie below it
+                blocks.setdefault(t, Echelon(p)).insert({k & low: c for k, c in col.items() if k < bound})
+        out.append({t: ech.rank for t, ech in blocks.items()})
+    return out
+
+
+def _frame_resolution(module: PresentedModule, budget):
+    """The minimal resolution of ``module`` over a polynomial ring, as (its
+    modules, a function that builds it): the Schreyer frame's modules, each
+    less the constant ranks of the maps on either side
+    (beta_(i,j) = f_(i,j) - r_(i,j) - r_(i+1,j)), then the frame
+    minimalized.  Every cancellation ``minimalize`` makes lowers the rank of
+    F (x) k's differential by one, so it makes sum r_(i,j) of them; they
+    are charged here."""
+    ring, frame = module.ring, _schreyer_frame(module, budget)
+    ranks = _constant_ranks(frame)
+    units = sum(sum(r.values()) for r in ranks)
+    budget.spend(units)
+    cuts = [collections.Counter() for _ in frame.modules]
+    for i, r in enumerate(ranks):  # d_(i+1) cancels in F_(i+1) and F_i
+        cuts[i].update(r)
+        cuts[i + 1].update(r)
+    twists = []
+    for mod, cut in zip(frame.modules, cuts):
+        kept = []
+        for t in mod.twists:  # in frame order, the first of each degree cut
+            if cut[t]:
+                cut[t] -= 1
+            else:
+                kept.append(t)
+        twists.append(kept)
+    while len(twists) > 1 and not twists[-1]:
+        twists.pop()
+    return [GradedFreeModule(ring, t) for t in twists], lambda: minimalize(frame, Budget(units))
 
 
 def _frame_generators(ring, cols, offsets, budget):
@@ -667,23 +749,30 @@ class ResolutionBuilder:
     """Minimal free resolution of a module, by one of four routes chosen by
     the ring and the module alone; no option selects one.
 
-    Every route starts from ``presentation_minimalize``.  Two resolve the
-    module whole at construction:
+    Every route starts from ``presentation_minimalize``.  Two know the
+    whole resolution's modules, so its Betti table, at construction:
 
     - a cyclic R/(f), f a homogeneous regular sequence of m <= n elements
       of positive degree over a graded R that is not Artinian, by the
-      Koszul complex on f (``_koszul_resolution``);
+      Koszul complex on f (``_koszul_resolution``), whose twists are the
+      subset sums of the forms' degrees;
     - every other module over a polynomial ring by one Schreyer frame
-      (``_schreyer_frame``), cut down by ``minimalize``.
+      (``_schreyer_frame``), whose minimal twists are read off the ranks of
+      its constant blocks (``_frame_resolution``).
 
-    The other two go one syzygy step at a time, each step keeping a minimal
+    On these two routes ``modules`` is read without building a map; the
+    first read of ``maps`` (or ``differential``) builds the Koszul maps or
+    runs ``minimalize`` on the frame, once, and puts the built complex's
+    modules in place: the same twists, perhaps in another order.  The other
+    two routes go one syzygy step at a time, each step keeping a minimal
     generating set, so the differentials have positive-degree entries and
     the ranks are Betti numbers: linear algebra over a graded Artinian ring
     (``_artinian_step``), and lift-to-ambient syzygies over any other ring
     with relations (``_syzygy_step``), whose minimal resolutions are
     generally infinite.  ``budget`` pays for what construction computes,
-    the whole resolution on the first two routes and the first step on the
-    others; each ``extend`` charges its caller's.
+    the whole resolution on the first two routes (the maps built on first
+    read included) and the first step on the others; each ``extend``
+    charges its caller's.
     """
 
     def __init__(self, module: PresentedModule, budget=None):
@@ -695,16 +784,17 @@ class ResolutionBuilder:
         module = presentation_minimalize(module, budget)
         twists0 = module.ambient.twists
         self.modules = [GradedFreeModule(ring, twists0)]
-        self.maps: list[PolyMatrix] = []
+        self._maps: list[PolyMatrix] = []
+        self._whole = None  # on a whole route, until maps are read: the function that builds them
         self._artinian = None  # R's own view when R is graded Artinian
         if ring.relations and ring.homogeneous:
             with contextlib.suppress(NotArtinianError):  # an infinite staircase
                 self._artinian = PresentedModule.free(ring).target(budget)
         whole = None if self._artinian is not None else _koszul_resolution(module, budget)
         if whole is None and not ring.relations:
-            whole = minimalize(_schreyer_frame(module, budget), budget)
+            whole = _frame_resolution(module, budget)
         if whole is not None:
-            self.maps, self.modules = whole.maps, whole.modules
+            self.modules, self._whole = whole
             self._next, self.complete = None, True
             return
         # the next differential and its column degrees, computed but not
@@ -718,21 +808,30 @@ class ResolutionBuilder:
             self._next = _minimal_columns(ring, cols, degs, twists0, budget)
         self.complete = not self._next[1]
 
+    @property
+    def maps(self) -> list[PolyMatrix]:
+        """The differentials built so far; a whole route builds all of them
+        on the first read."""
+        if self._whole is not None:
+            cx, self._whole = self._whole(), None
+            self._maps, self.modules = cx.maps, cx.modules
+        return self._maps
+
     def extend(self, n_maps: int, budget=None):
         """Ensure at least ``n_maps`` differentials (or completion)."""
         ring = self.ring
         budget = _as_budget(budget)
         view = self._artinian
         step = _syzygy_step if view is None else functools.partial(_artinian_step, view)
-        while len(self.maps) < n_maps and not self.complete:
+        while not self.complete and len(self._maps) < n_maps:
             if self._next is None:
-                self._next = step(self.maps[-1], self.modules[-1].twists, budget)
+                self._next = step(self._maps[-1], self.modules[-1].twists, budget)
             mat, degs = self._next
             self._next = None
             if not degs:
                 self.complete = True
                 break
-            self.maps.append(mat)
+            self._maps.append(mat)
             self.modules.append(GradedFreeModule(ring, degs))
 
     def rank(self, i: int) -> int:
@@ -775,15 +874,15 @@ def minimal_free_resolution(
     budget = _as_budget(budget)
     builder = module.resolution(budget)
     builder.extend(max_length, budget)
-    maps = builder.maps[:max_length]
+    built = len(builder.modules) - 1  # the maps, counted without building one
+    n_maps = min(built, max_length)
     # termination is seen only by the step after the last map, which an
     # extension to exactly that many maps never takes
-    complete = builder.complete and (len(builder.maps) < max_length or not builder.maps)
-    if not complete and not over_quotient and len(maps) >= len(ring.vars):
+    complete = builder.complete and (built < max_length or not built)
+    if not complete and not over_quotient and n_maps >= len(ring.vars):
         # Hilbert bound: a minimal resolution over the polynomial ring stops
         complete = True
-    cx = ChainComplex(ring, builder.modules[: len(maps) + 1], maps)
-    return Resolution(cx, complete)
+    return Resolution(builder, n_maps, complete)
 
 
 def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:

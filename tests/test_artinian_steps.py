@@ -259,3 +259,42 @@ def test_serre_inequality_bounds_the_paper_scale_ext(power, betti, bound):
     assert serre_bound(betti, len(S.vars), 7) == bound
     poincare = [1] + PAPER_SCALE_EXT[power]
     assert all(e <= b for e, b in zip(poincare, bound, strict=True))
+
+
+def golod_series(residue, quotient, length):
+    """The first ``length`` coefficients of A / (1 - t * (B - 1)), A and B
+    given by their coefficients ``residue`` and ``quotient``: with P that
+    series, P = A + P * t * (B - 1), solved degree by degree."""
+    out = []
+    for d in range(length):
+        out.append((residue[d] if d < len(residue) else 0) + sum(
+            b * out[d - i - 1] for i, b in enumerate(quotient) if i and d - i - 1 >= 0
+        ))
+    return out
+
+
+@pytest.mark.parametrize("power, quotient", [(2, (1, 6, 8, 3)), (3, (1, 10, 15, 6))])
+def test_golod_formula_gives_the_paper_scale_ext(power, quotient):
+    """The pinned Ext dimensions are the coefficients of
+    P^R_k(t) / (1 - t * (P^R_{R/Q^power}(t) - 1)), where P^R_N is the
+    Betti series of N over R = k[x,y,z,w]/(xy - zw).  That is the Poincare
+    series of k over R/Q^power when R -> R/Q^power is a Golod homomorphism
+    (Avramov, Infinite free resolutions (1998), Sec. 5.2); Levin (J.
+    Algebra 37 (1975)) proves R -> R/m^n Golod for large n.  Here it is
+    asserted only on these two powers, where it has been seen to hold.
+    Both series come from resolutions over R by its syzygy steps, so the
+    check does not run the Artinian route that computed the pins.  R/Q^power
+    has the Eagon-Northcott ranks C(d + l - 1, l + i - 1) * C(l + i - 2,
+    i - 1) of the l-th power of a parameter ideal of d = 3 elements."""
+    S = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1])
+    R = S.extend_relations(parse_poly_list("x*y - z*w", S))
+    Q = IdealHandle(R, parse_poly_list("x; y; z - w", R))
+    d, length = 3, len(PAPER_SCALE_EXT[power]) + 1
+    with deadline(30):
+        residue = minimal_free_resolution(residue_field_presentation(R), max_length=length - 1)
+        cyclic = minimal_free_resolution(PresentedModule.cyclic(R, Q.power(power).gens), max_length=length - 1)
+    assert residue.total_ranks() == (1, 4, 7, 8, 8, 8, 8)  # (1 + t)^3 / (1 - t): a hypersurface
+    assert cyclic.complete and cyclic.total_ranks() == quotient
+    assert quotient[1:] == tuple(math.comb(d + power - 1, power + i - 1) * math.comb(power + i - 2, i - 1)
+                                 for i in range(1, d + 1))
+    assert golod_series(residue.total_ranks(), quotient, length) == [1] + PAPER_SCALE_EXT[power]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -210,6 +211,25 @@ def test_a_module_rank_past_the_component_bits_is_refused():
     ring = RingPresentation(["x"], [1])
     with pytest.raises(CakError, match="module rank too large"):
         ModuleContext(ring, 1 << ModuleContext.COMP_BITS)
+
+
+def test_the_largest_module_rank_builds_in_constant_memory():
+    """A rank just below the guard, which no input can fill, allocates
+    nothing per component: its basis degrees are zero by default."""
+    ring = RingPresentation(["x", "y"], [1, 2])
+    top = (1 << ModuleContext.COMP_BITS) - 1
+    tracemalloc.start()
+    try:
+        ctx = ModuleContext(ring, top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    key = ctx.key(top - 1, ring.encode((1, 1)))
+    assert ctx.decode(key) == (top - 1, ring.encode((1, 1)))
+    assert ctx.degree(key) == 3 and ctx.column_degree({key: 1}) == 3
+    twisted = ModuleContext(ring, 2, twists=(0, 5))
+    assert twisted.degree(twisted.key(1, ring.one_key)) == 5
 
 
 def test_buchberger_criterion_on_output(kxyz):

@@ -182,13 +182,13 @@ def cm_type(R, params, budget=None) -> int:
 
 
 def is_free_module(R, module: PresentedModule, budget=None):
-    """(True, rank) iff the module's minimal resolution has no maps: a
-    nonzero normal-form relation column never lies in J*F, so one survives
-    into d_1 whenever the module is not free."""
+    """(True, rank) iff the module's minimal resolution ends at length 0
+    (``known_at``): a nonzero normal-form relation column never lies in
+    J*F, so one survives into d_1 whenever the module is not free."""
     if module.ring is not as_presentation(R):
         raise RingMismatchError("module is not presented over the given ring")
     builder = module.resolution(budget)
-    if builder.complete and len(builder.modules) == 1:
+    if builder.known_at == 0:
         return True, builder.rank(0)
     return False, None
 

@@ -521,17 +521,19 @@ def _artinian_step(view, matrix: PolyMatrix, twists, budget):
 
 
 class Resolution:
-    """The first ``n_maps`` differentials of a module's resolution
-    (``builder``).  The Betti table and the ranks are read off the builder's
+    """A module's resolution (``builder``, extended to ``max_length``) up to
+    that bound.  The Betti table and the ranks are read off the builder's
     modules; the complex is built on first read, and with it any
-    differential the builder has not built yet."""
+    differential the builder has not built yet.  ``complete``: the builder
+    saw the end at a bound no larger (``ResolutionBuilder.known_at``)."""
 
     __slots__ = ("betti", "complete", "_ranks", "_builder", "_n_maps", "_complex")
 
-    def __init__(self, builder: "ResolutionBuilder", n_maps: int, complete: bool):
+    def __init__(self, builder: "ResolutionBuilder", max_length: int):
+        n_maps = min(len(builder.modules) - 1, max_length)
         modules = builder.modules[: n_maps + 1]
-        self.betti, self.complete = _betti_table(modules), complete
-        self._ranks = tuple(m.rank for m in modules)
+        self.betti, self._ranks = _betti_table(modules), tuple(m.rank for m in modules)
+        self.complete = builder.known_at is not None and builder.known_at <= max_length
         self._builder, self._n_maps, self._complex = builder, n_maps, None
 
     @property
@@ -631,15 +633,8 @@ def _frame_resolution(module: PresentedModule, budget):
     for i, r in enumerate(ranks):  # d_(i+1) cancels in F_(i+1) and F_i
         cuts[i].update(r)
         cuts[i + 1].update(r)
-    twists = []
-    for mod, cut in zip(frame.modules, cuts):
-        kept = []
-        for t in mod.twists:  # in frame order, the first of each degree cut
-            if cut[t]:
-                cut[t] -= 1
-            else:
-                kept.append(t)
-        twists.append(kept)
+    # grouped by degree: the first read of maps puts minimalize's order in place
+    twists = [list((collections.Counter(m.twists) - cut).elements()) for m, cut in zip(frame.modules, cuts)]
     while len(twists) > 1 and not twists[-1]:
         twists.pop()
     return [GradedFreeModule(ring, t) for t in twists], lambda: minimalize(frame, Budget(units))
@@ -773,6 +768,14 @@ class ResolutionBuilder:
     the whole resolution on the first two routes (the maps built on first
     read included) and the first step on the others; each ``extend``
     charges its caller's.
+
+    ``known_at``, the one record of where the resolution ends, is the
+    least bound n at which a builder extended to n maps has seen the end
+    (None until then): a whole route's length, set at construction; on a
+    step route, 0 for a free module, else k + 1 when the step after k maps
+    comes back empty.  That step runs only when more than k maps are asked
+    for, so a step route is not complete at a bound equal to its length,
+    whatever was asked before.
     """
 
     def __init__(self, module: PresentedModule, budget=None):
@@ -787,6 +790,7 @@ class ResolutionBuilder:
         self._maps: list[PolyMatrix] = []
         self._whole = None  # on a whole route, until maps are read: the function that builds them
         self._artinian = None  # R's own view when R is graded Artinian
+        self._step = _syzygy_step  # a step route's step: (d, its twists, budget) -> next d, twists
         if ring.relations and ring.homogeneous:
             with contextlib.suppress(NotArtinianError):  # an infinite staircase
                 self._artinian = PresentedModule.free(ring).target(budget)
@@ -795,18 +799,22 @@ class ResolutionBuilder:
             whole = _frame_resolution(module, budget)
         if whole is not None:
             self.modules, self._whole = whole
-            self._next, self.complete = None, True
+            self._next, self.known_at = None, len(self.modules) - 1
             return
-        # the next differential and its column degrees, computed but not
-        # yet appended: termination is seen one step after the last map.
-        # presentation_minimalize left every relation entry reduced modulo
-        # the relations, so over an Artinian ring the columns lie in F (x) R
+        # the next differential and its column degrees, computed but not yet
+        # appended.  presentation_minimalize left every relation entry
+        # reduced modulo J, so over an Artinian ring the columns lie in F (x) R
         cols, degs = module.relations.cols, module.column_degrees
         if self._artinian is not None:
+            self._step = functools.partial(_artinian_step, self._artinian)
             self._next = _artinian_minimal(self._artinian, cols, degs, twists0, budget)
         else:
             self._next = _minimal_columns(ring, cols, degs, twists0, budget)
-        self.complete = not self._next[1]
+        self.known_at = None if self._next[1] else 0
+
+    @property
+    def complete(self) -> bool:
+        return self.known_at is not None
 
     @property
     def maps(self) -> list[PolyMatrix]:
@@ -818,21 +826,18 @@ class ResolutionBuilder:
         return self._maps
 
     def extend(self, n_maps: int, budget=None):
-        """Ensure at least ``n_maps`` differentials (or completion)."""
-        ring = self.ring
+        """Ensure at least ``n_maps`` differentials, or the end seen."""
         budget = _as_budget(budget)
-        view = self._artinian
-        step = _syzygy_step if view is None else functools.partial(_artinian_step, view)
-        while not self.complete and len(self._maps) < n_maps:
+        while self.known_at is None and len(self._maps) < n_maps:
             if self._next is None:
-                self._next = step(self._maps[-1], self.modules[-1].twists, budget)
+                self._next = self._step(self._maps[-1], self.modules[-1].twists, budget)
             mat, degs = self._next
             self._next = None
-            if not degs:
-                self.complete = True
+            if not degs:  # the step after k >= 1 maps: the end, seen at bound k + 1
+                self.known_at = len(self._maps) + 1
                 break
             self._maps.append(mat)
-            self.modules.append(GradedFreeModule(ring, degs))
+            self.modules.append(GradedFreeModule(self.ring, degs))
 
     def rank(self, i: int) -> int:
         """Rank of F_i; 0 past termination (call ``extend(i)`` first)."""
@@ -854,17 +859,17 @@ def minimal_free_resolution(
     """Minimal graded free resolution of coker(relations), to ``max_length``.
 
     Over the polynomial ambient the default length bound is the number of
-    variables (the global-dimension bound), and the resolution is flagged
-    complete when the kernel vanishes or that bound is reached.  Over a
-    quotient (a ring with relations) the relations are divided out;
-    resolutions are generally infinite, so an explicit ``max_length`` is
-    required.  The result is a truncation of the module's own resolution,
-    which keeps whatever was computed for later calls.
+    variables (the global-dimension bound), which every resolution there
+    meets.  Over a quotient (a ring with relations) the relations are
+    divided out; resolutions are generally infinite, so an explicit
+    ``max_length`` is required.  The result is a truncation of the module's
+    own resolution, which keeps whatever was computed for later calls,
+    ``complete`` when it is known to end within the bound (on a step route
+    not at a bound equal to its length; see ``ResolutionBuilder``).
     """
     ring = module.ring
-    over_quotient = bool(ring.relations)
     if max_length is None:
-        if over_quotient:
+        if ring.relations:
             raise PreconditionError(
                 "resolutions over a quotient ring need an explicit length bound"
             )
@@ -874,15 +879,7 @@ def minimal_free_resolution(
     budget = _as_budget(budget)
     builder = module.resolution(budget)
     builder.extend(max_length, budget)
-    built = len(builder.modules) - 1  # the maps, counted without building one
-    n_maps = min(built, max_length)
-    # termination is seen only by the step after the last map, which an
-    # extension to exactly that many maps never takes
-    complete = builder.complete and (built < max_length or not built)
-    if not complete and not over_quotient and n_maps >= len(ring.vars):
-        # Hilbert bound: a minimal resolution over the polynomial ring stops
-        complete = True
-    return Resolution(builder, n_maps, complete)
+    return Resolution(builder, max_length)
 
 
 def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:

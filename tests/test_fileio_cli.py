@@ -689,6 +689,7 @@ BETTI_TRUNCATED = (
     (["betti"], BETTI_TABLE),
     (["betti", "--json"], RESOLVE_JSON),
     (["betti", "--max-length", "1"], BETTI_TRUNCATED),
+    (["betti", "--max-length", "2"], BETTI_TABLE),
 ])
 def test_cli_resolve_and_betti_outputs(tmp_path, capsys, argv, out):
     """``resolve`` always prints JSON; ``betti`` prints the table, with a

@@ -286,12 +286,18 @@ def test_resolution_over_quotient_requires_bound(r1_ring):
 def test_a_finite_resolution_over_a_quotient_ends_in_extend():
     """R^2/(x e_1, x e_2) over the domain k[x,y,z]/(xz - y^2) takes the
     syzygy steps: x is a nonzerodivisor, so the step after d_1 finds no
-    kernel and the resolution ends there, complete inside its bound."""
+    kernel and the resolution ends there, complete inside its bound.  Only
+    an extension past one map takes that step, so the end is seen at the
+    bound 2 and not at 1, its length."""
     ring = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=["x*z - y^2"])
     mat = PolyMatrix(ring, [PL(ring, "x; 0"), PL(ring, "0; x")])
-    res = minimal_free_resolution(PresentedModule(ring, GradedFreeModule(ring, (0, 0)), mat), max_length=3)
+    module = PresentedModule(ring, GradedFreeModule(ring, (0, 0)), mat)
+    assert not minimal_free_resolution(module, max_length=1).complete
+    assert module.resolution().known_at is None
+    res = minimal_free_resolution(module, max_length=3)
     assert res.complete and res.total_ranks() == (2, 2)
     assert res.betti.as_rows() == [[0, 0, 2], [1, 1, 2]]
+    assert module.resolution().known_at == 2
 
 
 def test_resolution_of_rank_two_module(kxy):
@@ -320,9 +326,16 @@ def test_computed_resolution_self_verifies(r1_ambient):
 
 def _call_order_cases():
     """(name, fresh-module factory): finite and infinite
-    resolutions over a polynomial ring and over an Artinian quotient."""
+    resolutions over a polynomial ring and over an Artinian quotient, and
+    two finite ones over the cone k[x,y,z]/(xz - y^2), which is not
+    Artinian: R^2/(x e_1, x e_2) by syzygy steps, which ends in ``extend``
+    when the step after its one map comes back empty, and R/(x) by the
+    Koszul route, which knows its length at construction.  At every bound
+    0..4 a shared module must give what a fresh one gives, also at the
+    bound equal to a step route's length, where it is not yet complete."""
     s = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1])
     q = RingPresentation(["X", "Y"], [1, 1], relations=["X^2", "X*Y", "Y^2"])
+    c = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=["x*z - y^2"])
     return [
         ("poly_cyclic", lambda: PresentedModule.cyclic(s, PL(s, "x; y^2"))),
         ("poly_free", lambda: PresentedModule.free(s, (0, 1))),
@@ -335,6 +348,13 @@ def _call_order_cases():
                 PolyMatrix(q, [[P(q, "1")], [P(q, "X")]]),
             ),
         ),
+        (
+            "cone_steps_end_in_extend",
+            lambda: PresentedModule(
+                c, GradedFreeModule(c, (0, 0)), PolyMatrix(c, [PL(c, "x; 0"), PL(c, "0; x")])
+            ),
+        ),
+        ("cone_koszul", lambda: PresentedModule.cyclic(c, PL(c, "x"))),
     ]
 
 
@@ -355,6 +375,31 @@ def test_shared_resolution_independent_of_call_order(case, order):
         want = minimal_free_resolution(make(), max_length=n)
         assert _resolution_summary(got) == _resolution_summary(want), n
         assert got.complex.length == want.complex.length
+
+
+def _known_length_cases():
+    """(name, fresh-module factory, length): modules whose route knows the
+    length of the resolution at construction."""
+    s = RingPresentation(["x", "y", "z", "w"], [1, 1, 1, 1])
+    t = RingPresentation(["x", "y", "z"], [1, 1, 1])
+    c = RingPresentation(["x", "y", "z"], [1, 1, 1], relations=["x*z - y^2"])
+    return [
+        ("koszul", lambda: PresentedModule.cyclic(s, PL(s, "x; y^2")), 2),
+        ("frame", lambda: PresentedModule.cyclic(t, PL(t, "x^2; x*y; y*z")), 2),
+        ("koszul_over_cone", lambda: PresentedModule.cyclic(c, PL(c, "x")), 1),
+    ]
+
+
+@pytest.mark.parametrize("case", _known_length_cases(), ids=lambda c: c[0])
+def test_complete_exactly_from_the_length_on(case):
+    """A resolution whose length equals ``max_length`` is complete there,
+    and one map short of it is not."""
+    _name, make, length = case
+    full = minimal_free_resolution(make(), max_length=length)
+    assert full.complete and len(full.total_ranks()) == length + 1
+    short = minimal_free_resolution(make(), max_length=length - 1)
+    assert not short.complete and len(short.total_ranks()) == length
+    assert make().resolution().known_at == length
 
 
 def test_free_module_resolution_complete_at_length_zero():

@@ -38,7 +38,8 @@ membership, equality, colon and intersection uniform across S and S/J.
 Submodules of R^r are handled the same way, in the S-lift: every module
 engine is seeded with the relation multiples J*e_i of
 :func:`relation_multiples`, and syzygies leave the engine as packed term
-dicts.
+dicts.  A free R^r needs no engine: the ring's one handle of J reduces its
+elements from cached monomial normal forms (``IdealHandle.module_normal_form``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import heapq
 import itertools
 
 from ._kernel import DivisorIndex, axpy_terms, normal_form_terms, scale_terms
-from .errors import CakError, PreconditionError, NotArtinianError, ResourceLimitError
+from .errors import CakError, DegreeOverflowError, PreconditionError, NotArtinianError, ResourceLimitError
 from .polyring import Field, Polynomial, RingPresentation, parse_poly
 
 DEFAULT_BUDGET = 10**6
@@ -64,7 +65,7 @@ class Budget:
       ``resolve.minimalize``, which the frame route charges when it reads
       the frame's constant ranks, before it minimalizes;
     - per standard monomial enumerated, and per generator of each monomial
-      ideal met by the ``resolve.hilbert_numerator`` recursion;
+      ideal met by the ``resolve.hilbert_numerator`` recursion (for R itself, once per ring);
     - per vector inserted into a ``_linalg.Echelon`` or skipped as zero
       (the Artinian resolution steps, the Hom/Tensor ranks of Ext/Tor and
       the socle);
@@ -104,11 +105,9 @@ class RingContext:
     component bits ``compmask``.  It derives what a
     :class:`~cak._kernel.DivisorIndex` reads (``shifts``, ``cmask``,
     ``gmask``) and the guard of a product (``guard``), builds the index and
-    takes lcms.  Polynomial keys lie at shift 0 and module keys
-    (:class:`ModuleContext`) at ``COMP_BITS``; level k of a Schreyer frame
-    lies at COMP_BITS * (k + 1) over every lower bit, and
-    ``resolve.minimalize`` reduces all components by J at ``COMP_BITS``
-    over none."""
+    takes lcms.  It serves three layouts: polynomial keys at shift 0,
+    module keys (:class:`ModuleContext`) at ``COMP_BITS`` and level k of a
+    Schreyer frame at COMP_BITS * (k + 1) over every lower bit."""
 
     __slots__ = ("ring", "shift", "compmask", "shifts", "cmask", "gmask", "guard")
 
@@ -475,14 +474,17 @@ class IdealHandle:
     Groebner basis of the full preimage (generators + ring relations), the
     divisor index of that basis (``divisor_index``), which its normal forms
     reduce by and ``standard_monomials`` walks, the keys of its standard
-    monomials, and the normal forms of monomials (``monomial_normal_form``).
+    monomials, the Hilbert numerator of its quotient
+    (``resolve.quotient_hilbert_numerator``) and the normal forms of
+    monomials (``monomial_normal_form``), from which it reduces packed
+    elements of a free module (``module_normal_form``).
 
-    The caches are write-once, and the basis and the staircase are charged
-    to the call that computes them; concurrent duplicate computation is
-    harmless because the reduced basis is canonical.
+    The caches are write-once, and each datum is charged to the call that
+    computes it; concurrent duplicate computation is harmless because the
+    reduced basis is canonical.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_index", "_std", "_nf")
+    __slots__ = ("ring", "gens", "_gb", "_index", "_std", "_hilb", "_nf")
 
     def __init__(self, ring: RingPresentation, gens):
         self.ring = ring
@@ -498,6 +500,7 @@ class IdealHandle:
         self._gb = None
         self._index = None  # a DivisorIndex over _gb, built on first use
         self._std = None  # (standard monomial keys, variables with no pure power)
+        self._hilb = None  # the K-polynomial of ring/(gens + relations)
         self._nf: dict[int, tuple] = {}  # monomial key -> (key, coeff) pairs of its normal form
 
     def groebner_basis(self, budget=None) -> list[Polynomial]:
@@ -526,11 +529,38 @@ class IdealHandle:
 
     def monomial_normal_form(self, key: int, budget=None) -> tuple:
         """The (key, coeff) pairs of the normal form of the monomial ``key``,
-        computed once per handle into ``_nf``, which hot loops read first."""
+        computed once per handle into ``_nf``, which ``module_normal_form``
+        reads first."""
         if key not in self._nf:
             mono = Polynomial(self.ring, {key: self.ring.field.coerce(1)})
             self._nf[key] = tuple(self.normal_form(mono, budget).terms.items())
         return self._nf[key]
+
+    def module_normal_form(self, vec: dict, s: int | None = None, budget=None) -> dict:
+        """The normal form of x^s * ``vec`` (``vec`` if ``s`` is None) modulo
+        (gens + relations) * F, ``vec`` a packed element of a free module F
+        of any rank: the cached normal form of each term's monomial, in the
+        term's component (normal forms are unique and linear)."""
+        bits, shift = ModuleContext.COMP_BITS, 0 if s is None else s - self.ring.one_key
+        low_mask, guard, p, cache, out = (1 << bits) - 1, self.ring.guard, self.ring.field.p, self._nf, {}
+        for k, c in vec.items():
+            prod = (k >> bits) + shift
+            if prod & guard != guard:
+                raise DegreeOverflowError("exponent overflow in monomial product")
+            nf = cache.get(prod)
+            if nf is None:
+                nf = self.monomial_normal_form(prod, budget)
+            low = k & low_mask
+            for sk, sc in nf:
+                kk = (sk << bits) | low
+                v = out.get(kk, 0) + c * sc
+                if p is not None:
+                    v %= p
+                if v:
+                    out[kk] = v
+                else:
+                    del out[kk]
+        return out
 
     def contains_poly(self, p: Polynomial, budget=None) -> bool:
         return self.normal_form(p, budget).is_zero()
@@ -840,12 +870,6 @@ def ring_map_kernel(rmap: RingMap, budget=None) -> IdealHandle:
 
 
 # -- standard monomials -------------------------------------------------------
-
-
-def lead_exponents(ideal: IdealHandle, budget=None):
-    """Exponent vectors of the minimal generators of the lead-term ideal."""
-    ring = ideal.ring
-    return [ring.decode(g.lead_key()) for g in ideal.groebner_basis(budget)]
 
 
 def staircase(index: DivisorIndex, start: int, deltas, budget: Budget):

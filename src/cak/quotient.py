@@ -22,11 +22,13 @@ counted on the basis the handle caches.
 
 Each datum has one owner that computes it once, charged to the call that
 does: the ring owns the handle of J (``groebner.relations_ideal``) and R as
-a module (``PresentedModule.free``), a handle its basis, standard monomials
-and monomial normal forms (read by the socle and by R's view), and a module
-its resolution (extended on demand by Ext, Tor and Tor_0) and its view
-(``PresentedModule.target``), the Ext/Tor target; R's view is also the one
-that every Artinian resolution step over R reads.
+a module (``PresentedModule.free``), a handle its basis, standard monomials,
+Hilbert numerator (read by the dimension and the regular-sequence test) and
+monomial normal forms (read by the socle, by R's view and by
+``minimalize``), and a module its resolution (extended on demand by Ext,
+Tor and Tor_0) and its view (``PresentedModule.target``), the Ext/Tor
+target; R's view is also the one that every Artinian resolution step over
+R reads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import CakError, NotArtinianError, PreconditionError, RingMismatchE
 from .groebner import (
     IdealHandle,
     _as_budget,
-    lead_exponents,
     minimal_generator_count,
     relations_ideal,
     standard_monomials,
@@ -48,8 +49,8 @@ from .resolve import (
     ArtinianModule,
     PolyMatrix,
     PresentedModule,
-    hilbert_numerator,
     module_standard_basis,  # kept under this module's name, as its callers use it
+    quotient_hilbert_numerator,
 )
 
 
@@ -64,35 +65,32 @@ def _handle(ring, gens) -> IdealHandle:
 
 
 class QuotientRing:
-    """Ring presentation with relations, plus its cached dimension.  The
-    ``defining_ideal`` is the presentation's one handle of its relations,
-    whose basis and standard monomials (read by the standard basis, the
-    socle and the dimension) are computed and charged once."""
+    """Ring presentation with relations.  The ``defining_ideal`` is the
+    presentation's one handle of its relations, whose basis, standard
+    monomials and Hilbert numerator (read by the standard basis, the socle
+    and the dimension) are computed and charged once per ring, whichever
+    wrapper asks."""
 
-    __slots__ = ("presentation", "defining_ideal", "_dim")
+    __slots__ = ("presentation", "defining_ideal")
 
     def __init__(self, presentation: RingPresentation):
         self.presentation = presentation
         self.defining_ideal = relations_ideal(presentation)
-        self._dim = None
 
     def dimension(self, budget=None) -> int:
-        """Krull dimension (-1 for the zero ring), computed once: n minus
-        the order of (1 - t) in the Hilbert numerator of the lead-term ideal
-        of the relations, which has the same dimension, so inhomogeneous
+        """Krull dimension (-1 for the zero ring): n minus the order of
+        (1 - t) in R's Hilbert numerator, kept on the handle of J
+        (``quotient_hilbert_numerator``).  The lead-term ideal of the
+        relations it is read off has the same dimension, so inhomogeneous
         relations are fine."""
-        if self._dim is None:
-            ring = self.presentation
-            leads = lead_exponents(self.defining_ideal, budget)
-            num = hilbert_numerator(leads, ring.weights, budget)
-            coeffs = [num.get(i, 0) for i in range(max(num, default=-1) + 1)]
-            order = 0
-            while coeffs and not sum(coeffs):
-                # divide by 1 - t: the partial sums, the last of which is 0
-                coeffs = list(itertools.accumulate(coeffs))[:-1]
-                order += 1
-            self._dim = len(ring.vars) - order if coeffs else -1
-        return self._dim
+        num = quotient_hilbert_numerator(self.defining_ideal, budget)
+        coeffs = [num.get(i, 0) for i in range(max(num, default=-1) + 1)]
+        order = 0
+        while coeffs and not sum(coeffs):
+            # divide by 1 - t: the partial sums, the last of which is 0
+            coeffs = list(itertools.accumulate(coeffs))[:-1]
+            order += 1
+        return len(self.presentation.vars) - order if coeffs else -1
 
     def standard_basis(self, budget=None):
         """Keys of the standard monomials of the defining ideal, sorted

@@ -50,9 +50,9 @@ finite-length view, an `ArtinianModule` (`PresentedModule.target`).  R is
 one module per ring (`PresentedModule.free`), so R's view, which the
 Artinian steps of every resolution over R and Ext/Tor into R read, is built
 once per ring.  It reads J through the ring's one handle of it
-(``groebner.relations_ideal``): its standard monomials and its cache of
-monomial normal forms, which the socle reads too.  `minimalize` and
-`is_regular_sequence` read that handle as well.
+(``groebner.relations_ideal``): its standard monomials and its normal forms
+of packed elements, which `minimalize` reads too.  `is_regular_sequence` and
+R's dimension read R's Hilbert numerator off it, computed once per ring.
 
 Regular sequences have one test, `is_regular_sequence` (a face test over a
 polynomial ring, else the Hilbert series), which the Koszul route,
@@ -70,7 +70,7 @@ import operator
 
 from ._kernel import EXP_MASK, axpy_terms, normal_form_terms
 from ._linalg import Echelon
-from .errors import CakError, DegreeOverflowError, NotArtinianError, PreconditionError
+from .errors import CakError, NotArtinianError, PreconditionError
 from .groebner import (
     Budget,
     GroebnerEngine,
@@ -79,7 +79,6 @@ from .groebner import (
     RingContext,
     _as_budget,
     buchberger,
-    lead_exponents,
     minimal_generating_subset,
     minimal_generator_count,
     module_membership_engine,
@@ -400,11 +399,12 @@ class ArtinianModule:
     index of each key, and normal forms of a monomial times an element
     (``times``) and of a polynomial times a basis element (``basis_times``,
     sparse and cached).  With no nonzero column N is free and reads the
-    handle of J, R's standard monomials in each component and its monomial
-    normal forms, so it runs no completion; it also groups R's standard
-    monomials by degree (``by_degree``, up to ``top``) for the Artinian
-    steps, which read R's own view.  Else a module engine on the columns
-    and J*e_i gives the basis and the normal forms.
+    handle of J, R's standard monomials in each component and its normal
+    forms of packed elements (``IdealHandle.module_normal_form``), so it
+    runs no completion; it also groups R's standard monomials by degree
+    (``by_degree``, up to ``top``) for the Artinian steps, which read R's
+    own view.  Else a module engine on the columns and J*e_i gives the
+    basis and the normal forms.
     """
 
     def __init__(self, ring: RingPresentation, columns, nrows: int, budget=None):
@@ -429,32 +429,11 @@ class ArtinianModule:
     def times(self, s: int, vec: dict) -> dict:
         """Normal form of the monomial ``s`` times ``vec``, a packed element
         of N, or of R^r for any r on a free view (it reduces componentwise)."""
-        bits, one_key, p = ModuleContext.COMP_BITS, self.ring.one_key, self.p
-        if self._engine is not None:
-            shifted: dict = {}
-            axpy_terms(shifted, vec, 1, (s - one_key) << bits, p, self.ctx.guard)
-            return self._engine.reduce(shifted)
-        # the handle's cache is read here, and the handle called on a miss only
-        relations, cache, guard, out = self._relations, self._relations._nf, self.ring.guard, {}
-        low_mask = (1 << bits) - 1  # the component of a module key
-        for k, c in vec.items():
-            prod = (k >> bits) + s - one_key
-            if prod & guard != guard:
-                raise DegreeOverflowError("exponent overflow in monomial product")
-            nf = cache.get(prod)
-            if nf is None:
-                nf = relations.monomial_normal_form(prod)
-            low = k & low_mask
-            for sk, sc in nf:
-                kk = (sk << bits) | low
-                v = out.get(kk, 0) + c * sc
-                if p is not None:
-                    v %= p
-                if v:
-                    out[kk] = v
-                else:
-                    del out[kk]
-        return out
+        if self._engine is None:
+            return self._relations.module_normal_form(vec, s)
+        shifted: dict = {}
+        axpy_terms(shifted, vec, 1, (s - self.ring.one_key) << ModuleContext.COMP_BITS, self.p, self.ctx.guard)
+        return self._engine.reduce(shifted)
 
     def basis_times(self, f: frozenset, b: int) -> tuple:
         """The (basis index, coefficient) pairs of f * (basis element b),
@@ -888,32 +867,28 @@ def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
     cancellation costs one budget unit.
 
     The maps are worked on as packed columns, every entry reduced modulo the
-    relations.  Units are taken in order of map, then row, then column; a
-    cancellation at (r, c) adds to each column with an entry e in row r
-    -e/u times the pivot column, one ``axpy_terms`` per term of e, and
-    deletes row r, column c and their neighbours' matching column and row.
+    relations by the ring's handle of J (``IdealHandle.module_normal_form``),
+    which builds no index of its own.  Units are taken in order of map, then
+    row, then column; a cancellation at (r, c) adds to each column with an
+    entry e in row r -e/u times the pivot column, one ``axpy_terms`` per
+    term of e, and deletes row r, column c and their neighbours' matching
+    column and row.
     Rows and columns keep their first numbering until the end, when the
     surviving ones are renumbered once."""
     ring, field = complex.ring, complex.ring.field
     p, bits = field.p, ModuleContext.COMP_BITS
-    # below its exponent fields a key holds its component, which a multiple
-    # of a reducer keeps: this layout reduces every component at once
-    layout = RingContext(ring, bits)
-    low, guard = (1 << bits) - 1, layout.guard
+    low, guard = (1 << bits) - 1, ring.guard << bits
     bound = (ring.one_key + 1) << bits  # the keys of constant entries lie below it
     budget = _as_budget(budget)
     ranks = [m.rank for m in complex.modules]
     cols = [dict(enumerate(map(dict, m.cols))) for m in complex.maps]
-    blind = None
+    relations = None
     if ring.relations and any(m.nrows and m.ncols for m in complex.maps):
-        index = relations_ideal(ring).divisor_index(budget)
-        blind = layout.index(
-            (lead << bits, {k << bits: c for k, c in terms.items()})
-            for lead, terms in zip(index.leads, index.terms)
-        )
+        relations = relations_ideal(ring)
+        relations.divisor_index(budget)  # J's basis is charged here, all-zero maps included
         for mcols in cols:
             for c, col in mcols.items():
-                mcols[c] = normal_form_terms(col, blind, p, guard)
+                mcols[c] = relations.module_normal_form(col, budget=budget)
 
     def track(munits, c, col):
         # munits[c]: the row codes of column c whose entry is a nonzero
@@ -950,12 +925,12 @@ def minimalize(complex: ChainComplex, budget=None) -> ChainComplex:
             entry = [(k, v) for k, v in col.items() if k & low == code]
             if not entry:
                 continue
-            acc = col if blind is None else {}
+            acc = col if relations is None else {}
             for k, v in entry:
                 del col[k]
                 axpy_terms(acc, pivot, scale * v, k - ukey, p, guard)
-            if blind is not None:
-                axpy_terms(col, normal_form_terms(acc, blind, p, guard), 1, 0, p, guard)
+            if relations is not None:
+                axpy_terms(col, relations.module_normal_form(acc, budget=budget), 1, 0, p, guard)
             track(munits, cc, col)
         if idx + 1 < len(cols):  # row c of the next map
             code_c = ranks[idx + 1] - 1 - c
@@ -999,15 +974,23 @@ def module_length(ideal: IdealHandle, budget=None) -> int:
 
 def hilbert_numerator(gens, weights, budget=None) -> dict[int, int]:
     """K-polynomial of S/(monomial ideal): numerator of the Hilbert series
-    over the product of (1 - t^w).  ``gens`` are exponent tuples.  Each
-    monomial ideal the pivot recursion meets for the first time costs one
-    budget unit per generator."""
-    gens = _minimalize_monomials(gens)
+    over the product of (1 - t^w).  ``gens`` are exponent tuples.  Every
+    ideal the pivot recursion meets is kept sorted by its pivot order,
+    (weighted degree, tuple), so it has one memo key however it is met, and
+    costs one budget unit per generator once."""
     weights = tuple(weights)
     budget = _as_budget(budget)
 
     def wdeg(e):
         return sum(map(operator.mul, e, weights))
+
+    def minimal(fs):
+        # the weights are positive, so a proper divisor comes first in this order
+        out = []
+        for g in sorted(set(fs), key=lambda e: (wdeg(e), e)):
+            if not any(all(map(operator.le, h, g)) for h in out):
+                out.append(g)
+        return tuple(out)
 
     memo = {}
 
@@ -1017,28 +1000,23 @@ def hilbert_numerator(gens, weights, budget=None) -> dict[int, int]:
         if fs in memo:
             return memo[fs]
         budget.spend(len(fs))
-        lst = sorted(fs, key=lambda e: (wdeg(e), e))
-        pivot = lst[-1]
-        rest = tuple(e for e in lst if e != pivot)
-        colon = _minimalize_monomials(
-            [tuple([a - b if a > b else 0 for a, b in zip(e, pivot)]) for e in rest]
-        )
+        pivot, rest = fs[-1], fs[:-1]
+        colon = minimal([tuple([a - b if a > b else 0 for a, b in zip(e, pivot)]) for e in rest])
         out = dict(rec(rest))
-        axpy_terms(out, rec(tuple(sorted(colon))), -1, wdeg(pivot), None, 0)
+        axpy_terms(out, rec(colon), -1, wdeg(pivot), None, 0)
         memo[fs] = out
         return out
 
-    return rec(tuple(sorted(gens)))
+    return rec(minimal(map(tuple, gens)))
 
 
-def _minimalize_monomials(gens):
-    gens = sorted(set(tuple(g) for g in gens), key=lambda e: (sum(e), e))
-    out = []
-    for g in gens:
-        if any(all(map(operator.le, h, g)) for h in out):
-            continue
-        out.append(g)
-    return tuple(out)
+def quotient_hilbert_numerator(ideal: IdealHandle, budget=None) -> dict[int, int]:
+    """K-polynomial of ring/(ideal + relations), read off the lead-term ideal
+    of its basis once per handle: once per ring for R on the handle of J."""
+    if ideal._hilb is None:
+        leads = [ideal.ring.decode(g.lead_key()) for g in ideal.groebner_basis(budget)]
+        ideal._hilb = hilbert_numerator(leads, ideal.ring.weights, budget)
+    return dict(ideal._hilb)
 
 
 def lead_module_hilbert_numerator(ctx, engine, twists, budget) -> dict[int, int]:
@@ -1105,13 +1083,12 @@ def _regular_forms(ring, elems, degrees, budget) -> bool:
         face = _face_is_artinian(ring, elems, budget)
         if face or len(elems) == len(ring.vars):
             return face
-    want = hilbert_numerator(lead_exponents(relations_ideal(ring), budget), ring.weights, budget)
+    want = quotient_hilbert_numerator(relations_ideal(ring), budget)
     for d in degrees:
         shifted = dict(want)
         axpy_terms(shifted, want, -1, d, None, 0)  # times (1 - t^d)
         want = shifted
-    got = hilbert_numerator(lead_exponents(IdealHandle(ring, elems), budget), ring.weights, budget)
-    return got == want
+    return quotient_hilbert_numerator(IdealHandle(ring, elems), budget) == want
 
 
 def _face_is_artinian(ring, elems, budget) -> bool:

@@ -40,10 +40,10 @@ UNITS = {
     "c01_minimal_resolution": 11,
     "c02_betti_formula": 364,
     "c03_toric_kernel": 66,
-    "c04_ulrich_instances": 341,
+    "c04_ulrich_instances": 337,
     "c05_power_minors": 573,
     "c06_eagon_northcott": 355,
-    "c07_type_relation": 281,
+    "c07_type_relation": 277,
     "c08_duality_transfer": 63188,
     "c09_family_2x3": 396,
     "c10_det_reduction": 178,

@@ -8,8 +8,9 @@ Index and scan must agree on the first divisor, on every normal form, and on
 the bases that the engine builds with either of them.  Exponents reach past
 the index's clamp up to MAX_EXP, over single-block weighted rings,
 elimination orders of two and three blocks, module keys with several
-components and a block bit, the keys of a Schreyer frame level and the
-component-blind layout that ``resolve.minimalize`` reduces by J in.
+components and a block bit, the keys of a Schreyer frame level and a
+component-blind layout, ``RingContext(ring, COMP_BITS)``, in which one
+ring-level basis reduces every component at once.
 """
 
 import functools
@@ -208,7 +209,7 @@ def draw_reducers(ctx, rng, field, count):
     out = []
     for _ in range(count):
         lead = draw_key(ctx, rng)
-        if not ctx.compmask:  # like J's in minimalize, blind reducers lie in component 0
+        if not ctx.compmask:  # blind reducers, like a ring-level basis, lie in component 0
             lead = lead >> ctx.shift << ctx.shift
         terms = {lead: one}
         for _ in range(rng.randint(0, 2)):
